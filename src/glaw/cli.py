@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactla import Matrix, format_scalar, parse_scalar
+from .exactla import Matrix, format_scalar, parse_scalar, rank
 from .generators import (
     gen_glblock,
     gen_principal,
@@ -34,6 +34,8 @@ from .liecore import (
     Refusal,
     Representation,
     StructureError,
+    center,
+    killing_form,
     validate,
 )
 from .localg import build_local, reduce_triplet
@@ -44,17 +46,29 @@ from .tower import (
     assemble,
     centralizer_graded,
     grow,
+    grow_both,
     pairing_table,
     pn_check,
 )
 
-def degree_cap() -> int:
-    """GLAW_MAX_DEGREE caps every degree budget; 8 when unset."""
-    return int(os.environ.get("GLAW_MAX_DEGREE", "8"))
-
 
 class SpecError(ValueError):
     """The spec file does not parse into a well-formed triplet."""
+
+
+def degree_cap() -> int:
+    """GLAW_MAX_DEGREE caps every degree budget; 8 when unset."""
+    raw = os.environ.get("GLAW_MAX_DEGREE", "8")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SpecError(f"GLAW_MAX_DEGREE must be an integer, got {raw!r}") from None
+
+
+def _budget(args) -> int:
+    """--max-degree (the cap when omitted), never above the cap."""
+    cap = degree_cap()
+    return cap if args.max_degree is None else min(args.max_degree, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +86,18 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
         raise SpecError(f"missing or malformed header field: {exc}") from exc
     if dim_g0 < 1 or dim_v < 1:
         raise SpecError("dimensions must be positive")
+    entries = obj.get("structure_constants", [])
+    if not isinstance(entries, list):
+        raise SpecError("structure_constants must be a list of [i, j, terms] entries")
     zero = Fraction(0)
     table = [[[zero] * dim_g0 for _ in range(dim_g0)] for _ in range(dim_g0)]
-    for entry in obj.get("structure_constants", []):
+    for entry in entries:
         try:
             i, j, terms = int(entry[0]), int(entry[1]), entry[2]
         except (TypeError, ValueError, IndexError) as exc:
             raise SpecError(f"malformed structure constant entry {entry!r}") from exc
+        if not isinstance(terms, list):
+            raise SpecError(f"malformed structure constant entry {entry!r}")
         if not (0 <= i < dim_g0 and 0 <= j < dim_g0):
             raise SpecError(f"structure constant indices ({i},{j}) out of range")
         for term in terms:
@@ -92,7 +111,11 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
             table[j][i][k] -= coeff
     g0 = LieAlgebraData(dim_g0, tuple(tuple(tuple(v) for v in row) for row in table))
     gram_rows = obj.get("B0")
-    if not isinstance(gram_rows, list) or len(gram_rows) != dim_g0:
+    if (
+        not isinstance(gram_rows, list)
+        or len(gram_rows) != dim_g0
+        or not all(isinstance(row, list) for row in gram_rows)
+    ):
         raise SpecError("B0 must be a dense dim_g0 x dim_g0 matrix of rationals")
     try:
         gram = Matrix.from_rows([[parse_scalar(str(x)) for x in row] for row in gram_rows])
@@ -187,20 +210,13 @@ def cmd_validate(args) -> int:
     return 0 if rep.ok else 1
 
 
-def _grown(t: FundamentalTriplet, sides: list[str], max_degree: int):
-    local = build_local(t)
-    out = {}
-    for side in sides:
-        out[side] = grow(local, side, max_degree)
-    return local, out
-
-
 def cmd_grow(args, thin: bool = False) -> int:
     started = time.time()
     t, name, _ = parse_triplet_spec(load_spec(args.spec))
     sides = [POSITIVE, NEGATIVE] if args.side == "both" else [args.side]
-    budget = min(args.max_degree, degree_cap())
-    local, towers = _grown(t, sides, budget)
+    budget = _budget(args)
+    local = build_local(t)
+    towers = {side: grow(local, side, budget) for side in sides}
     report = _envelope("dims" if thin else "grow", t, name, started)
     report["max_degree"] = budget
     report["dims"] = {side: tw.dims() for side, tw in towers.items()}
@@ -208,9 +224,7 @@ def cmd_grow(args, thin: bool = False) -> int:
     if not thin and POSITIVE in towers and NEGATIVE in towers:
         tp, tn = towers[POSITIVE], towers[NEGATIVE]
         top = min(tp.top_degree, tn.top_degree)
-        from .exactla import rank as _rank
-
-        report["pairing_ranks"] = [_rank(m) for m in pairing_table(tp, tn, top)] if top >= 1 else []
+        report["pairing_ranks"] = [rank(m) for m in pairing_table(tp, tn, top)] if top >= 1 else []
     _print_report(report)
     return 0
 
@@ -303,10 +317,8 @@ def cmd_centralizer(args) -> int:
     t, name, meta = parse_triplet_spec(load_spec(args.spec))
     sub = _sub_basis_from_args(t, meta, args.sub)
     local = build_local(t)
-    budget = min(args.max_degree, degree_cap())
-    tp = grow(local, POSITIVE, budget)
-    tn = grow(local, NEGATIVE, budget)
-    graded = centralizer_graded(tp, tn, local, sub, budget)
+    budget = _budget(args)
+    graded = centralizer_graded(*grow_both(local, budget), local, sub, budget)
     report = _envelope("centralizer", t, name, started)
     report["sub_dim"] = len(sub)
     report["dims"] = {str(d): len(v) for d, v in sorted(graded.items())}
@@ -321,18 +333,12 @@ def cmd_assemble(args) -> int:
     started = time.time()
     t, name, _ = parse_triplet_spec(load_spec(args.spec))
     local = build_local(t)
-    budget = min(args.max_degree, degree_cap())
-    tp = grow(local, POSITIVE, budget)
-    tn = grow(local, NEGATIVE, budget)
-    asm = assemble(tp, tn, local)
-    from .exactla import rank as _rank
-    from .liecore import center as _center, killing_form as _killing
-
+    asm = assemble(*grow_both(local, _budget(args)), local)
     report = _envelope("assemble", t, name, started)
     report["dim"] = asm.algebra.dim
     report["degrees"] = list(asm.degrees)
-    report["killing_rank"] = _rank(_killing(asm.algebra))
-    report["center_dim"] = len(_center(asm.algebra))
+    report["killing_rank"] = rank(killing_form(asm.algebra))
+    report["center_dim"] = len(center(asm.algebra))
     if args.full:
         report["structure_constants"] = [
             [i, j, [[k, format_scalar(c)] for k, c in enumerate(asm.algebra.structure[i][j]) if c != 0]]
@@ -400,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to a TripletSpec JSON file, or - for stdin")
 
     def add_degree(p):
-        p.add_argument("--max-degree", type=int, default=degree_cap(), dest="max_degree")
+        p.add_argument("--max-degree", type=int, dest="max_degree", help="capped by GLAW_MAX_DEGREE (default 8)")
 
     p = sub.add_parser("validate", help="check every triplet invariant")
     add_spec(p)

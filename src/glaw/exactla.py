@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -79,6 +79,26 @@ def vdot(a: Vector, b: Vector) -> Fraction:
 
 def vis_zero(a: Vector) -> bool:
     return all(x == 0 for x in a)
+
+
+def bilinear(x: Sequence, y: Sequence, entry: Callable[[int, int], Sequence], out: list) -> list:
+    """Add the sum of x_i y_j entry(i, j) into out and return it.
+
+    ``entry(i, j)`` is a vector, such as a structure constant or a column of
+    a stored matrix.  Zero coefficients and zero entries are skipped, so a
+    pair of basis vectors costs one entry read.
+    """
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            c = xi * yj
+            for k, e in enumerate(entry(i, j)):
+                if e:
+                    out[k] += c * e
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,13 +194,6 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     if any(m.rows != rows for m in mats):
         raise ValueError("row counts differ")
     return Matrix(rows, sum(m.cols for m in mats), tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows)))
-
-
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column counts differ")
-    return Matrix(sum(m.rows for m in mats), cols, sum((m.entries for m in mats), ()))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -17,6 +17,7 @@ from .exactla import (
     Vector,
     ZERO,
     as_vector,
+    bilinear,
     image_basis,
     kernel_basis,
     rank,
@@ -74,16 +75,7 @@ class LieAlgebraData:
         return LieAlgebraData(dim, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = vzero(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                out = vadd(out, vscale(xi * yj, row[j]))
-        return out
+        return tuple(bilinear(x, y, lambda i, j: self.structure[i][j], [ZERO] * self.dim))
 
     def ad_matrix(self, x: Vector) -> Matrix:
         cols = [self.bracket(x, basis_vector(self.dim, j)) for j in range(self.dim)]
@@ -100,6 +92,22 @@ class LieAlgebraData:
             for j in range(m):
                 table[n + i][n + j] = vzero(n) + other.structure[i][j]
         return LieAlgebraData(n + m, tuple(tuple(row) for row in table))
+
+
+def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> LieAlgebraData:
+    """Structure constants of a subalgebra in the given basis; refuses with
+    ``refusal`` when a bracket leaves its span."""
+    m = span_matrix(basis, g.dim)
+    table = []
+    for p in basis:
+        row = []
+        for q in basis:
+            coords = solve(m, g.bracket(p, q))
+            if coords is None:
+                raise Refusal(f"{refusal}; inconsistent data")
+            row.append(coords)
+        table.append(tuple(row))
+    return LieAlgebraData(len(basis), tuple(table))
 
 
 def basis_vector(dim: int, i: int) -> Vector:
@@ -136,12 +144,7 @@ class Representation:
     def act(self, u: Vector, x: Vector) -> Vector:
         if len(u) != len(self.action):
             raise StructureError("coefficient vector does not match the algebra dimension")
-        out = vzero(self.dim_v)
-        for a, ua in enumerate(u):
-            if ua == 0:
-                continue
-            out = vadd(out, vscale(ua, self.action[a].matvec(x)))
-        return out
+        return tuple(bilinear(u, x, lambda a, l: self.action[a].col(l), [ZERO] * self.dim_v))
 
     def matrix_of(self, u: Vector) -> Matrix:
         out = Matrix.zeros(self.dim_v, self.dim_v)

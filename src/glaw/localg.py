@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import (
     Matrix,
     Vector,
     ZERO,
+    bilinear,
     hstack,
+    image_basis,
     in_span,
     inverse,
     kernel_basis,
@@ -31,7 +34,6 @@ from .exactla import (
 )
 from .liecore import (
     FundamentalTriplet,
-    LieAlgebraData,
     QuadraticForm,
     Refusal,
     Representation,
@@ -40,6 +42,7 @@ from .liecore import (
     dual_rep,
     grading_element,
     rep_kernel,
+    restrict_algebra,
     AmbiguousGrading,
 )
 
@@ -59,6 +62,18 @@ class LocalAlgebra:
     def dim_v(self) -> int:
         return self.triplet.dim_v
 
+    @cached_property
+    def swapped(self) -> LocalAlgebra:
+        """The local algebra of theta_swap(triplet), read off this one.
+
+        The swap exchanges V and V*, so its table is [X'_i, Y'_j] = [Y_i, X_j]
+        = -[X_j, Y_i].  Its mixed Jacobi identity is this one's with i and j
+        exchanged and both sides negated, so nothing is re-checked.
+        """
+        t, dv = self.triplet, self.dim_v
+        table = tuple(tuple(vneg(self.xy_table[j][i]) for j in range(dv)) for i in range(dv))
+        return LocalAlgebra(FundamentalTriplet(t.g0, t.b0, self.dual_action), t.rho, table, self.gram_inverse)
+
     def act_v(self, u: Vector, x: Vector) -> Vector:
         return self.triplet.rho.act(u, x)
 
@@ -66,19 +81,22 @@ class LocalAlgebra:
         return self.dual_action.act(u, y)
 
     def bracket_xy(self, x: Vector, y: Vector) -> Vector:
-        out = vzero(self.dim_g0)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.xy_table[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                out = vadd(out, vscale(xi * yj, row[j]))
-        return out
+        return tuple(bilinear(x, y, lambda i, j: self.xy_table[i][j], [ZERO] * self.dim_g0))
 
     def bracket_yx(self, y: Vector, x: Vector) -> Vector:
         return vneg(self.bracket_xy(x, y))
+
+    def bracket(self, da: int, va: Vector, db: int, vb: Vector) -> Vector:
+        """[a, b] for a of degree da and b of degree db in V* + g0 + V."""
+        if abs(da + db) > 1 or da == db != 0:
+            raise Refusal(f"bracket of degrees {da} and {db} is not defined in the local algebra")
+        if da == db == 0:
+            return self.triplet.g0.bracket(va, vb)
+        if db == 0:
+            return vneg(self.bracket(db, vb, da, va))
+        if da == 0:
+            return (self.triplet.rho if db == 1 else self.dual_action).act(va, vb)
+        return self.bracket_xy(va, vb) if da == 1 else self.bracket_yx(va, vb)
 
 
 def build_local(t: FundamentalTriplet) -> LocalAlgebra:
@@ -449,26 +467,14 @@ def reduce_triplet(t: FundamentalTriplet, assert_completely_reducible: bool) -> 
                 raise Refusal("the orthogonal complement of the kernel is not an ideal")
     v0 = _trivial_component(t)
     img_cols = [t.rho.action[a].col(x) for a in range(n) for x in range(dv)]
-    from .exactla import image_basis as _image_basis
-
-    v1 = list(_image_basis(span_matrix(img_cols, dv)).basis)
+    v1 = list(image_basis(span_matrix(img_cols, dv)).basis)
     if len(v0) + len(v1) != dv or rank(span_matrix(v0 + v1, dv)) != dv:
         raise Refusal("reducibility check failed: the trivial part does not complement the span of g0.V")
     if not k_basis and not v0:
         return ReductionResult(t, (), tuple(basis_vector(dv, i) for i in range(dv)), (), tuple(f_basis))
     f_m = span_matrix(f_basis, n)
     nf = len(f_basis)
-    table = []
-    for p in range(nf):
-        row = []
-        for q in range(nf):
-            br = t.g0.bracket(f_basis[p], f_basis[q])
-            coords = solve(f_m, br)
-            if coords is None:
-                raise Refusal("bracket left the faithful ideal; inconsistent data")
-            row.append(coords)
-        table.append(tuple(row))
-    g0f = LieAlgebraData(nf, tuple(table))
+    g0f = restrict_algebra(t.g0, f_basis, "bracket left the faithful ideal")
     gram_f = f_m.transpose() @ t.b0.gram @ f_m
     if rank(gram_f) != nf:
         raise Refusal("B0 restricted to the faithful ideal is degenerate")

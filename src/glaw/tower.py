@@ -4,31 +4,31 @@ The positive part is grown as the image of the map
 Phi(x (x) u)(y) = [[y,x],u] + [x,[y,u]] from V (x) g_n into Hom(V*, g_n):
 minimality makes [g_1, g_n] span g_{n+1} and transitivity makes the kernel of
 lowering exactly the excess, so no free-algebra scaffolding is needed.  The
-negative side is the positive side of the swapped triplet (the swap fixes all
-elements).  Bases of each new degree are pivot columns under the deterministic
-elimination of exactla, so reruns are bit-identical.
+negative side is the positive side of the swapped triplet, grown over the
+local algebra read off ``L.swapped`` (the swap fixes all elements).  Every
+bracket with a degree +-1 generator, in growth and in assembly alike, goes
+through one mechanism over the stored raise, lower and g0-action maps.  Bases
+of each new degree are pivot columns under the deterministic elimination of
+exactla, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .exactla import (
     Matrix,
     Vector,
     ZERO,
+    bilinear,
     image_basis,
     in_span,
     kernel_basis,
     rank,
-    solve,
-    span_matrix,
     vadd,
     vis_zero,
     vneg,
-    vscale,
     vzero,
 )
 from .liecore import (
@@ -39,8 +39,9 @@ from .liecore import (
     basis_vector,
     center as algebra_center,
     killing_form,
+    restrict_algebra,
 )
-from .localg import LocalAlgebra, build_local, reduce_triplet, theta_swap, transitivity_check
+from .localg import LocalAlgebra, build_local, reduce_triplet, transitivity_check
 
 POSITIVE = "pos"
 NEGATIVE = "neg"
@@ -69,10 +70,14 @@ class GradedComponent:
 class Tower:
     local: LocalAlgebra
     side: str
-    growth_local: LocalAlgebra
     components: tuple[GradedComponent, ...]
     phis: tuple[Matrix, ...]  # phis[n-1] built candidates for degree n+1
     terminated: bool
+
+    @property
+    def growth_local(self) -> LocalAlgebra:
+        """The local algebra this side was grown over as its positive part."""
+        return self.local if self.side == POSITIVE else self.local.swapped
 
     def dims(self) -> list[int]:
         return [c.dim for c in self.components]
@@ -94,6 +99,86 @@ class Tower:
         return max((n for n in range(1, len(self.components) + 1) if self.component(n).dim > 0), default=0)
 
 
+class _Graded:
+    """Brackets in g0 + sum of the grown degrees, read off the stored maps.
+
+    ``comps[s]`` lists the components of degrees s, 2s, ... for s = +1 and
+    -1; a degree past the end of its list is zero.  Each method adds its
+    value into ``out`` (zeros of the target degree when omitted) and returns
+    it as a list.
+    """
+
+    def __init__(self, g0: LieAlgebraData, pos, neg):
+        self.g0 = g0
+        self.comps = {1: pos, -1: neg}
+        self.memo: dict[tuple[int, int, int, int], Vector] = {}
+
+    def comp(self, d: int) -> GradedComponent | None:
+        comps = self.comps[1 if d > 0 else -1]
+        return comps[abs(d) - 1] if abs(d) <= len(comps) else None
+
+    def dim_of(self, d: int) -> int:
+        if d == 0:
+            return self.g0.dim
+        comp = self.comp(d)
+        return comp.dim if comp else 0
+
+    def act0(self, d: int, u: Vector, w: Vector, out: list | None = None) -> list:
+        """[u, w] for u in g0 and w of degree d."""
+        out = [ZERO] * self.dim_of(d) if out is None else out
+        if d == 0:
+            return bilinear(u, w, lambda a, b: self.g0.structure[a][b], out)
+        mats = self.comp(d).act0
+        return bilinear(u, w, lambda a, l: mats[a].col(l), out)
+
+    def gen_bracket(self, s: int, g: Vector, d: int, w: Vector, out: list | None = None) -> list:
+        """[g, w] for g of degree s = +-1 and w of degree d.
+
+        Degree 0 is the action, -rho_s(w) g; towards degree s the bracket
+        raises through tower s's tensor coordinates; otherwise it lowers
+        through tower -s's maps (at |d| = 1 these hold the local [X, Y]).
+        """
+        out = [ZERO] * self.dim_of(d + s) if out is None else out
+        if not (out and w):
+            return out
+        if d == 0:
+            return self.act0(s, vneg(w), g, out)
+        if (d > 0) == (s > 0):
+            coords, prev = self.comp(d + s).tensor_coords, self.dim_of(d)
+            return bilinear(g, w, lambda i, m: coords.col(i * prev + m), out)
+        lower = self.comp(d).lower
+        return bilinear(g, w, lambda i, m: lower[i].col(m), out)
+
+    def bracket_vec(self, da: int, va: Vector, db: int, vb: Vector, out: list | None = None) -> list:
+        out = [ZERO] * self.dim_of(da + db) if out is None else out
+        if not out:
+            return out
+        return bilinear(va, vb, lambda sa, sb: self.bracket_basis(da, sa, db, sb), out)
+
+    def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> Vector:
+        key = (da, sa, db, sb)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = tuple(self._bracket_basis(da, sa, db, sb))
+        return hit
+
+    def _bracket_basis(self, da: int, sa: int, db: int, sb: int) -> list:
+        if abs(da) > 1 >= abs(db):
+            return [-x for x in self.bracket_basis(db, sb, da, sa)]
+        eb = basis_vector(self.dim_of(db), sb)
+        if da == 0:
+            return self.act0(db, basis_vector(self.g0.dim, sa), eb)
+        s = 1 if da > 0 else -1
+        dv = self.dim_of(s)
+        if da == s:
+            return self.gen_bracket(s, basis_vector(dv, sa), db, eb)
+        # [[g, u], w] = [g, [u, w]] - [u, [g, w]] for the provenance g (x) u of e_sa
+        gen, prev_idx = self.comp(da).provenance[sa]
+        g, u = basis_vector(dv, gen), basis_vector(self.dim_of(da - s), prev_idx)
+        out = self.gen_bracket(s, g, da - s + db, self.bracket_basis(da - s, prev_idx, db, sb))
+        return self.bracket_vec(da - s, u, db + s, vneg(self.gen_bracket(s, g, db, eb)), out)
+
+
 def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
     """Grow one side of the minimal graded algebra up to max_degree.
 
@@ -111,31 +196,25 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
             f"(faithful={report.faithful}, spans_V={report.spans_v}, spans_V*={report.spans_v_dual}); "
             "reduce the triplet first"
         )
-    growth = L if side == POSITIVE else build_local(theta_swap(L.triplet))
+    growth = L if side == POSITIVE else L.swapped
+    sign = 1 if side == POSITIVE else -1
     t = growth.triplet
     dv, n0 = t.dim_v, t.dim_g0
     lower1 = tuple(
         Matrix.from_cols([vneg(growth.xy_table[i][j]) for i in range(dv)], nrows=n0) for j in range(dv)
     )
-    comps = [
-        GradedComponent(1 if side == POSITIVE else -1, dv, tuple(t.rho.action), lower1, (), None)
-    ]
+    comps = [GradedComponent(sign, dv, tuple(t.rho.action), lower1, (), None)]
+    gr = _Graded(t.g0, comps, [])
     phis: list[Matrix] = []
-    terminated = False
-    while len(comps) < max_degree:
+    while len(comps) < max_degree and comps[-1].dim:
         n = len(comps)
         cur = comps[-1]
-        if cur.dim == 0:
-            terminated = True
-            break
-        phi = _growth_map(growth, comps, n)
+        phi = _growth_map(gr, n)
         phis.append(phi)
         ib = image_basis(phi)
         new_dim = len(ib.pivots)
-        sign = 1 if side == POSITIVE else -1
         if new_dim == 0:
-            comps.append(GradedComponent(sign * (n + 1), 0, tuple(), tuple(), (), None))
-            terminated = True
+            comps.append(GradedComponent(sign * (n + 1), 0, (), (), (), None))
             break
         provenance = tuple((p // cur.dim, p % cur.dim) for p in ib.pivots)
         tensor_coords = Matrix.from_cols(list(ib.coords), nrows=new_dim)
@@ -145,75 +224,45 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
             )
             for j in range(dv)
         )
-        act0 = _lifted_action(growth, comps, provenance, tensor_coords, n)
-        comps.append(GradedComponent(sign * (n + 1), new_dim, act0, lower, provenance, tensor_coords))
-    if comps and comps[-1].dim == 0:
-        terminated = True
-    return Tower(L, side, growth, tuple(comps), tuple(phis), terminated)
+        comps.append(GradedComponent(sign * (n + 1), new_dim, (), lower, provenance, tensor_coords))
+        comps[-1] = replace(comps[-1], act0=_lifted_action(gr, n + 1))
+    return Tower(L, side, tuple(comps), tuple(phis), comps[-1].dim == 0)
 
 
-def _raise_into(growth: LocalAlgebra, comps: list[GradedComponent], n: int, gen: int, w: Vector) -> Vector:
-    """[x_gen, w] for w in degree n-1 (degree 0 means g0 itself)."""
-    if n == 1:
-        return vneg(growth.act_v(w, basis_vector(growth.dim_v, gen)))
-    comp = comps[n - 1]
-    prev_dim = comps[n - 2].dim
-    out = vzero(comp.dim)
-    for m, wm in enumerate(w):
-        if wm == 0:
-            continue
-        out = vadd(out, vscale(wm, comp.tensor_coords.col(gen * prev_dim + m)))
-    return out
+def grow_both(L: LocalAlgebra, max_degree: int) -> tuple[Tower, Tower]:
+    """The positive and the negative tower, each grown up to max_degree."""
+    return grow(L, POSITIVE, max_degree), grow(L, NEGATIVE, max_degree)
 
 
-def _growth_map(growth: LocalAlgebra, comps: list[GradedComponent], n: int) -> Matrix:
-    cur = comps[n - 1]
-    dv = growth.dim_v
+def _growth_map(gr: _Graded, n: int) -> Matrix:
+    """Columns Phi(x_i (x) u_l), one block per y_j: [[y, x], u] + [x, [y, u]]."""
+    dv, dim = gr.dim_of(1), gr.dim_of(n)
     cols = []
     for i in range(dv):
-        for l in range(cur.dim):
-            u = basis_vector(cur.dim, l)
-            blocks: list[Fraction] = []
+        x = basis_vector(dv, i)
+        for l in range(dim):
+            u = basis_vector(dim, l)
+            col: list = []
             for j in range(dv):
-                br = vneg(growth.xy_table[i][j])  # [f_j, x_i]
-                part = vzero(cur.dim)
-                for a, ca in enumerate(br):
-                    if ca == 0:
-                        continue
-                    part = vadd(part, vscale(ca, cur.act0[a].col(l)))
-                w = cur.lower[j].col(l)
-                part = vadd(part, _raise_into(growth, comps, n, i, w))
-                blocks.extend(part)
-            cols.append(tuple(blocks))
-    return Matrix.from_cols(cols, nrows=dv * cur.dim)
+                y = basis_vector(dv, j)
+                part = gr.act0(n, gr.gen_bracket(-1, y, 1, x), u)
+                col.extend(gr.gen_bracket(1, x, n - 1, gr.gen_bracket(-1, y, n, u), part))
+            cols.append(col)
+    return Matrix.from_cols(cols, nrows=dv * dim)
 
 
-def _lifted_action(
-    growth: LocalAlgebra,
-    comps: list[GradedComponent],
-    provenance: tuple[tuple[int, int], ...],
-    tensor_coords: Matrix,
-    n: int,
-) -> tuple[Matrix, ...]:
-    cur = comps[n - 1]
-    dv, n0 = growth.dim_v, growth.dim_g0
-    new_dim = len(provenance)
+def _lifted_action(gr: _Graded, d: int) -> tuple[Matrix, ...]:
+    """The g0 action on degree d: [a, [x, u]] = [[a, x], u] + [x, [a, u]]."""
+    comp, dv, n0, prev = gr.comp(d), gr.dim_of(1), gr.dim_of(0), gr.dim_of(d - 1)
     out = []
     for a in range(n0):
-        rho_a = growth.triplet.rho.action[a]
+        ea = basis_vector(n0, a)
         cols = []
-        for (i_t, l_t) in provenance:
-            col = vzero(new_dim)
-            for i2 in range(dv):
-                c = rho_a.entries[i2][i_t]
-                if c:
-                    col = vadd(col, vscale(c, tensor_coords.col(i2 * cur.dim + l_t)))
-            acted = cur.act0[a].col(l_t)
-            for m, cm in enumerate(acted):
-                if cm:
-                    col = vadd(col, vscale(cm, tensor_coords.col(i_t * cur.dim + m)))
-            cols.append(col)
-        out.append(Matrix.from_cols(cols, nrows=new_dim))
+        for i, l in comp.provenance:
+            x, u = basis_vector(dv, i), basis_vector(prev, l)
+            col = gr.gen_bracket(1, gr.act0(1, ea, x), d - 1, u)
+            cols.append(gr.gen_bracket(1, x, d - 1, gr.act0(d - 1, ea, u), col))
+        out.append(Matrix.from_cols(cols, nrows=comp.dim))
     return tuple(out)
 
 
@@ -239,22 +288,11 @@ def pairing_table(tp: Tower, tn: Tower, up_to: int) -> list[Matrix]:
     tn.dim_at(up_to)
     tables = [Matrix.identity(tp.local.dim_v)]
     for k in range(2, up_to + 1):
-        dp, dn = tp.dim_at(k), tn.dim_at(k)
-        prev = tables[-1]
-        cols = []
-        for tcol in range(dn):
-            j, m = tn.component(k).provenance[tcol]
-            lw = tp.component(k).lower[j]
-            col = []
-            for s in range(dp):
-                acc = ZERO
-                for r in range(tp.dim_at(k - 1)):
-                    x = lw.entries[r][s]
-                    if x:
-                        acc -= x * prev.entries[r][m]
-                col.append(acc)
-            cols.append(tuple(col))
-        tables.append(Matrix.from_cols(cols, nrows=dp) if dn else Matrix.zeros(dp, 0))
+        # B([x_j, u], w) = -B(u, [x_j, w]) for the provenance x_j (x) u of each g_{-k} basis element
+        prev, dp = tables[-1], tp.dim_at(k)
+        provenance = tn.component(k).provenance if tn.dim_at(k) else ()
+        cols = [vneg(tp.component(k).lower[j].transpose().matvec(prev.col(m))) for j, m in provenance]
+        tables.append(Matrix.from_cols(cols, nrows=dp) if cols else Matrix.zeros(dp, 0))
     return tables
 
 
@@ -267,23 +305,12 @@ def candidate_pairing_rank(tp: Tower, tn: Tower, n: int) -> int:
     """
     if n < 1 or n >= len(tp.components) or n >= len(tn.components):
         raise Refusal("towers are too short for this candidate degree")
-    phi_p = tp.phis[n - 1]
     dim_n = tp.dim_at(n)
-    dv = tp.local.dim_v
-    pair_n = pairing(tp, tn, n)
+    pair_t = pairing(tp, tn, n).transpose()
     rows = []
-    for c in range(phi_p.cols):
-        col = phi_p.col(c)
-        row = []
-        for j in range(dv):
-            for m in range(tn.dim_at(n)):
-                acc = ZERO
-                for r in range(dim_n):
-                    x = col[j * dim_n + r]
-                    if x:
-                        acc -= x * pair_n.entries[r][m]
-                row.append(acc)
-        rows.append(tuple(row))
+    for col in tp.phis[n - 1].columns():
+        blocks = (col[j : j + dim_n] for j in range(0, len(col), dim_n))
+        rows.append(tuple(x for block in blocks for x in vneg(pair_t.matvec(block))))
     return rank(Matrix.from_rows(rows)) if rows else 0
 
 
@@ -342,21 +369,7 @@ def eval_term(L: LocalAlgebra, ast, xs: list[Vector], ys: list[Vector]) -> tuple
         return -1, ys[ast[1]]
     da, va = eval_term(L, ast[1], xs, ys)
     db, vb = eval_term(L, ast[2], xs, ys)
-    if da == 0 and db == 1:
-        return 1, L.act_v(va, vb)
-    if da == 1 and db == 0:
-        return 1, vneg(L.act_v(vb, va))
-    if da == 0 and db == -1:
-        return -1, L.act_v_dual(va, vb)
-    if da == -1 and db == 0:
-        return -1, vneg(L.act_v_dual(vb, va))
-    if da == 1 and db == -1:
-        return 0, L.bracket_xy(va, vb)
-    if da == -1 and db == 1:
-        return 0, L.bracket_yx(va, vb)
-    if da == 0 and db == 0:
-        return 0, L.triplet.g0.bracket(va, vb)
-    raise Refusal(f"bracket of degrees {da} and {db} is not defined in the local algebra")
+    return da + db, L.bracket(da, va, db, vb)
 
 
 def _lower_word(L: LocalAlgebra, y: Vector, word: tuple[Vector, ...]) -> list[tuple[Vector, ...]]:
@@ -426,148 +439,6 @@ class AssembledAlgebra:
         return list(range(off, off + dim))
 
 
-class _Assembler:
-    def __init__(self, tp: Tower, tn: Tower, L: LocalAlgebra):
-        self.tp, self.tn, self.L = tp, tn, L
-        self.t = L.triplet
-        self.memo: dict[tuple[int, int, int, int], Vector] = {}
-
-    def dim_of(self, d: int) -> int:
-        if d == 0:
-            return self.t.dim_g0
-        return self.tp.dim_at(d) if d > 0 else self.tn.dim_at(-d)
-
-    def act0(self, d: int, u: Vector, w: Vector) -> Vector:
-        if d == 0:
-            return self.t.g0.bracket(u, w)
-        comp = self.tp.component(d) if d > 0 else self.tn.component(-d)
-        out = vzero(comp.dim)
-        for a, ua in enumerate(u):
-            if ua == 0:
-                continue
-            out = vadd(out, vscale(ua, comp.act0[a].matvec(w)))
-        return out
-
-    def _gen_bracket(self, positive_gen: bool, gen_vec: Vector, d: int, w: Vector) -> Vector:
-        """[g, w] for g a degree +1 (V) or -1 (V*) vector and w in degree d."""
-        L = self.L
-        if positive_gen:
-            if d == 0:
-                return vneg(L.act_v(w, gen_vec))
-            if d >= 1:
-                target = self.dim_of(d + 1)
-                if target == 0:
-                    return ()
-                tower, idx = self.tp, d + 1
-                out = vzero(target)
-                comp = tower.component(idx)
-                prev = tower.dim_at(d)
-                for i, gi in enumerate(gen_vec):
-                    if gi == 0:
-                        continue
-                    for m, wm in enumerate(w):
-                        if wm == 0:
-                            continue
-                        out = vadd(out, vscale(gi * wm, comp.tensor_coords.col(i * prev + m)))
-                return out
-            # d <= -1: lower along the negative tower
-            comp = self.tn.component(-d)
-            out = vzero(self.dim_of(d + 1))
-            for i, gi in enumerate(gen_vec):
-                if gi == 0:
-                    continue
-                out = vadd(out, vscale(gi, comp.lower[i].matvec(w)))
-            return out
-        # generator in V*
-        if d == 0:
-            return vneg(L.act_v_dual(w, gen_vec))
-        if d <= -1:
-            target = self.dim_of(d - 1)
-            if target == 0:
-                return ()
-            comp = self.tn.component(-d + 1)
-            prev = self.tn.dim_at(-d)
-            out = vzero(target)
-            for j, gj in enumerate(gen_vec):
-                if gj == 0:
-                    continue
-                for m, wm in enumerate(w):
-                    if wm == 0:
-                        continue
-                    out = vadd(out, vscale(gj * wm, comp.tensor_coords.col(j * prev + m)))
-            return out
-        comp = self.tp.component(d)
-        out = vzero(self.dim_of(d - 1))
-        for j, gj in enumerate(gen_vec):
-            if gj == 0:
-                continue
-            out = vadd(out, vscale(gj, comp.lower[j].matvec(w)))
-        return out
-
-    def bracket_vec(self, da: int, va: Vector, db: int, vb: Vector) -> Vector:
-        target = self.dim_of(da + db)
-        if target == 0:
-            return ()
-        if vis_zero(va) or vis_zero(vb):
-            return vzero(target)
-        out = vzero(target)
-        for sa, ca in enumerate(va):
-            if ca == 0:
-                continue
-            for sb, cb in enumerate(vb):
-                if cb == 0:
-                    continue
-                out = vadd(out, vscale(ca * cb, self.bracket_basis(da, sa, db, sb)))
-        return out
-
-    def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> Vector:
-        key = (da, sa, db, sb)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        val = self._bracket_basis(da, sa, db, sb)
-        self.memo[key] = val
-        return val
-
-    def _bracket_basis(self, da: int, sa: int, db: int, sb: int) -> Vector:
-        dv = self.t.dim_v
-        if abs(da) <= 1:
-            ea = basis_vector(self.dim_of(da), sa)
-            eb = basis_vector(self.dim_of(db), sb)
-            if da == 0:
-                return self.t.g0.bracket(ea, eb) if db == 0 else self.act0(db, ea, eb)
-            if db == 0:
-                return vneg(self.act0(da, eb, ea))
-            if da == 1 and db == -1:
-                return self.L.bracket_xy(ea, eb)
-            if da == -1 and db == 1:
-                return self.L.bracket_yx(ea, eb)
-            # a generator against any other degree: stored raise/lower maps
-            return self._gen_bracket(da == 1, ea, db, eb)
-        if abs(db) <= 1:
-            res = self.bracket_basis(db, sb, da, sa)
-            return vneg(res) if res else res
-        tower = self.tp if da > 0 else self.tn
-        gen, prev_idx = tower.component(abs(da)).provenance[sa]
-        gen_vec = basis_vector(dv, gen)
-        positive_gen = da > 0
-        d_prev = da - 1 if da > 0 else da + 1
-        inner1 = self.bracket_basis(d_prev, prev_idx, db, sb)
-        term1 = self._gen_bracket(positive_gen, gen_vec, d_prev + db, inner1) if inner1 else ()
-        shift = db + 1 if positive_gen else db - 1
-        eb = basis_vector(self.dim_of(db), sb)
-        inner2 = self._gen_bracket(positive_gen, gen_vec, db, eb)
-        prev_basis = basis_vector(self.dim_of(d_prev), prev_idx)
-        term2 = self.bracket_vec(d_prev, prev_basis, shift, inner2) if inner2 else ()
-        target = self.dim_of(da + db)
-        out = vzero(target)
-        if term1:
-            out = vadd(out, term1)
-        if term2:
-            out = vadd(out, vneg(term2))
-        return out
-
-
 def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
     """Full structure constants of the direct sum of all grown degrees.
 
@@ -577,41 +448,25 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
     """
     if not (tp.terminated and tn.terminated):
         raise Refusal("assembly needs both towers terminated (a zero degree reached)")
-    asm = _Assembler(tp, tn, L)
+    asm = _Graded(L.triplet.g0, tp.components, tn.components)
     degrees = [d for d in range(-tn.top_degree, tp.top_degree + 1) if asm.dim_of(d) > 0]
     blocks: dict[int, tuple[int, int]] = {}
-    off = 0
+    labels: list[int] = []
     for d in degrees:
-        blocks[d] = (off, asm.dim_of(d))
-        off += asm.dim_of(d)
-    total = off
-    labels = []
-    for d in degrees:
+        blocks[d] = (len(labels), asm.dim_of(d))
         labels.extend([d] * asm.dim_of(d))
-
-    def embed(d: int, v: Vector) -> Vector:
-        if not v:
-            return vzero(total)
-        o, _ = blocks[d]
-        out = [ZERO] * total
-        for k, x in enumerate(v):
-            out[o + k] = x
-        return tuple(out)
-
-    table = [[vzero(total) for _ in range(total)] for _ in range(total)]
+    total = len(labels)
+    table = [[vzero(total)] * total for _ in range(total)]
     for da in degrees:
         oa, na = blocks[da]
         for db in degrees:
-            ob, nb = blocks[db]
-            dres = da + db
-            has_target = dres in blocks
+            if da + db not in blocks:
+                continue
+            (ob, nb), (o, n) = blocks[db], blocks[da + db]
+            pad = vzero(total - o - n)
             for sa in range(na):
                 for sb in range(nb):
-                    if not has_target:
-                        continue
-                    v = asm.bracket_basis(da, sa, db, sb)
-                    if v:
-                        table[oa + sa][ob + sb] = embed(dres, v)
+                    table[oa + sa][ob + sb] = vzero(o) + asm.bracket_basis(da, sa, db, sb) + pad
     algebra = LieAlgebraData(total, tuple(tuple(row) for row in table))
     return AssembledAlgebra(algebra, tuple(labels), blocks)
 
@@ -624,29 +479,12 @@ def assemble_nontransitive(t: FundamentalTriplet, max_degree: int) -> AssembledA
     reduction prescribes: [V0, V0*] = 0 and the kernel commutes with all of V.
     """
     red = reduce_triplet(t, assert_completely_reducible=True)
-    part = red.transitive_part
-    L = build_local(part)
-    tp = grow(L, POSITIVE, max_degree)
-    tn = grow(L, NEGATIVE, max_degree)
-    core = assemble(tp, tn, L)
+    L = build_local(red.transitive_part)
+    core = assemble(*grow_both(L, max_degree), L)
     k = len(red.v0)
-    nk = len(red.g0_kernel)
-    n_core = core.algebra.dim
-    total = n_core + 2 * k + nk
-    table = [[vzero(total) for _ in range(total)] for _ in range(total)]
-    for i in range(n_core):
-        for j in range(n_core):
-            table[i][j] = core.algebra.structure[i][j] + vzero(2 * k + nk)
-    kb = span_matrix(list(red.g0_kernel), t.dim_g0)
-    for p in range(nk):
-        for q in range(nk):
-            br = t.g0.bracket(red.g0_kernel[p], red.g0_kernel[q])
-            coords = solve(kb, br)
-            if coords is None:
-                raise Refusal("the kernel is not closed under the bracket; inconsistent data")
-            vec = vzero(n_core + 2 * k) + coords
-            table[n_core + 2 * k + p][n_core + 2 * k + q] = vec
-    algebra = LieAlgebraData(total, tuple(tuple(row) for row in table))
+    kernel = restrict_algebra(t.g0, list(red.g0_kernel), "the kernel is not closed under the bracket")
+    algebra = core.algebra.direct_sum(LieAlgebraData.abelian(2 * k)).direct_sum(kernel)
+    nk = kernel.dim
     degrees = core.degrees + (1,) * k + (-1,) * k + (0,) * nk
     blocks = dict(core.blocks)
     return AssembledAlgebra(algebra, degrees, blocks)
@@ -677,8 +515,7 @@ def finiteness_report(
     """Advisory finiteness analysis: growth observation, the center-dimension
     bound (caller supplies the irreducible count), and the semisimplicity
     consistency checks when the towers terminate."""
-    tp = grow(L, POSITIVE, max_degree)
-    tn = grow(L, NEGATIVE, max_degree)
+    tp, tn = grow_both(L, max_degree)
     z = len(algebra_center(L.triplet.g0))
     terminated = tp.terminated and tn.terminated
     killing_ok = None
@@ -711,40 +548,23 @@ def _check_subalgebra(g, sub: list[Vector]):
                 raise Refusal("the given subspace is not closed under the bracket")
 
 
+def _common_kernel(dim: int, maps) -> list[Vector]:
+    """Canonical basis of the common kernel of linear maps on a dim-dimensional
+    space, each map given as a function of a basis vector (no maps: everything)."""
+    rows = [row for f in maps for row in zip(*(f(basis_vector(dim, k)) for k in range(dim)))]
+    return kernel_basis(Matrix.from_rows(rows)) if rows else [basis_vector(dim, k) for k in range(dim)]
+
+
 def centralizer_graded(
     tp: Tower, tn: Tower, L: LocalAlgebra, sub: list[Vector], max_degree: int
 ) -> dict[int, list[Vector]]:
     """Per-degree centralizer of a g0 subalgebra in the grown algebra."""
-    t = L.triplet
-    _check_subalgebra(t.g0, sub)
+    _check_subalgebra(L.triplet.g0, sub)
+    gr = _Graded(L.triplet.g0, tp.components, tn.components)
     out: dict[int, list[Vector]] = {}
     for d in range(-max_degree, max_degree + 1):
-        if d == 0:
-            rows = []
-            for s in sub:
-                for kcoord in range(t.dim_g0):
-                    rows.append(
-                        tuple(t.g0.bracket(basis_vector(t.dim_g0, a), s)[kcoord] for a in range(t.dim_g0))
-                    )
-            out[0] = kernel_basis(Matrix.from_rows(rows)) if rows else [
-                basis_vector(t.dim_g0, a) for a in range(t.dim_g0)
-            ]
-            continue
-        tower = tp if d > 0 else tn
-        dim_d = tower.dim_at(abs(d))
-        if dim_d == 0:
-            out[d] = []
-            continue
-        comp = tower.component(abs(d))
-        mats = []
-        for s in sub:
-            m = Matrix.zeros(dim_d, dim_d)
-            for a, ca in enumerate(s):
-                if ca:
-                    m = m + comp.act0[a].scale(ca)
-            mats.append(m)
-        stacked = Matrix.from_rows([row for m in mats for row in m.entries])
-        out[d] = kernel_basis(stacked)
+        dim = (tp if d > 0 else tn).dim_at(abs(d)) if d else gr.dim_of(0)
+        out[d] = _common_kernel(dim, [lambda w, d=d, s=s: gr.act0(d, s, w) for s in sub])
     return out
 
 
@@ -752,18 +572,6 @@ def centralizer_in_degree_zero(
     tp: Tower, tn: Tower, L: LocalAlgebra, graded_sub: dict[int, list[Vector]]
 ) -> list[Vector]:
     """Elements of g0 commuting with a graded subspace (any degrees)."""
-    t = L.triplet
-    n0 = t.dim_g0
-    rows = []
-    for d, vecs in sorted(graded_sub.items()):
-        for s in vecs:
-            if d == 0:
-                for kcoord in range(n0):
-                    rows.append(tuple(t.g0.bracket(basis_vector(n0, a), s)[kcoord] for a in range(n0)))
-                continue
-            tower = tp if d > 0 else tn
-            comp = tower.component(abs(d))
-            dim_d = tower.dim_at(abs(d))
-            for kcoord in range(dim_d):
-                rows.append(tuple(comp.act0[a].matvec(s)[kcoord] for a in range(n0)))
-    return kernel_basis(Matrix.from_rows(rows)) if rows else [basis_vector(n0, a) for a in range(n0)]
+    gr = _Graded(L.triplet.g0, tp.components, tn.components)
+    maps = [lambda u, d=d, s=s: gr.act0(d, u, s) for d, vecs in sorted(graded_sub.items()) for s in vecs]
+    return _common_kernel(gr.dim_of(0), maps)

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -236,10 +239,77 @@ def test_out_of_range_indices_exit_two(tmp_path):
     assert run_cli("validate", str(spec)).returncode == 2
 
 
-def test_grow_report_matches_golden_file():
-    gen = run_cli("gen", "cartan", "--matrix", "2,-1;-1,2")
-    proc = run_cli("grow", "-", "--max-degree", "3", stdin=gen.stdout)
+# golden file -> (`glaw gen` argv, report argv on the generated spec)
+GOLDEN_REPORTS = {
+    "a2_grow": (("cartan", "--matrix", "2,-1;-1,2"), ("grow", "-", "--max-degree", "3")),
+    "g2_cubic_assemble_full": (
+        ("sp", "--n", "2", "--p", "3", "--lambda", "1", "--form", "g2"),
+        ("assemble", "-", "--max-degree", "4", "--full"),
+    ),
+    "g2_cartan_assemble_full": (
+        ("cartan", "--matrix", "2,-1;-3,2"),
+        ("assemble", "-", "--max-degree", "6", "--full"),
+    ),
+    "sym_square_3_centralizer": (
+        ("sp", "--n", "3", "--p", "2", "--lambda", "2"),
+        ("centralizer", "-", "--sub", "o(3)", "--max-degree", "2"),
+    ),
+    "glblock_2_pn_check": (
+        ("glblock", "--n", "2", "--lambda1", "1", "--lambda2", "2"),
+        ("pn-check", "-", "--n", "3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("golden_name", list(GOLDEN_REPORTS))
+def test_grow_report_matches_golden_file(golden_name):
+    gen_args, report_args = GOLDEN_REPORTS[golden_name]
+    gen = run_cli("gen", *gen_args)
+    proc = run_cli(*report_args, stdin=gen.stdout)
+    assert proc.returncode == 0, proc.stderr
     payload = strip_timings(json.loads(proc.stdout))
     got = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    golden = (Path(__file__).parent / "golden" / "a2_grow.json").read_text(encoding="utf-8")
+    golden = (Path(__file__).parent / "golden" / f"{golden_name}.json").read_text(encoding="utf-8")
     assert got == golden
+
+
+def test_centralizer_of_the_zero_subalgebra_is_everything():
+    # o(1) has no basis vectors, so every degree is its own centralizer
+    gen = run_cli("gen", "sp", "--n", "1", "--p", "2", "--lambda", "2")
+    proc = run_cli("centralizer", "-", "--sub", "o(1)", "--max-degree", "1", stdin=gen.stdout)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["sub_dim"] == 0
+    assert payload["dims"] == {"-1": 1, "0": 1, "1": 1}
+
+
+def assert_parse_error(proc: subprocess.CompletedProcess):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["kind"] == "parse"
+
+
+def test_non_integer_degree_cap_is_a_parse_error(tmp_path):
+    spec = tmp_path / "g2.json"
+    spec.write_text(gen_g2_spec(), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "glaw", "grow", str(spec)],
+        cwd=ROOT,
+        text=True,
+        capture_output=True,
+        env=dict(os.environ, GLAW_MAX_DEGREE="abc"),
+    )
+    assert_parse_error(proc)
+    assert "GLAW_MAX_DEGREE" in proc.stderr
+
+
+def test_scalar_b0_rows_are_a_parse_error():
+    obj = json.loads(gen_g2_spec())
+    obj["B0"] = [1] * obj["dim_g0"]
+    assert_parse_error(run_cli("validate", "-", stdin=json.dumps(obj)))
+
+
+def test_non_list_structure_constants_are_a_parse_error():
+    obj = json.loads(gen_g2_spec())
+    obj["structure_constants"] = 5
+    assert_parse_error(run_cli("validate", "-", stdin=json.dumps(obj)))

@@ -21,11 +21,20 @@ from glaw import (
     validate,
 )
 from glaw.exactla import vis_zero, vneg
-from glaw.generators import _sl_basis_matrices, gen_glblock, gen_symplectic, gen_with_trivial_summand, monomial_basis
+from glaw.generators import (
+    _sl_basis_matrices,
+    gen_glblock,
+    gen_principal,
+    gen_stabilizer_triplet,
+    gen_symplectic,
+    gen_with_trivial_summand,
+    monomial_basis,
+)
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, dual_rep
 from glaw.localg import IsoRefusal, LocalForm, LocalIsomorphism, local_iso_check, scale_by_components
+from glaw.sl2 import PolyInvariant
 
-from helpers import gl_standard_triplet
+from helpers import gl_standard_triplet, sl2_triplet
 
 F = Fraction
 
@@ -163,6 +172,47 @@ def test_theta_swap_fixes_the_bracket_table():
     for i in range(t.dim_v):
         for j in range(t.dim_v):
             assert Ls.xy_table[i][j] == vneg(L.xy_table[j][i])
+
+
+E6_CARTAN = [
+    [2, -1, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0],
+    [0, -1, 2, -1, 0, -1],
+    [0, 0, -1, 2, -1, 0],
+    [0, 0, 0, -1, 2, 0],
+    [0, 0, -1, 0, 0, 2],
+]
+SWAP_FAMILIES = {
+    "gl3-cubic": lambda: gen_symplectic(3, 3, 1, "trace"),
+    "sym-square-3": lambda: gen_symplectic(3, 2, 2, "trace"),
+    "sl-shifted": lambda: gen_symplectic(2, 1, 3, "sl-shifted"),
+    "g2-cubic": lambda: gen_symplectic(2, 3, 1, "g2"),
+    "sp-4": lambda: gen_symplectic(4, 2, 2, "trace"),
+    "glblock-3": lambda: gen_glblock(3, 1, 2),
+    "e6": lambda: gen_principal(E6_CARTAN),
+    "g2-cubic-trivial": lambda: gen_with_trivial_summand(gen_symplectic(2, 3, 1, "g2"), 2),
+    "stabilizer": lambda: gen_stabilizer_triplet(PolyInvariant.from_string("x0^2+x1^2+x2^2", 3), 2),
+    "sl2": sl2_triplet,
+}
+
+
+@pytest.mark.parametrize("family", sorted(SWAP_FAMILIES))
+def test_swapped_local_algebra_equals_the_rebuilt_one(family):
+    # L.swapped is read off L; the reference rebuilds it from the swapped triplet
+    t = SWAP_FAMILIES[family]()
+    L = build_local(t)
+    ref = build_local(theta_swap(t))
+    assert L.swapped.triplet == ref.triplet
+    assert L.swapped.dual_action == ref.dual_action
+    assert L.swapped.xy_table == ref.xy_table
+    assert L.swapped.gram_inverse == ref.gram_inverse
+
+
+def test_build_local_refuses_a_triplet_breaking_mixed_jacobi():
+    t = sl2_triplet()
+    doubled_h = Representation(2, (t.rho.action[0].scale(2),) + t.rho.action[1:])
+    with pytest.raises(Refusal, match=r"mixed Jacobi identity fails at \(g0=0, V=0, V\*=1\)"):
+        build_local(FundamentalTriplet(t.g0, t.b0, doubled_h))
 
 
 def test_theta_swap_self_dual_module_keeps_tower_dims():

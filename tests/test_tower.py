@@ -666,6 +666,13 @@ def test_centralizer_of_whole_degree_zero_is_trivial_in_degree_one():
     assert len(graded[0]) == 1  # the center of gl(n)
 
 
+def test_centralizer_of_the_zero_subalgebra_is_everything():
+    local, tp, tn = grown(gen_symplectic(2, 3, 1, "g2"), 1)
+    graded = centralizer_graded(tp, tn, local, [], 1)
+    assert {d: len(v) for d, v in graded.items()} == {-1: 4, 0: 4, 1: 4}
+    assert graded[1] == [basis_vector(4, k) for k in range(4)]
+
+
 def test_centralizer_rejects_non_subalgebra():
     n = 2
     local, tp, tn = grown(gen_symplectic(n, 2, 2, "trace"), 2)
