@@ -101,6 +101,8 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
         if not (0 <= i < dim_g0 and 0 <= j < dim_g0):
             raise SpecError(f"structure constant indices ({i},{j}) out of range")
         for term in terms:
+            if not isinstance(term, list):
+                raise SpecError(f"malformed structure coefficient {term!r}")
             try:
                 k, coeff = int(term[0]), parse_scalar(str(term[1]))
             except (TypeError, ValueError, IndexError) as exc:
@@ -128,7 +130,8 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
         raise SpecError("rho must list one dim_V x dim_V matrix per g0 basis element")
     mats = []
     for m in rho_list:
-        if not isinstance(m, list) or len(m) != dim_v or any(len(r) != dim_v for r in m):
+        square = isinstance(m, list) and len(m) == dim_v
+        if not square or not all(isinstance(r, list) and len(r) == dim_v for r in m):
             raise SpecError("a rho matrix has the wrong shape")
         try:
             mats.append(Matrix.from_rows([[parse_scalar(str(x)) for x in row] for row in m]))

@@ -1,18 +1,21 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` (already canonical: reduced, positive
-denominator, str() gives "p/q" or "p").  Vectors are tuples of Fractions,
-matrices immutable dense row-major grids.  Every elimination uses the same
-deterministic pivot rule (leftmost column, topmost nonzero row), so the bases
-produced here are canonical: null-space bases set each free variable to 1 in
-increasing column order, column-space bases are the pivot columns in
-left-to-right order.
+Scalars are ``fractions.Fraction`` at the API (already canonical: reduced,
+positive denominator, str() gives "p/q" or "p").  Vectors are tuples of
+Fractions, matrices immutable dense row-major grids.  Elimination runs on
+Python int rows (denominators cleared, each row divided by the gcd of its
+entries) and converts back to Fractions only for its result.  Every
+elimination uses the same deterministic pivot rule (leftmost column, topmost
+nonzero row), so the bases produced here are canonical: null-space bases set
+each free variable to 1 in increasing column order, column-space bases are
+the pivot columns in left-to-right order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 Scalar = Fraction
@@ -158,12 +161,16 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        ot = other.transpose()
-        return Matrix(
-            self.rows,
-            other.cols,
-            tuple(tuple(vdot(r, c) for c in ot.entries) for r in self.entries),
-        )
+        out = []
+        for r in self.entries:
+            acc = [ZERO] * other.cols
+            for k, x in enumerate(r):
+                if x:
+                    for j, y in enumerate(other.entries[k]):
+                        if y:
+                            acc[j] += x * y
+            out.append(tuple(acc))
+        return Matrix(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -196,36 +203,60 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(rows, sum(m.cols for m in mats), tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows)))
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _integer_row(row: Vector) -> list[int]:
+    """A rational row scaled by the lcm of its denominators, then made primitive."""
+    ratios = [x.as_integer_ratio() for x in row]
+    den = lcm(*(d for _, d in ratios))
+    if den == 1:
+        return _primitive([n for n, _ in ratios])
+    return _primitive([n * (den // d) for n, d in ratios])
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot-column indices."""
-    work = [list(r) for r in m.entries]
+    """Reduced row echelon form and the pivot-column indices.
+
+    Gauss-Jordan elimination on integer rows (fraction-free, gcd-normalised
+    in the style of Bareiss).  Each working row is a nonzero multiple of the
+    row that elimination over the rationals holds at the same step, so the
+    pivots are the same, and dividing each pivot row by its pivot entry gives
+    the unique reduced form.
+    """
+    work = [_integer_row(r) for r in m.entries]
     pivots: list[int] = []
     piv_row = 0
     for col in range(m.cols):
-        sel = None
-        for r in range(piv_row, m.rows):
-            if work[r][col] != 0:
-                sel = r
-                break
+        sel = next((r for r in range(piv_row, m.rows) if work[r][col]), None)
         if sel is None:
             continue
-        if sel != piv_row:
-            work[piv_row], work[sel] = work[sel], work[piv_row]
-        inv = ONE / work[piv_row][col]
-        work[piv_row] = [x * inv for x in work[piv_row]]
+        work[piv_row], work[sel] = work[sel], work[piv_row]
+        prow = work[piv_row]
+        p = prow[col]
+        support = [(j, x) for j, x in enumerate(prow) if x]
         for r in range(m.rows):
-            if r == piv_row:
+            row = work[r]
+            f = row[col]
+            if r == piv_row or not f:
                 continue
-            f = work[r][col]
-            if f == 0:
-                continue
-            prow = work[piv_row]
-            work[r] = [x - f * p for x, p in zip(work[r], prow)]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row = [a * x for x in row]
+            for j, x in support:
+                row[j] -= b * x
+            work[r] = _primitive(row)
         pivots.append(col)
         piv_row += 1
         if piv_row == m.rows:
             break
-    return Matrix(m.rows, m.cols, tuple(tuple(r) for r in work)), tuple(pivots)
+    out = [tuple(Fraction(x, row[pc]) if x else ZERO for x in row) for row, pc in zip(work, pivots)]
+    out += [(ZERO,) * m.cols] * (m.rows - len(pivots))
+    return Matrix(m.rows, m.cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

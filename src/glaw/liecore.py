@@ -288,24 +288,25 @@ def grading_element(t: FundamentalTriplet) -> Vector | None:
 
 
 def killing_form(g: LieAlgebraData) -> Matrix:
-    """Gram matrix of the Killing form tr(ad x ad y) on the basis."""
-    ads = [g.ad_matrix(basis_vector(g.dim, i)) for i in range(g.dim)]
+    """Gram matrix of the Killing form tr(ad x ad y) on the basis.
+
+    (ad e_i)[a][b] = c[i][b][a], so K[i][j] is the sum of c[i][b][a] c[j][a][b]
+    over the nonzero entries of ad e_i; K is symmetric since tr(AB) = tr(BA).
+    """
     n = g.dim
-    rows = []
+    c = g.structure
+    support = [[(a, b, x) for b in range(n) for a, x in enumerate(c[i][b]) if x] for i in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
+        for j in range(i, n):
+            cj = c[j]
             acc = ZERO
-            for a in range(n):
-                for b in range(n):
-                    x = ads[i].entries[a][b]
-                    if x:
-                        y = ads[j].entries[b][a]
-                        if y:
-                            acc += x * y
-            row.append(acc)
-        rows.append(row)
-    return Matrix.from_rows(rows)
+            for a, b, x in support[i]:
+                y = cj[a][b]
+                if y:
+                    acc += x * y
+            rows[i][j] = rows[j][i] = acc
+    return Matrix(n, n, tuple(tuple(r) for r in rows))
 
 
 def direct_sum_with_zero_factor(

@@ -313,3 +313,16 @@ def test_non_list_structure_constants_are_a_parse_error():
     obj = json.loads(gen_g2_spec())
     obj["structure_constants"] = 5
     assert_parse_error(run_cli("validate", "-", stdin=json.dumps(obj)))
+
+
+def test_string_rho_rows_are_a_parse_error():
+    # "10" has length dim_V = 2; it must not be read digit by digit as a row.
+    obj = {"name": "", "dim_g0": 1, "dim_V": 2, "B0": [["1"]], "rho": [["10", "01"]], "structure_constants": []}
+    assert_parse_error(run_cli("validate", "-", stdin=json.dumps(obj)))
+
+
+def test_string_structure_terms_are_a_parse_error():
+    # The term "11" must not be read as (k=1, coeff=1).
+    obj = json.loads(gen_g2_spec())
+    obj["structure_constants"].append([0, 1, ["11"]])
+    assert_parse_error(run_cli("validate", "-", stdin=json.dumps(obj)))

@@ -88,6 +88,74 @@ def test_rref_is_reduced_and_deterministic():
         assert all(r1.entries[other][pc] == 0 for other in range(m.rows) if other != row_idx)
 
 
+def sympy_rref(m: Matrix) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reference RREF from sympy's DomainMatrix over QQ (sympy is a test-only tool)."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[QQ(x.numerator, x.denominator) for x in r] for r in m.entries]
+    r, pivots = DomainMatrix(rows, (m.rows, m.cols), QQ).rref()
+    return [[F(int(x.numerator), int(x.denominator)) for x in row] for row in r.to_list()], tuple(pivots)
+
+
+def random_test_matrix(rng: random.Random) -> Matrix:
+    """1x1 to 8x8 with denominators, negatives, zero entries, zero rows and zero
+    columns; half are products through a narrow middle, so rank deficient."""
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+
+    def entry():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    if rng.random() < 0.5:
+        k = rng.randint(1, min(rows, cols))
+        left = Matrix.from_rows([[entry() for _ in range(k)] for _ in range(rows)])
+        m = left @ Matrix.from_rows([[entry() for _ in range(cols)] for _ in range(k)])
+    else:
+        m = Matrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
+    zero_rows = {rng.randrange(rows) for _ in range(rng.randint(0, 1))}
+    zero_cols = {rng.randrange(cols) for _ in range(rng.randint(0, 2))}
+    return Matrix.from_rows(
+        [[F(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+         for i, row in enumerate(m.entries)]
+    )
+
+
+def test_rref_matches_sympy_on_random_matrices():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        m = random_test_matrix(rng)
+        r, pivots = rref(m)
+        expected, expected_pivots = sympy_rref(m)
+        assert pivots == expected_pivots
+        assert [list(row) for row in r.entries] == expected
+
+
+def test_rref_of_zero_and_empty_matrices():
+    for rows, cols in [(1, 1), (3, 4), (2, 0), (0, 3)]:
+        r, pivots = rref(Matrix.zeros(rows, cols))
+        assert pivots == () and r.entries == Matrix.zeros(rows, cols).entries
+    r, pivots = rref(Matrix.from_rows([[0, 0, F(-3, 2)], [0, 0, 5], [0, 0, 0]]))
+    assert pivots == (2,)
+    assert r.entries == Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]]).entries
+    assert kernel_basis(Matrix.zeros(0, 2)) == [(F(1), F(0)), (F(0), F(1))]
+
+
+def test_matmul_matches_the_triple_loop():
+    rng = random.Random(5)
+
+    def grid(rows, cols):
+        return [[F(rng.randint(-3, 3), rng.randint(1, 3)) * rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
+
+    for _ in range(100):
+        p, q, s = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a, b = grid(p, q), grid(q, s)
+        expected = tuple(
+            tuple(sum((a[i][k] * b[k][j] for k in range(q)), F(0)) for j in range(s)) for i in range(p)
+        )
+        product = Matrix(p, q, tuple(map(tuple, a))) @ Matrix(q, s, tuple(map(tuple, b)))
+        assert (product.rows, product.cols, product.entries) == (p, s, expected)
+
+
 def test_inverse():
     m = Matrix.from_rows([[1, 2], [3, 5]])
     assert (inverse(m) @ m).entries == Matrix.identity(2).entries

@@ -19,8 +19,10 @@ from glaw import (
     validate,
 )
 from glaw.exactla import in_span, rank
-from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form
+from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
 from glaw.generators import gen_symplectic
+from glaw.localg import build_local
+from glaw.tower import assemble, grow_both
 
 from helpers import gl_standard_triplet, random_rational_vector, sl2_algebra, sl2_triplet
 
@@ -175,3 +177,28 @@ def test_killing_form_of_sl2():
     k = killing_form(sl2_algebra())
     assert k.entries == Matrix.from_rows([[8, 0, 0], [0, 0, 4], [0, 4, 0]]).entries
     assert rank(k) == 3
+
+
+def dense_killing_form(g: LieAlgebraData) -> list[list[Fraction]]:
+    """tr(ad e_i ad e_j) summed over every entry of the two ad matrices."""
+    n = g.dim
+    ads = [g.ad_matrix(basis_vector(n, i)) for i in range(n)]
+
+    def trace(i, j):
+        return sum((ads[i].entries[a][b] * ads[j].entries[b][a] for a in range(n) for b in range(n)), F(0))
+
+    return [[trace(i, j) for j in range(n)] for i in range(n)]
+
+
+def test_killing_form_matches_the_dense_trace():
+    local = build_local(gen_symplectic(2, 3, 1, "g2"))
+    g2 = assemble(*grow_both(local, 4), local).algebra
+    rng = random.Random(11)
+    while True:
+        basis = [tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(g2.dim)) for _ in range(g2.dim)]
+        if rank(Matrix.from_cols(basis)) == g2.dim:
+            break
+    skewed = restrict_algebra(g2, basis, "not a basis")
+    assert any(x.denominator > 1 for row in skewed.structure for v in row for x in v)
+    for g in (g2, skewed):
+        assert [list(row) for row in killing_form(g).entries] == dense_killing_form(g)
