@@ -217,12 +217,14 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
         rep.add("form is not symmetric")
     if rank(b0.gram) != n:
         rep.add("form is degenerate")
+    # B([e_i,e_j], e_k) = (G^T c_ij)[k] and B(e_i, [e_j,e_k]) = (G c_jk)[i], c_ij = [e_i,e_j]
+    brackets = Matrix.from_cols([g.structure[i][j] for i in range(n) for j in range(n)], nrows=n)
+    left = (b0.gram.transpose() @ brackets).entries
+    right = (b0.gram @ brackets).entries
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = b0.value(g.structure[i][j], basis_vector(n, k))
-                rhs = b0.value(basis_vector(n, i), g.structure[j][k])
-                if lhs != rhs:
+                if left[k][i * n + j] != right[i][j * n + k]:
                     rep.add(f"form invariance fails at basis triple ({i},{j},{k})")
     for i in range(n):
         for j in range(i + 1, n):
@@ -243,20 +245,24 @@ def derived_subalgebra(g: LieAlgebraData) -> list[Vector]:
     return list(image_basis(span_matrix(cols, g.dim)).basis)
 
 
+def _row_kernel(rows, dim: int) -> list[Vector]:
+    """Kernel of the matrix with these rows of length dim.
+
+    Zero and repeated rows are dropped first: the row space, hence the RREF
+    and the kernel basis, is unchanged.
+    """
+    rows = list(dict.fromkeys(row for row in rows if any(row)))
+    return kernel_basis(Matrix.from_rows(rows) if rows else Matrix.zeros(0, dim))
+
+
 def center(g: LieAlgebraData) -> list[Vector]:
-    rows = []
-    for j in range(g.dim):
-        for k in range(g.dim):
-            rows.append(tuple(g.structure[i][j][k] for i in range(g.dim)))
-    return kernel_basis(Matrix.from_rows(rows) if rows else Matrix.zeros(0, g.dim))
+    n = g.dim
+    return _row_kernel((tuple(g.structure[i][j][k] for i in range(n)) for j in range(n) for k in range(n)), n)
 
 
 def rep_kernel(r: Representation, g: LieAlgebraData) -> list[Vector]:
-    rows = []
-    for p in range(r.dim_v):
-        for q in range(r.dim_v):
-            rows.append(tuple(r.action[i].entries[p][q] for i in range(g.dim)))
-    return kernel_basis(Matrix.from_rows(rows))
+    rows = (tuple(r.action[i].entries[p][q] for i in range(g.dim)) for p in range(r.dim_v) for q in range(r.dim_v))
+    return _row_kernel(rows, g.dim)
 
 
 def grading_element(t: FundamentalTriplet) -> Vector | None:

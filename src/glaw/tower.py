@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import prod
 
 from .exactla import (
     Matrix,
+    ONE,
     Vector,
     ZERO,
     bilinear,
@@ -26,8 +29,6 @@ from .exactla import (
     in_span,
     kernel_basis,
     rank,
-    vadd,
-    vis_zero,
     vneg,
     vzero,
 )
@@ -372,31 +373,115 @@ def eval_term(L: LocalAlgebra, ast, xs: list[Vector], ys: list[Vector]) -> tuple
     return da + db, L.bracket(da, va, db, vb)
 
 
-def _lower_word(L: LocalAlgebra, y: Vector, word: tuple[Vector, ...]) -> list[tuple[Vector, ...]]:
-    if len(word) == 2:
-        first = L.act_v(L.bracket_yx(y, word[0]), word[1])
-        second = vneg(L.act_v(L.bracket_yx(y, word[1]), word[0]))
-        return [(first,), (second,)]
-    head, rest = word[0], word[1:]
-    u = L.bracket_yx(y, head)
-    out = [rest[:k] + (L.act_v(u, rest[k]),) + rest[k + 1 :] for k in range(len(rest))]
-    out.extend((head,) + w for w in _lower_word(L, y, rest))
-    return out
+class _WordLowering:
+    """The degree-n identity lowered over basis words of V, memoized.
+
+    ``lower(j, word)`` is T_j, the lowering by the dual basis vector y_j: it
+    takes a basis word (a_1..a_k) of V indices to a sparse combination
+    {word: coefficient} of basis words of length k-1, by the recursion of
+    ``_lower_symbolic`` (the head term first, then the rest).  It reads
+    [[y_j, x_a], x_b] from a sparse table filled on first use.  ``value(jx,
+    word)`` is T_{jx[0]} o ... o T_{jx[-1]} applied to the word, a sparse
+    vector {index: coefficient} of V.  Lowerings and values are memoized for
+    words shorter than n only: a top-level word is visited once per scan.
+    """
+
+    def __init__(self, L: LocalAlgebra, n: int):
+        self.L = L
+        self.n = n
+        self.acts: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+        self.lowered: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Fraction]] = {}
+        self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Fraction]] = {}
+
+    def act(self, j: int, a: int, b: int) -> dict[int, Fraction]:
+        """[[y_j, x_a], x_b] as {index: coefficient}."""
+        key = (j, a, b)
+        hit = self.acts.get(key)
+        if hit is None:
+            L, dv = self.L, self.L.dim_v
+            u = L.bracket_yx(basis_vector(dv, j), basis_vector(dv, a))
+            hit = self.acts[key] = {c: v for c, v in enumerate(L.act_v(u, basis_vector(dv, b))) if v}
+        return hit
+
+    def lower(self, j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        if len(word) == self.n:
+            return self._lower(j, word)
+        key = (j, word)
+        hit = self.lowered.get(key)
+        if hit is None:
+            hit = self.lowered[key] = self._lower(j, word)
+        return hit
+
+    def _lower(self, j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        out: dict[tuple[int, ...], Fraction] = {}
+        head, rest = word[0], word[1:]
+        if not rest[1:]:
+            # [[y, x_a], x_b] + [x_a, [y, x_b]] = [[y, x_a], x_b] - [[y, x_b], x_a]
+            (b,) = rest
+            for c, v in self.act(j, head, b).items():
+                out[(c,)] = v
+            for c, v in self.act(j, b, head).items():
+                out[(c,)] = out.get((c,), ZERO) - v
+        else:
+            for k, r in enumerate(rest):
+                for c, v in self.act(j, head, r).items():
+                    w = rest[:k] + (c,) + rest[k + 1 :]
+                    out[w] = out.get(w, ZERO) + v
+            for w, v in self.lower(j, rest).items():
+                w = (head,) + w
+                out[w] = out.get(w, ZERO) + v
+        return {w: v for w, v in out.items() if v}
+
+    def value(self, jx: tuple[int, ...], word: tuple[int, ...]) -> dict[int, Fraction]:
+        if not jx:
+            return {word[0]: ONE}
+        if len(word) == self.n:
+            return self._value(jx, word)
+        key = (jx, word)
+        hit = self.values.get(key)
+        if hit is None:
+            hit = self.values[key] = self._value(jx, word)
+        return hit
+
+    def _value(self, jx: tuple[int, ...], word: tuple[int, ...]) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        rest = jx[:-1]
+        for w, c in self.lower(jx[-1], word).items():
+            for i, v in self.value(rest, w).items():
+                out[i] = out.get(i, ZERO) + c * v
+        return {i: v for i, v in out.items() if v}
+
+
+def _support(v: Vector) -> list[tuple[int, Fraction]]:
+    return [(i, x) for i, x in enumerate(v) if x]
 
 
 def pn_evaluate(L: LocalAlgebra, ys: list[Vector], xs: list[Vector]) -> Vector:
     """Value in V of the degree-n identity on concrete arguments.
 
     ys are the n-1 degree-(-1) slots in their printed order (the last one is
-    applied first), xs the n degree-1 slots.
+    applied first), xs the n degree-1 slots.  The identity is multilinear:
+    the xs are expanded into a combination of basis words over their nonzero
+    coordinates, and each y lowers that combination as the sum of y_j T_j
+    over its nonzero coordinates, on the same memoized lowering as pn_check.
     """
-    words = [tuple(xs)]
+    if len(ys) != len(xs) - 1:
+        raise ValueError("the degree-n identity takes n-1 dual and n vector arguments")
+    kernel = _WordLowering(L, len(xs))
+    words: dict[tuple[int, ...], Fraction] = {}
+    for pairs in itertools.product(*(_support(x) for x in xs)):
+        words[tuple(i for i, _ in pairs)] = prod((c for _, c in pairs), start=ONE)
     for y in reversed(ys):
-        words = [w2 for w in words for w2 in _lower_word(L, y, w)]
-    out = vzero(L.dim_v)
-    for w in words:
-        out = vadd(out, w[0])
-    return out
+        lowered: dict[tuple[int, ...], Fraction] = {}
+        for j, yj in _support(y):
+            for word, c in words.items():
+                for w, v in kernel.lower(j, word).items():
+                    lowered[w] = lowered.get(w, ZERO) + yj * c * v
+        words = lowered
+    out = [ZERO] * L.dim_v
+    for (i,), c in words.items():
+        out[i] += c
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -408,19 +493,24 @@ class PnResult:
 
 
 def pn_check(L: LocalAlgebra, n: int) -> PnResult:
-    """Does the degree-n identity hold on all basis tuples?  Multilinearity
-    makes basis tuples sufficient.  Returns the first nonvanishing tuple."""
+    """Does the degree-n identity hold on all basis tuples?
+
+    Multilinearity makes basis tuples sufficient.  Each tuple's value is
+    T_{j_0} o ... o T_{j_{n-2}} applied to the word (x_i...), read off one
+    memoized lowering over basis words (``_WordLowering``), so a sub-word
+    shared by many tuples is lowered once.  Tuples are scanned in
+    lexicographic order, dual indices outer; returns the first nonvanishing
+    one.
+    """
     if not 2 <= n <= 5:
         raise Refusal("the identity check is supported for 2 <= n <= 5")
     dv = L.dim_v
-    basis = [basis_vector(dv, i) for i in range(dv)]
+    kernel = _WordLowering(L, n)
     for jx in itertools.product(range(dv), repeat=n - 1):
-        ys = [basis[j] for j in jx]
         for ix in itertools.product(range(dv), repeat=n):
-            xs = [basis[i] for i in ix]
-            val = pn_evaluate(L, ys, xs)
-            if not vis_zero(val):
-                return PnResult(n, False, (tuple(jx), tuple(ix)), val)
+            val = kernel.value(jx, ix)
+            if val:
+                return PnResult(n, False, (jx, ix), tuple(val.get(i, ZERO) for i in range(dv)))
     return PnResult(n, True, None, None)
 
 

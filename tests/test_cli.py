@@ -258,6 +258,14 @@ GOLDEN_REPORTS = {
         ("glblock", "--n", "2", "--lambda1", "1", "--lambda2", "2"),
         ("pn-check", "-", "--n", "3"),
     ),
+    "a4_pn_check_n4": (
+        ("cartan", "--matrix", "2,-1,0,0;-1,2,-1,0;0,-1,2,-1;0,0,-1,2"),
+        ("pn-check", "-", "--n", "4"),
+    ),
+    "sym_square_3_pn_check_n3": (
+        ("sp", "--n", "3", "--p", "2", "--lambda", "2"),
+        ("pn-check", "-", "--n", "3"),
+    ),
 }
 
 

@@ -18,7 +18,7 @@ from glaw import (
     rep_kernel,
     validate,
 )
-from glaw.exactla import in_span, rank
+from glaw.exactla import in_span, kernel_basis, rank
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
 from glaw.generators import gen_symplectic
 from glaw.localg import build_local
@@ -79,6 +79,21 @@ def test_validate_catches_each_invariant():
     assert any("Jacobi" in v for v in rep.violations)
 
 
+def test_form_invariance_messages_come_in_basis_triple_order():
+    # the (i, j, k) order and the wording of the per-triple check on B([e_i,e_j], e_k) = B(e_i, [e_j,e_k])
+    t = sl2_triplet()
+    rep = validate(FundamentalTriplet(t.g0, QuadraticForm(Matrix.identity(3)), t.rho))
+    triples = ["0,1,1", "0,1,2", "0,2,1", "0,2,2", "1,0,1", "1,1,0", "1,2,0", "2,0,2", "2,1,0", "2,2,0"]
+    assert rep.violations == [f"form invariance fails at basis triple ({ijk})" for ijk in triples]
+    # a non-symmetric form: the left side reads the Gram matrix transposed
+    gram = Matrix.from_rows([[2, 1, 0], [0, 0, 1], [0, 1, 0]])
+    rep = validate(FundamentalTriplet(t.g0, QuadraticForm(gram), t.rho))
+    triples = ["0,0,1", "0,1,0", "1,2,1", "2,1,1"]
+    assert rep.violations == ["form is not symmetric"] + [
+        f"form invariance fails at basis triple ({ijk})" for ijk in triples
+    ]
+
+
 def test_structure_errors_are_distinct_from_invariant_violations():
     t = gl_standard_triplet(2)
     with pytest.raises(StructureError):
@@ -118,6 +133,14 @@ def test_center_dimensions():
         ident = tuple(F(1) if a == b else F(0) for a in range(n) for b in range(n))
         assert in_span(ident, z)
     assert center(sl2_algebra()) == []
+
+
+def test_center_matches_the_kernel_of_the_full_coefficient_matrix():
+    # zero and repeated rows are dropped before elimination; the basis must not change
+    for g in (gl_standard_triplet(3).g0, gl_standard_triplet(2).g0.direct_sum(sl2_algebra())):
+        n = g.dim
+        rows = [tuple(g.structure[i][j][k] for i in range(n)) for j in range(n) for k in range(n)]
+        assert center(g) == kernel_basis(Matrix.from_rows(rows))
 
 
 def test_subalgebra_closure_properties():

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glaw import (
     LieAlgebraData,
@@ -33,7 +35,7 @@ from glaw.exactla import rank, subspace_equal, vadd, vis_zero, vneg, vscale, vze
 from glaw.liecore import basis_vector, center as lie_center, killing_form
 from glaw.localg import LocalAlgebra
 from glaw.sl2 import PolyInvariant
-from glaw.tower import NEGATIVE, POSITIVE, eval_term, term_to_str
+from glaw.tower import NEGATIVE, POSITIVE, _WordLowering, eval_term, term_to_str
 
 from helpers import (
     gl_standard_triplet,
@@ -432,6 +434,62 @@ def test_identity_witness_is_reported():
     xs = [basis_vector(L.dim_v, i) for i in ix]
     assert pn_evaluate(L, ys, xs) == res.value
     assert not vis_zero(res.value)
+
+
+def _oracle_value(L, n, ys, xs):
+    total = vzero(L.dim_v)
+    for term in pn_expand(n).terms:
+        total = vadd(total, eval_term(L, term, xs, ys)[1])
+    return total
+
+
+ORACLE_CASES = [
+    pytest.param(lambda: gen_glblock(2, 1, 2), 2, id="glblock-2-n2"),
+    pytest.param(lambda: gen_glblock(2, 1, 2), 3, id="glblock-2-n3"),
+    pytest.param(lambda: gen_symplectic(2, 3, 1, "g2"), 2, id="g2-cubic-n2"),
+    pytest.param(lambda: gen_symplectic(2, 3, 1, "g2"), 3, id="g2-cubic-n3"),
+    pytest.param(lambda: gen_symplectic(2, 2, 2, "trace"), 3, id="sym-square-2-n3"),
+    pytest.param(lambda: gen_principal(A2), 3, id="principal-a2-n3"),
+]
+
+
+@pytest.mark.parametrize("make,n", ORACLE_CASES)
+def test_word_lowering_matches_the_symbolic_expansion_on_every_basis_tuple(make, n):
+    L = build_local(make())
+    dv = L.dim_v
+    basis = [basis_vector(dv, i) for i in range(dv)]
+    kernel = _WordLowering(L, n)
+    first = None
+    for jx in itertools.product(range(dv), repeat=n - 1):
+        ys = [basis[j] for j in jx]
+        for ix in itertools.product(range(dv), repeat=n):
+            oracle = _oracle_value(L, n, ys, [basis[i] for i in ix])
+            got = kernel.value(jx, ix)
+            assert tuple(got.get(i, F(0)) for i in range(dv)) == oracle, (jx, ix)
+            if first is None and not vis_zero(oracle):
+                first = ((jx, ix), oracle)
+    res = pn_check(L, n)
+    assert res.holds == (first is None)
+    if first is not None:
+        assert (res.witness, res.value) == first
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), family=st.sampled_from(["abelian", "gl2"]))
+def test_pn_evaluate_matches_the_symbolic_expansion_on_random_vectors(seed, n, family):
+    rng = random.Random(seed)
+    t = random_abelian_triplet(rng) if family == "abelian" else random_gl2_triplet(rng)
+    L = build_local(t)
+    ys = [random_rational_vector(rng, L.dim_v) for _ in range(n - 1)]
+    xs = [random_rational_vector(rng, L.dim_v) for _ in range(n)]
+    assert pn_evaluate(L, ys, xs) == _oracle_value(L, n, ys, xs)
+
+
+def test_pn_evaluate_needs_one_dual_argument_fewer_than_vector_arguments():
+    L = build_local(gen_glblock(2, 1, 2))
+    e = basis_vector(L.dim_v, 0)
+    with pytest.raises(ValueError):
+        pn_evaluate(L, [e, e], [e, e])
 
 
 # ---------------------------------------------------------------------------
