@@ -75,70 +75,76 @@ def _budget(args) -> int:
 # TripletSpec schema
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; bools, floats (1e400 included) and strings are refused."""
+    if type(value) is not int:
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _rational_matrix(rows) -> Matrix:
+    try:
+        return Matrix.from_rows([[parse_scalar(str(x)) for x in row] for row in rows])
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+
+
 def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")
     try:
         name = str(obj.get("name", ""))
-        dim_g0 = int(obj["dim_g0"])
-        dim_v = int(obj["dim_V"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim_g0 = _integer(obj["dim_g0"], "dim_g0")
+        dim_v = _integer(obj["dim_V"], "dim_V")
+    except KeyError as exc:
         raise SpecError(f"missing or malformed header field: {exc}") from exc
     if dim_g0 < 1 or dim_v < 1:
         raise SpecError("dimensions must be positive")
+    # shapes first: the structure table below has dim_g0^3 entries
+    gram_rows = obj.get("B0")
+    if not (
+        isinstance(gram_rows, list)
+        and len(gram_rows) == dim_g0
+        and all(isinstance(row, list) and len(row) == dim_g0 for row in gram_rows)
+    ):
+        raise SpecError("B0 must be a dense dim_g0 x dim_g0 matrix of rationals")
+    rho_list = obj.get("rho")
+    if not isinstance(rho_list, list) or len(rho_list) != dim_g0:
+        raise SpecError("rho must list one dim_V x dim_V matrix per g0 basis element")
+    for m in rho_list:
+        square = isinstance(m, list) and len(m) == dim_v
+        if not square or not all(isinstance(r, list) and len(r) == dim_v for r in m):
+            raise SpecError("a rho matrix has the wrong shape")
+    gram = _rational_matrix(gram_rows)
+    mats = tuple(_rational_matrix(m) for m in rho_list)
     entries = obj.get("structure_constants", [])
     if not isinstance(entries, list):
         raise SpecError("structure_constants must be a list of [i, j, terms] entries")
     zero = Fraction(0)
     table = [[[zero] * dim_g0 for _ in range(dim_g0)] for _ in range(dim_g0)]
     for entry in entries:
-        try:
-            i, j, terms = int(entry[0]), int(entry[1]), entry[2]
-        except (TypeError, ValueError, IndexError) as exc:
-            raise SpecError(f"malformed structure constant entry {entry!r}") from exc
-        if not isinstance(terms, list):
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
             raise SpecError(f"malformed structure constant entry {entry!r}")
+        i, j = _integer(entry[0], "a structure index"), _integer(entry[1], "a structure index")
         if not (0 <= i < dim_g0 and 0 <= j < dim_g0):
             raise SpecError(f"structure constant indices ({i},{j}) out of range")
-        for term in terms:
-            if not isinstance(term, list):
+        if i == j:
+            raise SpecError(f"structure constant entry ({i},{j}) brackets a basis element with itself")
+        for term in entry[2]:
+            if not (isinstance(term, list) and len(term) == 2):
                 raise SpecError(f"malformed structure coefficient {term!r}")
+            k = _integer(term[0], "a structure coefficient index")
             try:
-                k, coeff = int(term[0]), parse_scalar(str(term[1]))
-            except (TypeError, ValueError, IndexError) as exc:
+                coeff = parse_scalar(str(term[1]))
+            except ValueError as exc:
                 raise SpecError(f"malformed structure coefficient {term!r}") from exc
             if not 0 <= k < dim_g0:
                 raise SpecError(f"structure coefficient index {k} out of range")
             table[i][j][k] += coeff
             table[j][i][k] -= coeff
     g0 = LieAlgebraData(dim_g0, tuple(tuple(tuple(v) for v in row) for row in table))
-    gram_rows = obj.get("B0")
-    if (
-        not isinstance(gram_rows, list)
-        or len(gram_rows) != dim_g0
-        or not all(isinstance(row, list) for row in gram_rows)
-    ):
-        raise SpecError("B0 must be a dense dim_g0 x dim_g0 matrix of rationals")
     try:
-        gram = Matrix.from_rows([[parse_scalar(str(x)) for x in row] for row in gram_rows])
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    if gram.cols != dim_g0:
-        raise SpecError("B0 has the wrong width")
-    rho_list = obj.get("rho")
-    if not isinstance(rho_list, list) or len(rho_list) != dim_g0:
-        raise SpecError("rho must list one dim_V x dim_V matrix per g0 basis element")
-    mats = []
-    for m in rho_list:
-        square = isinstance(m, list) and len(m) == dim_v
-        if not square or not all(isinstance(r, list) and len(r) == dim_v for r in m):
-            raise SpecError("a rho matrix has the wrong shape")
-        try:
-            mats.append(Matrix.from_rows([[parse_scalar(str(x)) for x in row] for row in m]))
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-    try:
-        triplet = FundamentalTriplet(g0, QuadraticForm(gram), Representation(dim_v, tuple(mats)))
+        triplet = FundamentalTriplet(g0, QuadraticForm(gram), Representation(dim_v, mats))
     except StructureError as exc:
         raise SpecError(str(exc)) from exc
     meta = obj.get("meta", {})

@@ -1,12 +1,15 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense at the surface, sparse inside.
 
 Scalars are ``fractions.Fraction`` at the API (already canonical: reduced,
 positive denominator, str() gives "p/q" or "p").  Vectors are tuples of
-Fractions, matrices immutable dense row-major grids.  Elimination runs on
-Python int rows (denominators cleared, each row divided by the gcd of its
-entries) and converts back to Fractions only for its result.  Every
-elimination uses the same deterministic pivot rule (leftmost column, topmost
-nonzero row), so the bases produced here are canonical: null-space bases set
+Fractions; ``Matrix`` is an immutable dense row-major grid and ``SparseCols``
+an immutable matrix stored by columns, each column the tuple of its nonzero
+(row, value) pairs.  Elimination runs on sparse integer rows ({column: int},
+denominators cleared, each row divided by the gcd of its entries) and
+converts back to Fractions only for its result.  In each column the pivot is
+the eligible row with the fewest nonzeros, ties to the lower row index; the
+reduced row echelon form is unique, so that choice only changes fill-in and
+never a result.  The bases produced here are canonical: null-space bases set
 each free variable to 1 in increasing column order, column-space bases are
 the pivot columns in left-to-right order.
 """
@@ -16,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+Pairs = Iterable[tuple[int, Fraction]]  # nonzero (index, value) entries of a vector
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,23 +88,25 @@ def vis_zero(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
-def bilinear(x: Sequence, y: Sequence, entry: Callable[[int, int], Sequence], out: list) -> list:
+def support(v: Sequence) -> list[tuple[int, Fraction]]:
+    """The nonzero (index, value) entries of a dense vector."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def bilinear(x: Pairs, y: Pairs, entry: Callable[[int, int], Pairs], out):
     """Add the sum of x_i y_j entry(i, j) into out and return it.
 
-    ``entry(i, j)`` is a vector, such as a structure constant or a column of
-    a stored matrix.  Zero coefficients and zero entries are skipped, so a
-    pair of basis vectors costs one entry read.
+    x and y are walked over their supports, ``entry(i, j)`` gives the nonzero
+    pairs of a vector (a structure constant, a column of a stored map), and
+    ``out`` is a dense list or a dict defaulting to 0.  A pair of basis
+    vectors costs one entry read.
     """
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
+    y = list(y)
+    for i, xi in x:
+        for j, yj in y:
             c = xi * yj
-            for k, e in enumerate(entry(i, j)):
-                if e:
-                    out[k] += c * e
+            for k, e in entry(i, j):
+                out[k] += c * e
     return out
 
 
@@ -140,14 +146,8 @@ class Matrix:
     def zeros(r: int, c: int) -> "Matrix":
         return Matrix(r, c, tuple((ZERO,) * c for _ in range(r)))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[Vector]:
-        return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
@@ -187,9 +187,6 @@ class Matrix:
         c = frac(c)
         return Matrix(self.rows, self.cols, tuple(vscale(c, r) for r in self.entries))
 
-    def is_zero(self) -> bool:
-        return all(vis_zero(r) for r in self.entries)
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i)
@@ -203,60 +200,107 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(rows, sum(m.cols for m in mats), tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows)))
 
 
-def _primitive(row: list[int]) -> list[int]:
+class SparseCols(NamedTuple):
+    """Immutable matrix stored by columns.
+
+    ``support[j]`` holds the nonzero entries of column j as (row, value) pairs
+    in increasing row order, so equal matrices have equal supports.
+    """
+
+    rows: int
+    cols: int
+    support: tuple[tuple[tuple[int, Fraction], ...], ...]
+
+    @staticmethod
+    def from_matrix(m: Matrix) -> "SparseCols":
+        return SparseCols(m.rows, m.cols, tuple(tuple(support(m.col(j))) for j in range(m.cols)))
+
+    def col(self, j: int) -> Vector:
+        out = [ZERO] * self.rows
+        for i, x in self.support[j]:
+            out[i] = x
+        return tuple(out)
+
+    def columns(self) -> list[Vector]:
+        return [self.col(j) for j in range(self.cols)]
+
+    def to_matrix(self) -> Matrix:
+        return Matrix.from_cols(self.columns(), nrows=self.rows)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
     """The row divided by its content (the gcd of its entries)."""
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+    g = gcd(*row.values())
+    return row if g <= 1 else {j: x // g for j, x in row.items()}
 
 
-def _integer_row(row: Vector) -> list[int]:
-    """A rational row scaled by the lcm of its denominators, then made primitive."""
-    ratios = [x.as_integer_ratio() for x in row]
-    den = lcm(*(d for _, d in ratios))
-    if den == 1:
-        return _primitive([n for n, _ in ratios])
-    return _primitive([n * (den // d) for n, d in ratios])
+def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """A sparse rational row scaled by the lcm of its denominators, then made primitive."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """(p/g) row - (f/g) prow, g = gcd(p, f), made primitive: clears row[col]."""
+    p, f = prow[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, x in prow.items():
+        v = out.get(j, 0) - b * x
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _sparse_rref(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[dict], tuple[int, ...]]:
+    """Nonzero rows of the reduced row echelon form of rows with ncols
+    columns, in pivot order, and the pivots.
+
+    Gauss-Jordan elimination on sparse integer rows (fraction-free,
+    gcd-normalised in the style of Bareiss).  Rows wait in buckets keyed by
+    their leading column.  Taking columns in increasing order, the pivot of a
+    column is the sparsest row of its bucket, ties to the lower row index
+    (Markowitz); the other rows of the bucket are eliminated and re-bucketed
+    by their new leading column.  Back-substitution then clears each pivot
+    column from the pivot rows above it.  Every working row is a nonzero
+    multiple of a row of the rational reduction, so dividing each pivot row
+    by its pivot entry gives the unique reduced form.
+    """
+    buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for idx, row in enumerate(rows):
+        if row:
+            row = _integer_row(row)
+            buckets.setdefault(min(row), []).append((idx, row))
+    reduced: list[dict[int, int]] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        bucket = buckets.pop(col, None)
+        if not bucket:
+            continue
+        pidx, prow = min(bucket, key=lambda item: (len(item[1]), item[0]))
+        for idx, row in bucket:
+            if idx != pidx and (row := _eliminate(row, prow, col)):
+                buckets.setdefault(min(row), []).append((idx, row))
+        reduced.append(prow)
+        pivots.append(col)
+    where = {c: k for k, c in enumerate(pivots)}
+    for k in reversed(range(len(reduced))):
+        row = reduced[k]
+        for c in [c for c in row if c != pivots[k] and c in where]:
+            row = _eliminate(row, reduced[where[c]], c)
+        reduced[k] = row
+    return [{j: Fraction(x, row[pc]) for j, x in row.items()} for row, pc in zip(reduced, pivots)], tuple(pivots)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot-column indices.
-
-    Gauss-Jordan elimination on integer rows (fraction-free, gcd-normalised
-    in the style of Bareiss).  Each working row is a nonzero multiple of the
-    row that elimination over the rationals holds at the same step, so the
-    pivots are the same, and dividing each pivot row by its pivot entry gives
-    the unique reduced form.
-    """
-    work = [_integer_row(r) for r in m.entries]
-    pivots: list[int] = []
-    piv_row = 0
-    for col in range(m.cols):
-        sel = next((r for r in range(piv_row, m.rows) if work[r][col]), None)
-        if sel is None:
-            continue
-        work[piv_row], work[sel] = work[sel], work[piv_row]
-        prow = work[piv_row]
-        p = prow[col]
-        support = [(j, x) for j, x in enumerate(prow) if x]
-        for r in range(m.rows):
-            row = work[r]
-            f = row[col]
-            if r == piv_row or not f:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                row = [a * x for x in row]
-            for j, x in support:
-                row[j] -= b * x
-            work[r] = _primitive(row)
-        pivots.append(col)
-        piv_row += 1
-        if piv_row == m.rows:
-            break
-    out = [tuple(Fraction(x, row[pc]) if x else ZERO for x in row) for row, pc in zip(work, pivots)]
+    """Reduced row echelon form and the pivot-column indices."""
+    reduced, pivots = _sparse_rref((dict(support(r)) for r in m.entries), m.cols)
+    out = [tuple(row.get(j, ZERO) for j in range(m.cols)) for row in reduced]
     out += [(ZERO,) * m.cols] * (m.rows - len(pivots))
-    return Matrix(m.rows, m.cols, tuple(out)), tuple(pivots)
+    return Matrix(m.rows, m.cols, tuple(out)), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -296,18 +340,41 @@ def solve(a: Matrix, b: Sequence) -> Vector | None:
 
 @dataclass(frozen=True)
 class ImageBasis:
-    """Pivot-column basis of the column space plus coordinates of every column."""
+    """Pivot-column basis of the column space plus coordinates of every column.
+
+    Both are stored sparse: column k of ``basis_cols`` is the pivot column
+    ``pivots[k]``, and column j of ``coord_cols`` expresses column j in that
+    basis.  ``basis`` and ``coords`` are their dense views.
+    """
 
     pivots: tuple[int, ...]
-    basis: tuple[Vector, ...]
-    coords: tuple[Vector, ...]  # coords[j] expresses column j in the pivot basis
+    basis_cols: SparseCols
+    coord_cols: SparseCols
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(self.basis_cols.columns())
+
+    @property
+    def coords(self) -> tuple[Vector, ...]:
+        return tuple(self.coord_cols.columns())
 
 
-def image_basis(m: Matrix) -> ImageBasis:
-    r, pivots = rref(m)
-    basis = tuple(m.col(p) for p in pivots)
-    coords = tuple(tuple(r.entries[k][j] for k in range(len(pivots))) for j in range(m.cols))
-    return ImageBasis(pivots, basis, coords)
+def image_basis(m: Matrix | SparseCols) -> ImageBasis:
+    """Column-space basis and coordinates, read off the sparse reduced rows."""
+    if isinstance(m, Matrix):
+        m = SparseCols.from_matrix(m)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m.support):
+        for i, x in col:
+            rows[i][j] = x
+    reduced, pivots = _sparse_rref(rows, m.cols)
+    coords: list[list[tuple[int, Fraction]]] = [[] for _ in range(m.cols)]
+    for k, row in enumerate(reduced):
+        for j, x in row.items():
+            coords[j].append((k, x))
+    basis = SparseCols(m.rows, len(pivots), tuple(m.support[p] for p in pivots))
+    return ImageBasis(pivots, basis, SparseCols(len(pivots), m.cols, tuple(map(tuple, coords))))
 
 
 def inverse(m: Matrix) -> Matrix:

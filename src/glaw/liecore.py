@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import (
     Matrix,
+    SparseCols,
     Vector,
     ZERO,
     as_vector,
@@ -23,6 +25,7 @@ from .exactla import (
     rank,
     solve,
     span_matrix,
+    support,
     vadd,
     vis_zero,
     vscale,
@@ -74,8 +77,14 @@ class LieAlgebraData:
         z = vzero(dim)
         return LieAlgebraData(dim, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
 
+    @cached_property
+    def structure_pairs(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """structure[i][j] as its nonzero (k, coefficient) pairs."""
+        return tuple(tuple(tuple(support(v)) for v in row) for row in self.structure)
+
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        return tuple(bilinear(x, y, lambda i, j: self.structure[i][j], [ZERO] * self.dim))
+        table = self.structure_pairs
+        return tuple(bilinear(support(x), support(y), lambda i, j: table[i][j], [ZERO] * self.dim))
 
     def ad_matrix(self, x: Vector) -> Matrix:
         cols = [self.bracket(x, basis_vector(self.dim, j)) for j in range(self.dim)]
@@ -141,18 +150,26 @@ class Representation:
             if a.rows != self.dim_v or a.cols != self.dim_v:
                 raise StructureError("representation matrices must be dim_v x dim_v")
 
+    @cached_property
+    def action_cols(self) -> tuple[SparseCols, ...]:
+        """The action matrices stored by columns."""
+        return tuple(SparseCols.from_matrix(a) for a in self.action)
+
     def act(self, u: Vector, x: Vector) -> Vector:
         if len(u) != len(self.action):
             raise StructureError("coefficient vector does not match the algebra dimension")
-        return tuple(bilinear(u, x, lambda a, l: self.action[a].col(l), [ZERO] * self.dim_v))
+        cols = self.action_cols
+        return tuple(bilinear(support(u), support(x), lambda a, l: cols[a].support[l], [ZERO] * self.dim_v))
 
     def matrix_of(self, u: Vector) -> Matrix:
-        out = Matrix.zeros(self.dim_v, self.dim_v)
-        for a, ua in enumerate(u):
-            if ua == 0:
-                continue
-            out = out + self.action[a].scale(ua)
-        return out
+        """rho(u) = sum of u_a rho(e_a), accumulated in one pass over the nonzero entries."""
+        n = self.dim_v
+        rows = [[ZERO] * n for _ in range(n)]
+        for a, ua in support(u):
+            for l, col in enumerate(self.action_cols[a].support):
+                for r, x in col:
+                    rows[r][l] += ua * x
+        return Matrix(n, n, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .exactla import (
     rank,
     solve,
     span_matrix,
+    support,
     vadd,
     vdot,
     vis_zero,
@@ -80,8 +81,14 @@ class LocalAlgebra:
     def act_v_dual(self, u: Vector, y: Vector) -> Vector:
         return self.dual_action.act(u, y)
 
+    @cached_property
+    def xy_pairs(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """xy_table[i][j] as its nonzero (k, coefficient) pairs."""
+        return tuple(tuple(tuple(support(v)) for v in row) for row in self.xy_table)
+
     def bracket_xy(self, x: Vector, y: Vector) -> Vector:
-        return tuple(bilinear(x, y, lambda i, j: self.xy_table[i][j], [ZERO] * self.dim_g0))
+        table = self.xy_pairs
+        return tuple(bilinear(support(x), support(y), lambda i, j: table[i][j], [ZERO] * self.dim_g0))
 
     def bracket_yx(self, y: Vector, x: Vector) -> Vector:
         return vneg(self.bracket_xy(x, y))

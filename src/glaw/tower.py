@@ -15,6 +15,7 @@ exactla, so reruns are bit-identical.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
@@ -22,6 +23,7 @@ from math import prod
 from .exactla import (
     Matrix,
     ONE,
+    SparseCols,
     Vector,
     ZERO,
     bilinear,
@@ -29,7 +31,7 @@ from .exactla import (
     in_span,
     kernel_basis,
     rank,
-    vneg,
+    support,
     vzero,
 )
 from .liecore import (
@@ -52,19 +54,22 @@ NEGATIVE = "neg"
 class GradedComponent:
     """One graded piece with its g0 action and the maps tying it to its neighbours.
 
-    ``lower[j]`` is ad of the j-th degree-(-1) generator, a (prev_dim x dim)
-    matrix (prev_dim is dim g0 at degree 1).  ``provenance`` lists, for degree
-    >= 2, the pivot tensors (generator index, previous-degree index) whose
-    classes form the basis; ``tensor_coords`` expresses every tensor class in
-    that basis.
+    Every map is stored by sparse columns (``SparseCols``; ``.to_matrix()``
+    gives the dense matrix).  ``act0[a]`` is the action of the a-th g0 basis
+    element, a (dim x dim) map.  ``lower[j]`` is ad of the j-th degree-(-1)
+    generator, a (prev_dim x dim) map (prev_dim is dim g0 at degree 1).
+    ``provenance`` lists, for degree >= 2, the pivot tensors (generator index,
+    previous-degree index) whose classes form the basis; ``tensor_coords``
+    expresses every tensor class in that basis, column i * prev_dim + m for
+    the tensor (i, m).
     """
 
     degree: int
     dim: int
-    act0: tuple[Matrix, ...]
-    lower: tuple[Matrix, ...]
+    act0: tuple[SparseCols, ...]
+    lower: tuple[SparseCols, ...]
     provenance: tuple[tuple[int, int], ...]
-    tensor_coords: Matrix | None
+    tensor_coords: SparseCols | None
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class Tower:
     local: LocalAlgebra
     side: str
     components: tuple[GradedComponent, ...]
-    phis: tuple[Matrix, ...]  # phis[n-1] built candidates for degree n+1
+    phis: tuple[SparseCols, ...]  # phis[n-1] built candidates for degree n+1
     terminated: bool
 
     @property
@@ -100,19 +105,31 @@ class Tower:
         return max((n for n in range(1, len(self.components) + 1) if self.component(n).dim > 0), default=0)
 
 
+Sparse = dict[int, Fraction]  # index -> coefficient; absent indices are zero
+
+
+def _unit(i: int) -> tuple[tuple[int, Fraction]]:
+    return ((i, ONE),)
+
+
+def _pairs(v: Sparse) -> tuple[tuple[int, Fraction], ...]:
+    """The nonzero entries of a sparse vector in increasing index order."""
+    return tuple((k, v[k]) for k in sorted(v) if v[k])
+
+
 class _Graded:
     """Brackets in g0 + sum of the grown degrees, read off the stored maps.
 
     ``comps[s]`` lists the components of degrees s, 2s, ... for s = +1 and
-    -1; a degree past the end of its list is zero.  Each method adds its
-    value into ``out`` (zeros of the target degree when omitted) and returns
-    it as a list.
+    -1; a degree past the end of its list is zero.  Arguments are given by
+    their nonzero (index, coefficient) pairs; each method adds its value into
+    ``out`` (a dense list, or a new sparse vector when omitted) and returns it.
     """
 
     def __init__(self, g0: LieAlgebraData, pos, neg):
         self.g0 = g0
         self.comps = {1: pos, -1: neg}
-        self.memo: dict[tuple[int, int, int, int], Vector] = {}
+        self.memo: dict[tuple[int, int, int, int], tuple[tuple[int, Fraction], ...]] = {}
 
     def comp(self, d: int) -> GradedComponent | None:
         comps = self.comps[1 if d > 0 else -1]
@@ -124,60 +141,55 @@ class _Graded:
         comp = self.comp(d)
         return comp.dim if comp else 0
 
-    def act0(self, d: int, u: Vector, w: Vector, out: list | None = None) -> list:
+    def act0(self, d: int, u, w, out: Sparse | list | None = None) -> Sparse | list:
         """[u, w] for u in g0 and w of degree d."""
-        out = [ZERO] * self.dim_of(d) if out is None else out
+        out = defaultdict(int) if out is None else out
         if d == 0:
-            return bilinear(u, w, lambda a, b: self.g0.structure[a][b], out)
+            table = self.g0.structure_pairs
+            return bilinear(u, w, lambda a, b: table[a][b], out)
         mats = self.comp(d).act0
-        return bilinear(u, w, lambda a, l: mats[a].col(l), out)
+        return bilinear(u, w, lambda a, l: mats[a].support[l], out)
 
-    def gen_bracket(self, s: int, g: Vector, d: int, w: Vector, out: list | None = None) -> list:
+    def gen_bracket(self, s: int, g, d: int, w, out: Sparse | list | None = None) -> Sparse | list:
         """[g, w] for g of degree s = +-1 and w of degree d.
 
         Degree 0 is the action, -rho_s(w) g; towards degree s the bracket
         raises through tower s's tensor coordinates; otherwise it lowers
         through tower -s's maps (at |d| = 1 these hold the local [X, Y]).
         """
-        out = [ZERO] * self.dim_of(d + s) if out is None else out
-        if not (out and w):
+        out = defaultdict(int) if out is None else out
+        if not self.dim_of(d + s):
             return out
         if d == 0:
-            return self.act0(s, vneg(w), g, out)
+            return self.act0(s, [(a, -x) for a, x in w], g, out)
         if (d > 0) == (s > 0):
-            coords, prev = self.comp(d + s).tensor_coords, self.dim_of(d)
-            return bilinear(g, w, lambda i, m: coords.col(i * prev + m), out)
+            coords, prev = self.comp(d + s).tensor_coords.support, self.dim_of(d)
+            return bilinear(g, w, lambda i, m: coords[i * prev + m], out)
         lower = self.comp(d).lower
-        return bilinear(g, w, lambda i, m: lower[i].col(m), out)
+        return bilinear(g, w, lambda i, m: lower[i].support[m], out)
 
-    def bracket_vec(self, da: int, va: Vector, db: int, vb: Vector, out: list | None = None) -> list:
-        out = [ZERO] * self.dim_of(da + db) if out is None else out
-        if not out:
-            return out
-        return bilinear(va, vb, lambda sa, sb: self.bracket_basis(da, sa, db, sb), out)
-
-    def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> Vector:
+    def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Fraction], ...]:
         key = (da, sa, db, sb)
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.memo[key] = tuple(self._bracket_basis(da, sa, db, sb))
+            hit = self.memo[key] = self._bracket_basis(da, sa, db, sb)
         return hit
 
-    def _bracket_basis(self, da: int, sa: int, db: int, sb: int) -> list:
+    def _bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Fraction], ...]:
         if abs(da) > 1 >= abs(db):
-            return [-x for x in self.bracket_basis(db, sb, da, sa)]
-        eb = basis_vector(self.dim_of(db), sb)
+            return tuple((k, -x) for k, x in self.bracket_basis(db, sb, da, sa))
         if da == 0:
-            return self.act0(db, basis_vector(self.g0.dim, sa), eb)
+            return _pairs(self.act0(db, _unit(sa), _unit(sb)))
         s = 1 if da > 0 else -1
-        dv = self.dim_of(s)
         if da == s:
-            return self.gen_bracket(s, basis_vector(dv, sa), db, eb)
+            return _pairs(self.gen_bracket(s, _unit(sa), db, _unit(sb)))
         # [[g, u], w] = [g, [u, w]] - [u, [g, w]] for the provenance g (x) u of e_sa
         gen, prev_idx = self.comp(da).provenance[sa]
-        g, u = basis_vector(dv, gen), basis_vector(self.dim_of(da - s), prev_idx)
-        out = self.gen_bracket(s, g, da - s + db, self.bracket_basis(da - s, prev_idx, db, sb))
-        return self.bracket_vec(da - s, u, db + s, vneg(self.gen_bracket(s, g, db, eb)), out)
+        out = self.gen_bracket(s, _unit(gen), da - s + db, self.bracket_basis(da - s, prev_idx, db, sb))
+        gw = [(k, -x) for k, x in _pairs(self.gen_bracket(s, _unit(gen), db, _unit(sb)))]
+        if self.dim_of(da + db):
+            bilinear(_unit(prev_idx), gw, lambda p, q: self.bracket_basis(da - s, p, db + s, q), out)
+        return _pairs(out)
 
 
 def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
@@ -201,12 +213,13 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
     sign = 1 if side == POSITIVE else -1
     t = growth.triplet
     dv, n0 = t.dim_v, t.dim_g0
+    table = growth.xy_pairs
     lower1 = tuple(
-        Matrix.from_cols([vneg(growth.xy_table[i][j]) for i in range(dv)], nrows=n0) for j in range(dv)
+        SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in table[i][j]) for i in range(dv))) for j in range(dv)
     )
-    comps = [GradedComponent(sign, dv, tuple(t.rho.action), lower1, (), None)]
+    comps = [GradedComponent(sign, dv, t.rho.action_cols, lower1, (), None)]
     gr = _Graded(t.g0, comps, [])
-    phis: list[Matrix] = []
+    phis: list[SparseCols] = []
     while len(comps) < max_degree and comps[-1].dim:
         n = len(comps)
         cur = comps[-1]
@@ -218,14 +231,14 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
             comps.append(GradedComponent(sign * (n + 1), 0, (), (), (), None))
             break
         provenance = tuple((p // cur.dim, p % cur.dim) for p in ib.pivots)
-        tensor_coords = Matrix.from_cols(list(ib.coords), nrows=new_dim)
-        lower = tuple(
-            Matrix.from_rows(
-                [[ib.basis[tcol][j * cur.dim + r] for tcol in range(new_dim)] for r in range(cur.dim)]
-            )
-            for j in range(dv)
-        )
-        comps.append(GradedComponent(sign * (n + 1), new_dim, (), lower, provenance, tensor_coords))
+        # lower[j] column k is block j of the k-th pivot column: [y_j, e_k] in degree n
+        blocks = [[[] for _ in range(new_dim)] for _ in range(dv)]
+        for k, col in enumerate(ib.basis_cols.support):
+            for r, x in col:
+                j, m = divmod(r, cur.dim)
+                blocks[j][k].append((m, x))
+        lower = tuple(SparseCols(cur.dim, new_dim, tuple(map(tuple, b))) for b in blocks)
+        comps.append(GradedComponent(sign * (n + 1), new_dim, (), lower, provenance, ib.coord_cols))
         comps[-1] = replace(comps[-1], act0=_lifted_action(gr, n + 1))
     return Tower(L, side, tuple(comps), tuple(phis), comps[-1].dim == 0)
 
@@ -235,35 +248,32 @@ def grow_both(L: LocalAlgebra, max_degree: int) -> tuple[Tower, Tower]:
     return grow(L, POSITIVE, max_degree), grow(L, NEGATIVE, max_degree)
 
 
-def _growth_map(gr: _Graded, n: int) -> Matrix:
-    """Columns Phi(x_i (x) u_l), one block per y_j: [[y, x], u] + [x, [y, u]]."""
+def _growth_map(gr: _Graded, n: int) -> SparseCols:
+    """Columns Phi(x_i (x) u_l), one block per y_j: [[y_j, x_i], u_l] + [x_i, [y_j, u_l]]."""
     dv, dim = gr.dim_of(1), gr.dim_of(n)
+    yx, lower = gr.comp(1).lower, gr.comp(n).lower
     cols = []
     for i in range(dv):
-        x = basis_vector(dv, i)
         for l in range(dim):
-            u = basis_vector(dim, l)
-            col: list = []
+            col = []
             for j in range(dv):
-                y = basis_vector(dv, j)
-                part = gr.act0(n, gr.gen_bracket(-1, y, 1, x), u)
-                col.extend(gr.gen_bracket(1, x, n - 1, gr.gen_bracket(-1, y, n, u), part))
-            cols.append(col)
-    return Matrix.from_cols(cols, nrows=dv * dim)
+                block = gr.act0(n, yx[j].support[i], _unit(l))
+                gr.gen_bracket(1, _unit(i), n - 1, lower[j].support[l], block)
+                col.extend((j * dim + k, x) for k, x in _pairs(block))
+            cols.append(tuple(col))
+    return SparseCols(dv * dim, dv * dim, tuple(cols))
 
 
-def _lifted_action(gr: _Graded, d: int) -> tuple[Matrix, ...]:
+def _lifted_action(gr: _Graded, d: int) -> tuple[SparseCols, ...]:
     """The g0 action on degree d: [a, [x, u]] = [[a, x], u] + [x, [a, u]]."""
-    comp, dv, n0, prev = gr.comp(d), gr.dim_of(1), gr.dim_of(0), gr.dim_of(d - 1)
+    comp, rho, prev = gr.comp(d), gr.comp(1).act0, gr.comp(d - 1).act0
     out = []
-    for a in range(n0):
-        ea = basis_vector(n0, a)
+    for a in range(gr.dim_of(0)):
         cols = []
         for i, l in comp.provenance:
-            x, u = basis_vector(dv, i), basis_vector(prev, l)
-            col = gr.gen_bracket(1, gr.act0(1, ea, x), d - 1, u)
-            cols.append(gr.gen_bracket(1, x, d - 1, gr.act0(d - 1, ea, u), col))
-        out.append(Matrix.from_cols(cols, nrows=comp.dim))
+            col = gr.gen_bracket(1, rho[a].support[i], d - 1, _unit(l))
+            cols.append(_pairs(gr.gen_bracket(1, _unit(i), d - 1, prev[a].support[l], col)))
+        out.append(SparseCols(comp.dim, comp.dim, tuple(cols)))
     return tuple(out)
 
 
@@ -292,7 +302,10 @@ def pairing_table(tp: Tower, tn: Tower, up_to: int) -> list[Matrix]:
         # B([x_j, u], w) = -B(u, [x_j, w]) for the provenance x_j (x) u of each g_{-k} basis element
         prev, dp = tables[-1], tp.dim_at(k)
         provenance = tn.component(k).provenance if tn.dim_at(k) else ()
-        cols = [vneg(tp.component(k).lower[j].transpose().matvec(prev.col(m))) for j, m in provenance]
+        cols = []
+        for j, m in provenance:
+            pm = prev.col(m)
+            cols.append(tuple(-sum((x * pm[r] for r, x in col), ZERO) for col in tp.component(k).lower[j].support))
         tables.append(Matrix.from_cols(cols, nrows=dp) if cols else Matrix.zeros(dp, 0))
     return tables
 
@@ -307,11 +320,17 @@ def candidate_pairing_rank(tp: Tower, tn: Tower, n: int) -> int:
     if n < 1 or n >= len(tp.components) or n >= len(tn.components):
         raise Refusal("towers are too short for this candidate degree")
     dim_n = tp.dim_at(n)
-    pair_t = pairing(tp, tn, n).transpose()
+    pair = pairing(tp, tn, n)
+    width = pair.cols
+    phi = tp.phis[n - 1]
     rows = []
-    for col in tp.phis[n - 1].columns():
-        blocks = (col[j : j + dim_n] for j in range(0, len(col), dim_n))
-        rows.append(tuple(x for block in blocks for x in vneg(pair_t.matvec(block))))
+    for col in phi.support:
+        row = [ZERO] * (phi.rows // dim_n * width)
+        for r, x in col:
+            j, m = divmod(r, dim_n)
+            for v, p in support(pair.entries[m]):
+                row[j * width + v] -= x * p
+        rows.append(tuple(row))
     return rank(Matrix.from_rows(rows)) if rows else 0
 
 
@@ -452,10 +471,6 @@ class _WordLowering:
         return {i: v for i, v in out.items() if v}
 
 
-def _support(v: Vector) -> list[tuple[int, Fraction]]:
-    return [(i, x) for i, x in enumerate(v) if x]
-
-
 def pn_evaluate(L: LocalAlgebra, ys: list[Vector], xs: list[Vector]) -> Vector:
     """Value in V of the degree-n identity on concrete arguments.
 
@@ -469,11 +484,11 @@ def pn_evaluate(L: LocalAlgebra, ys: list[Vector], xs: list[Vector]) -> Vector:
         raise ValueError("the degree-n identity takes n-1 dual and n vector arguments")
     kernel = _WordLowering(L, len(xs))
     words: dict[tuple[int, ...], Fraction] = {}
-    for pairs in itertools.product(*(_support(x) for x in xs)):
+    for pairs in itertools.product(*(support(x) for x in xs)):
         words[tuple(i for i, _ in pairs)] = prod((c for _, c in pairs), start=ONE)
     for y in reversed(ys):
         lowered: dict[tuple[int, ...], Fraction] = {}
-        for j, yj in _support(y):
+        for j, yj in support(y):
             for word, c in words.items():
                 for w, v in kernel.lower(j, word).items():
                     lowered[w] = lowered.get(w, ZERO) + yj * c * v
@@ -552,11 +567,14 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
         for db in degrees:
             if da + db not in blocks:
                 continue
-            (ob, nb), (o, n) = blocks[db], blocks[da + db]
-            pad = vzero(total - o - n)
+            ob, nb = blocks[db]
+            o = blocks[da + db][0]
             for sa in range(na):
                 for sb in range(nb):
-                    table[oa + sa][ob + sb] = vzero(o) + asm.bracket_basis(da, sa, db, sb) + pad
+                    row = [ZERO] * total
+                    for k, x in asm.bracket_basis(da, sa, db, sb):
+                        row[o + k] = x
+                    table[oa + sa][ob + sb] = tuple(row)
     algebra = LieAlgebraData(total, tuple(tuple(row) for row in table))
     return AssembledAlgebra(algebra, tuple(labels), blocks)
 
@@ -640,8 +658,9 @@ def _check_subalgebra(g, sub: list[Vector]):
 
 def _common_kernel(dim: int, maps) -> list[Vector]:
     """Canonical basis of the common kernel of linear maps on a dim-dimensional
-    space, each map given as a function of a basis vector (no maps: everything)."""
-    rows = [row for f in maps for row in zip(*(f(basis_vector(dim, k)) for k in range(dim)))]
+    space, each map given by its dense value on the k-th basis vector (no maps:
+    everything)."""
+    rows = [row for f in maps for row in zip(*(f(k) for k in range(dim)))]
     return kernel_basis(Matrix.from_rows(rows)) if rows else [basis_vector(dim, k) for k in range(dim)]
 
 
@@ -654,7 +673,8 @@ def centralizer_graded(
     out: dict[int, list[Vector]] = {}
     for d in range(-max_degree, max_degree + 1):
         dim = (tp if d > 0 else tn).dim_at(abs(d)) if d else gr.dim_of(0)
-        out[d] = _common_kernel(dim, [lambda w, d=d, s=s: gr.act0(d, s, w) for s in sub])
+        maps = [lambda k, d=d, s=support(s): gr.act0(d, s, _unit(k), [ZERO] * gr.dim_of(d)) for s in sub]
+        out[d] = _common_kernel(dim, maps)
     return out
 
 
@@ -663,5 +683,9 @@ def centralizer_in_degree_zero(
 ) -> list[Vector]:
     """Elements of g0 commuting with a graded subspace (any degrees)."""
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
-    maps = [lambda u, d=d, s=s: gr.act0(d, u, s) for d, vecs in sorted(graded_sub.items()) for s in vecs]
+    maps = [
+        lambda k, d=d, s=support(s): gr.act0(d, _unit(k), s, [ZERO] * gr.dim_of(d))
+        for d, vecs in sorted(graded_sub.items())
+        for s in vecs
+    ]
     return _common_kernel(gr.dim_of(0), maps)

@@ -266,6 +266,10 @@ GOLDEN_REPORTS = {
         ("sp", "--n", "3", "--p", "2", "--lambda", "2"),
         ("pn-check", "-", "--n", "3"),
     ),
+    "glblock_3_grow_both": (
+        ("glblock", "--n", "3", "--lambda1", "1", "--lambda2", "2"),
+        ("grow", "-", "--side", "both", "--max-degree", "3"),
+    ),
 }
 
 
@@ -334,3 +338,39 @@ def test_string_structure_terms_are_a_parse_error():
     obj = json.loads(gen_g2_spec())
     obj["structure_constants"].append([0, 1, ["11"]])
     assert_parse_error(run_cli("validate", "-", stdin=json.dumps(obj)))
+
+
+def test_overflowing_dimension_is_a_parse_error():
+    # JSON reads 1e400 as a float infinity, which int() cannot convert
+    text = '{"dim_g0": 1e400, "dim_V": 1, "B0": [["1"]], "rho": [[["0"]]], "structure_constants": []}'
+    assert_parse_error(run_cli("validate", "-", stdin=text))
+
+
+def test_fractional_dimension_is_a_parse_error():
+    obj = json.loads(gen_g2_spec())
+    obj["dim_V"] = obj["dim_V"] + 0.5
+    proc = run_cli("validate", "-", stdin=json.dumps(obj))
+    assert_parse_error(proc)
+    assert "dim_V" in proc.stderr
+
+
+def test_boolean_structure_index_is_a_parse_error():
+    obj = json.loads(gen_g2_spec())
+    i, j, terms = obj["structure_constants"][0]
+    assert j == 1
+    obj["structure_constants"][0] = [i, True, terms]
+    assert_parse_error(run_cli("validate", "-", stdin=json.dumps(obj)))
+
+
+def test_structure_entry_bracketing_an_element_with_itself_is_a_parse_error():
+    obj = json.loads(gen_g2_spec())
+    obj["structure_constants"].append([0, 0, [[0, "1"]]])
+    assert_parse_error(run_cli("validate", "-", stdin=json.dumps(obj)))
+
+
+def test_shapes_are_checked_before_the_structure_table_is_allocated():
+    # a dim_g0^3 table for this header would not fit in memory; the 1x1 B0 is refused first
+    obj = {"dim_g0": 10**12, "dim_V": 1, "B0": [["1"]], "rho": [[["0"]]], "structure_constants": []}
+    proc = run_cli("validate", "-", stdin=json.dumps(obj))
+    assert_parse_error(proc)
+    assert "B0" in proc.stderr

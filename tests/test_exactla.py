@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glaw.exactla import (
     Matrix,
+    SparseCols,
     format_scalar,
     image_basis,
     inverse,
@@ -128,6 +130,51 @@ def test_rref_matches_sympy_on_random_matrices():
         expected, expected_pivots = sympy_rref(m)
         assert pivots == expected_pivots
         assert [list(row) for row in r.entries] == expected
+
+
+NONZERO = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def mostly_zero_matrices(draw) -> Matrix:
+    """Up to 12x15, a quarter of the cells or fewer nonzero, then some rows
+    replaced by scaled copies or combinations of others and some by zeros."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 15))
+    grid = [[F(0)] * cols for _ in range(rows)]
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), NONZERO)
+    for i, j, x in draw(st.lists(cell, max_size=rows * cols // 4)):
+        grid[i][j] = x
+    row = st.integers(0, rows - 1)
+    for dst, a, b, c in draw(st.lists(st.tuples(row, row, row, st.one_of(st.just(F(0)), NONZERO)), max_size=4)):
+        grid[dst] = [x + c * y for x, y in zip(grid[a], grid[b])]
+    for i in draw(st.lists(row, max_size=2)):
+        grid[i] = [F(0)] * cols
+    return Matrix.from_rows(grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mostly_zero_matrices())
+def test_rref_matches_sympy_on_mostly_zero_matrices(m):
+    r, pivots = rref(m)
+    expected, expected_pivots = sympy_rref(m)
+    assert pivots == expected_pivots
+    assert [list(row) for row in r.entries] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(mostly_zero_matrices())
+def test_image_basis_of_the_sparse_store_equals_that_of_the_dense_matrix(m):
+    cols = tuple(tuple((i, x) for i, x in enumerate(m.col(j)) if x) for j in range(m.cols))
+    sparse = SparseCols(m.rows, m.cols, cols)
+    assert sparse.to_matrix().entries == m.entries
+    r, pivots = rref(m)
+    coords = tuple(tuple(r.entries[k][j] for k in range(len(pivots))) for j in range(m.cols))
+    from_dense, from_sparse = image_basis(m), image_basis(sparse)
+    for ib in (from_dense, from_sparse):
+        assert ib.pivots == pivots
+        assert ib.basis == tuple(m.col(p) for p in pivots)
+        assert ib.coords == coords
+    assert from_sparse == from_dense
 
 
 def test_rref_of_zero_and_empty_matrices():

@@ -191,33 +191,44 @@ def test_growth_map_equivariance_at_degree_two():
 
 
 def test_component_action_is_a_representation_and_lower_is_equivariant():
-    # per degree: act0 is a g0-representation and the lowering maps satisfy
-    # act0(u) lower(y) - lower(y) act0(u) = lower(rho*(u) y)
-    t = gen_symplectic(2, 3, 1, "g2")
-    local, tp, _ = grown(t, 3)
-    n0, dv = t.dim_g0, t.dim_v
-    dual = local.dual_action
-    for deg in (2,):
-        comp = tp.component(deg)
-        prev = tp.component(deg - 1)
-        for a in range(n0):
-            for b in range(n0):
-                lhs = Matrix.zeros(comp.dim, comp.dim)
-                br = t.g0.structure[a][b]
-                for k, c in enumerate(br):
-                    if c:
-                        lhs = lhs + comp.act0[k].scale(c)
-                rhs = comp.act0[a] @ comp.act0[b] - comp.act0[b] @ comp.act0[a]
-                assert lhs.entries == rhs.entries
-        for a in range(n0):
-            for j in range(dv):
-                lhs = prev.act0[a] @ comp.lower[j] - comp.lower[j] @ comp.act0[a]
-                rhs = Matrix.zeros(prev.dim, comp.dim)
-                for j2 in range(dv):
-                    c = dual.action[a].entries[j2][j]
-                    if c:
-                        rhs = rhs + comp.lower[j2].scale(c)
-                assert lhs.entries == rhs.entries
+    # per grown degree: act0 is a g0-representation and the lowering maps satisfy
+    # act0(u) lower(y) - lower(y) act0(u) = lower(rho*(u) y); below degree 1
+    # the action is ad on g0
+    cases = [
+        (gen_symplectic(2, 3, 1, "g2"), 3),
+        (gen_glblock(2, 1, 2), 3),
+        (gen_symplectic(2, 2, 2, "trace"), 2),
+        (gen_principal(A2), 3),
+        (gen_principal(C2), 4),
+    ]
+    for t, budget in cases:
+        local, tp, _ = grown(t, budget)
+        n0, dv = t.dim_g0, t.dim_v
+        dual = local.dual_action
+        ad = [t.g0.ad_matrix(basis_vector(n0, a)) for a in range(n0)]
+        for deg in range(1, tp.top_degree + 1):
+            comp = tp.component(deg)
+            act = [m.to_matrix() for m in comp.act0]
+            lower = [m.to_matrix() for m in comp.lower]
+            prev = ad if deg == 1 else [m.to_matrix() for m in tp.component(deg - 1).act0]
+            for a in range(n0):
+                for b in range(n0):
+                    lhs = Matrix.zeros(comp.dim, comp.dim)
+                    br = t.g0.structure[a][b]
+                    for k, c in enumerate(br):
+                        if c:
+                            lhs = lhs + act[k].scale(c)
+                    rhs = act[a] @ act[b] - act[b] @ act[a]
+                    assert lhs.entries == rhs.entries
+            for a in range(n0):
+                for j in range(dv):
+                    lhs = prev[a] @ lower[j] - lower[j] @ act[a]
+                    rhs = Matrix.zeros(lower[j].rows, comp.dim)
+                    for j2 in range(dv):
+                        c = dual.action[a].entries[j2][j]
+                        if c:
+                            rhs = rhs + lower[j2].scale(c)
+                    assert lhs.entries == rhs.entries
 
 
 # ---------------------------------------------------------------------------
