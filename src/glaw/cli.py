@@ -184,7 +184,10 @@ def triplet_hash(t: FundamentalTriplet) -> str:
 
 
 def load_spec(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    try:
+        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    except OSError as exc:
+        raise SpecError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -272,7 +275,7 @@ def _x_vector_from_args(t: FundamentalTriplet, meta: dict, args):
     fam = meta.get("family")
     if fam != "symplectic":
         raise SpecError("--poly needs a spec generated by `gen sp` (monomial metadata); use --x-vector")
-    n, p = int(meta["n"]), int(meta["p"])
+    n, p = _integer(meta.get("n"), "meta field n"), _integer(meta.get("p"), "meta field p")
     poly = PolyInvariant.from_string(args.poly, n)
     if not poly.is_homogeneous() or poly.degree() != p:
         raise SpecError(f"the polynomial must be homogeneous of degree {p}")
@@ -304,12 +307,12 @@ def cmd_sl2(args) -> int:
 
 def _sub_basis_from_args(t: FundamentalTriplet, meta: dict, spec: str):
     if spec.startswith("file:"):
-        data = json.load(open(spec[5:], "r", encoding="utf-8"))
+        data = load_spec(spec[5:])
         return [tuple(parse_scalar(str(x)) for x in v) for v in data]
     if spec.replace(" ", "").startswith("o(") and spec.endswith(")"):
         if meta.get("family") != "symplectic":
             raise SpecError("o(n) needs a spec generated by `gen sp` (gl(n) basis metadata)")
-        n = int(meta["n"])
+        n = _integer(meta.get("n"), "meta field n")
         out = []
         for a in range(n):
             for b in range(a + 1, n):

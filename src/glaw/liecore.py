@@ -3,12 +3,13 @@
 Houses the fundamental triplet (g0, B0, rho) and the subalgebra computations
 (derived algebra, center, representation kernel, grading element) that the
 local-bracket construction and the sl2 machinery rely on.  Validation is
-exhaustive on basis tuples; Jacobi runs over i<j<k, which suffices once the
-separately checked antisymmetry holds.
+exhaustive on basis tuples, summing over nonzero entries only; Jacobi runs over
+i<j<k, which suffices once the separately checked antisymmetry holds.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +28,6 @@ from .exactla import (
     span_matrix,
     support,
     vadd,
-    vis_zero,
     vscale,
     vzero,
 )
@@ -221,14 +221,15 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
             rhs = vscale(Fraction(-1), g.structure[j][i])
             if lhs != rhs:
                 rep.add(f"antisymmetry fails at basis pair ({i},{j})")
+    c = g.structure_pairs
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                ei, ej, ek = (basis_vector(n, m) for m in (i, j, k))
-                acc = g.bracket(ei, g.bracket(ej, ek))
-                acc = vadd(acc, g.bracket(ej, g.bracket(ek, ei)))
-                acc = vadd(acc, g.bracket(ek, g.bracket(ei, ej)))
-                if not vis_zero(acc):
+                # [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]
+                acc = defaultdict(int)
+                for p, inner in ((i, c[j][k]), (j, c[k][i]), (k, c[i][j])):
+                    bilinear(((p, 1),), inner, lambda a, b: c[a][b], acc)
+                if any(acc.values()):
                     rep.add(f"Jacobi identity fails at basis triple ({i},{j},{k})")
     if not b0.gram.is_symmetric():
         rep.add("form is not symmetric")
@@ -243,12 +244,17 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
             for k in range(n):
                 if left[k][i * n + j] != right[i][j * n + k]:
                     rep.add(f"form invariance fails at basis triple ({i},{j},{k})")
+    cols = [m.support for m in rho.action_cols]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = rho.matrix_of(g.structure[i][j])
-            rhs = rho.action[i] @ rho.action[j] - rho.action[j] @ rho.action[i]
-            if lhs.entries != rhs.entries:
-                rep.add(f"representation homomorphism fails at basis pair ({i},{j})")
+            for l in range(rho.dim_v):
+                # column l of rho([e_i,e_j]) - rho_i rho_j + rho_j rho_i
+                acc = bilinear(c[i][j], ((l, 1),), lambda a, m: cols[a][m], defaultdict(int))
+                bilinear(((i, -1),), cols[j][l], lambda a, m: cols[a][m], acc)
+                bilinear(((j, 1),), cols[i][l], lambda a, m: cols[a][m], acc)
+                if any(acc.values()):
+                    rep.add(f"representation homomorphism fails at basis pair ({i},{j})")
+                    break
     return rep
 
 

@@ -1,19 +1,21 @@
 """The local three-piece algebra V* + g0 + V built from a fundamental triplet.
 
 The degree-(1,-1) bracket [X,Y] is the unique g0 element with
-B0([X,Y],U) = Y(rho(U)X); it is produced by one Gram solve per basis pair and
-cached in a table.  Sign conventions, fixed once: [Y,X] = -[X,Y]; the table
+B0([X,Y],U) = Y(rho(U)X); the table of these is one G^{-1} R product over the
+nonzeros of rho.  Sign conventions, fixed once: [Y,X] = -[X,Y]; the table
 always stores [X,Y] with the V side first; [U,Y] is the contragredient action.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .exactla import (
     Matrix,
+    SparseCols,
     Vector,
     ZERO,
     bilinear,
@@ -110,46 +112,37 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     """Construct the local algebra; refuses a degenerate form.
 
     The mixed Jacobi identity [U,[X,Y]] = [[U,X],Y] + [X,[U,Y]] is re-verified
-    exhaustively on basis triples as a post-check; failure means the input
-    triplet was not valid.
+    as a post-check: ad(e_a) T = T (rho_a (x) 1 + 1 (x) rho_a^*) for the table
+    T: V (x) V* -> g0, on all (a, i, j); failure means the triplet was invalid.
     """
     g = t.b0.gram
     if rank(g) != t.dim_g0:
         raise Refusal("the invariant form is degenerate; no local bracket exists")
     g_inv = inverse(g)
-    rho = t.rho
-    dual = dual_rep(rho)
-    table = []
-    for i in range(t.dim_v):
-        row = []
-        for j in range(t.dim_v):
-            rhs = tuple(rho.action[a].entries[j][i] for a in range(t.dim_g0))
-            row.append(g_inv.matvec(rhs))
-        table.append(tuple(row))
-    local = LocalAlgebra(t, dual, tuple(table), g_inv)
-    _check_mixed_jacobi(local)
-    return local
-
-
-def _check_mixed_jacobi(local: LocalAlgebra):
-    t = local.triplet
     n, dv = t.dim_g0, t.dim_v
-    for a in range(n):
-        ea = basis_vector(n, a)
+    # T = G^{-1} R with R[a][(i, j)] = rho_a[j][i]: add rho_a[j][i] G^{-1}[:, a] into T[i][j]
+    inv_cols = SparseCols.from_matrix(g_inv).support
+    table = [[[ZERO] * n for _ in range(dv)] for _ in range(dv)]
+    for a, rho_a in enumerate(t.rho.action_cols):
+        for i, col in enumerate(rho_a.support):
+            for j, x in col:
+                for k, y in inv_cols[a]:
+                    table[i][j][k] += x * y
+    local = LocalAlgebra(t, dual_rep(t.rho), tuple(tuple(map(tuple, row)) for row in table), g_inv)
+    c, xy = t.g0.structure_pairs, local.xy_pairs
+    bracket, xy_entry = (lambda p, q: c[p][q]), (lambda r, s: xy[r][s])
+    for a, (rho_a, dual_a) in enumerate(zip(t.rho.action_cols, local.dual_action.action_cols)):
         for i in range(dv):
-            xi = basis_vector(dv, i)
             for j in range(dv):
-                yj = basis_vector(dv, j)
-                lhs = t.g0.bracket(ea, local.xy_table[i][j])
-                rhs = vadd(
-                    local.bracket_xy(local.act_v(ea, xi), yj),
-                    local.bracket_xy(xi, local.act_v_dual(ea, yj)),
-                )
-                if lhs != rhs:
+                acc = bilinear(((a, 1),), xy[i][j], bracket, defaultdict(int))
+                bilinear(rho_a.support[i], ((j, -1),), xy_entry, acc)
+                bilinear(((i, -1),), dual_a.support[j], xy_entry, acc)
+                if any(acc.values()):
                     raise Refusal(
                         f"mixed Jacobi identity fails at (g0={a}, V={i}, V*={j}); "
                         "the input triplet does not satisfy the construction hypotheses"
                     )
+    return local
 
 
 @dataclass(frozen=True)
@@ -379,10 +372,9 @@ def triplet_iso_extend(
     gamma_tilde = gamma_inv.transpose()
     # post-verification of the full local criterion on basis elements
     l1, l2 = build_local(t1), build_local(t2)
-    d1, d2 = dual_rep(t1.rho), dual_rep(t2.rho)
     for a in range(n):
-        lhs = d2.matrix_of(a_map.col(a)) @ gamma_tilde
-        rhs = gamma_tilde @ d1.action[a]
+        lhs = l2.dual_action.matrix_of(a_map.col(a)) @ gamma_tilde
+        rhs = gamma_tilde @ l1.dual_action.action[a]
         if lhs.entries != rhs.entries:
             raise Refusal("dual intertwining failed after extension; inconsistent input data")
     for i in range(dv):
@@ -418,14 +410,13 @@ def local_iso_check(
         for j in range(i + 1, n):
             if a_map.matvec(t1.g0.structure[i][j]) != t2.g0.bracket(a_map.col(i), a_map.col(j)):
                 return IsoRefusal("lie-homomorphism", (i, j))
-    d1, d2 = dual_rep(t1.rho), dual_rep(t2.rho)
+    l1, l2 = build_local(t1), build_local(t2)
     for a in range(n):
         col = a_map.col(a)
         if (t2.rho.matrix_of(col) @ gamma).entries != (gamma @ t1.rho.action[a]).entries:
             return IsoRefusal("v-intertwiner", (a,))
-        if (d2.matrix_of(col) @ gamma_tilde).entries != (gamma_tilde @ d1.action[a]).entries:
+        if (l2.dual_action.matrix_of(col) @ gamma_tilde).entries != (gamma_tilde @ l1.dual_action.action[a]).entries:
             return IsoRefusal("v-dual-intertwiner", (a,))
-    l1 = build_local(t1)
     twist = gamma_tilde.transpose() @ gamma
     for i in range(dv):
         for j in range(dv):

@@ -374,3 +374,26 @@ def test_shapes_are_checked_before_the_structure_table_is_allocated():
     proc = run_cli("validate", "-", stdin=json.dumps(obj))
     assert_parse_error(proc)
     assert "B0" in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["missing", "directory", "missing-subalgebra-file"])
+def test_unreadable_paths_are_a_parse_error(tmp_path, where):
+    if where == "missing-subalgebra-file":
+        spec = tmp_path / "g2.json"
+        spec.write_text(gen_g2_spec(), encoding="utf-8")
+        proc = run_cli("centralizer", str(spec), "--sub", f"file:{tmp_path / 'absent.json'}", "--max-degree", "1")
+    else:
+        proc = run_cli("validate", str(tmp_path / "absent.json" if where == "missing" else tmp_path))
+    assert_parse_error(proc)
+
+
+@pytest.mark.parametrize(
+    "argv", [("sl2", "-", "--poly", "x0^2+x1^2"), ("centralizer", "-", "--sub", "o(2)", "--max-degree", "1")]
+)
+def test_symplectic_metadata_without_n_is_a_parse_error(argv):
+    gen = run_cli("gen", "sp", "--n", "2", "--p", "2", "--lambda", "2", "--form", "trace")
+    obj = json.loads(gen.stdout)
+    obj["meta"] = {"family": "symplectic"}
+    proc = run_cli(*argv, stdin=json.dumps(obj))
+    assert_parse_error(proc)
+    assert "meta" in proc.stderr

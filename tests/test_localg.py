@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from glaw import (
     FundamentalTriplet,
@@ -23,6 +26,7 @@ from glaw import (
 from glaw.exactla import vis_zero, vneg
 from glaw.generators import (
     _sl_basis_matrices,
+    find_symmetrizer,
     gen_glblock,
     gen_principal,
     gen_stabilizer_triplet,
@@ -213,6 +217,112 @@ def test_build_local_refuses_a_triplet_breaking_mixed_jacobi():
     doubled_h = Representation(2, (t.rho.action[0].scale(2),) + t.rho.action[1:])
     with pytest.raises(Refusal, match=r"mixed Jacobi identity fails at \(g0=0, V=0, V\*=1\)"):
         build_local(FundamentalTriplet(t.g0, t.b0, doubled_h))
+
+
+def perturbed_triplets():
+    """Seeded (name, triplet) pairs: valid triplets with one rho entry moved
+    (seeds 0, 2, 3) and/or one structure constant moved (seeds 1, 2, 3; on
+    seed 3 only [e_i, e_j] moves, which also breaks antisymmetry)."""
+    bases = {
+        "sl2": sl2_triplet(),
+        "gl2": gl_standard_triplet(2),
+        "sp2_quadratics": gen_symplectic(2, 2, 2, "trace"),
+        "g2_cubic": gen_symplectic(2, 3, 1, "g2"),
+        "glblock2": gen_glblock(2, 1, 2),
+        "a2": gen_principal([[2, -1], [-1, 2]]),
+    }
+    for name, t in bases.items():
+        n, dv = t.dim_g0, t.dim_v
+        for seed in range(4):
+            rng = random.Random(f"{name}/{seed}")
+            g0, rho = t.g0, t.rho
+            if seed != 1:
+                mats = [[list(r) for r in m.entries] for m in t.rho.action]
+                mats[rng.randrange(n)][rng.randrange(dv)][rng.randrange(dv)] += rng.choice([-2, -1, 1, 2])
+                rho = Representation(dv, tuple(Matrix.from_rows(m) for m in mats))
+            if seed != 0:
+                table = [[list(v) for v in row] for row in t.g0.structure]
+                i, j = rng.sample(range(n), 2)
+                k, d = rng.randrange(n), rng.choice([-1, 1, 2])
+                table[i][j][k] += d
+                if seed != 3:
+                    table[j][i][k] -= d
+                g0 = LieAlgebraData.from_table(table)
+            yield f"{name}/{seed}", FundamentalTriplet(g0, t.b0, rho)
+
+
+def failure_record(t):
+    """validate's violation list and build_local's refusal text ("ok" when it builds)."""
+    try:
+        build_local(t)
+        refusal = "ok"
+    except Refusal as exc:
+        refusal = str(exc)
+    return {"violations": validate(t).violations, "build_local": refusal}
+
+
+def test_failure_order_matches_the_recorded_one():
+    # recorded from the dense per-basis-triple checks; the sparse identities must report alike
+    path = Path(__file__).parent / "golden" / "failure_order.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+    got = {name: failure_record(t) for name, t in perturbed_triplets()}
+    assert list(got) == list(recorded)
+    for name, record in recorded.items():
+        assert got[name] == record, name
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+CARTANS = [[[2]], [[2, -1], [-1, 2]], [[2, -2], [-1, 2]], [[2, -1], [-3, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]]
+
+
+@st.composite
+def generator_triplets(draw, min_n=1):
+    """Triplets from the generator families with random parameters, all valid."""
+    family = draw(st.sampled_from(["sp", "glblock", "principal"]))
+    if family == "sp":
+        n = draw(st.integers(min_n, 3))
+        form = draw(st.sampled_from(["trace", "sl-shifted"] + (["g2"] if n < 3 else [])))
+        t = gen_symplectic(n, draw(st.integers(1, 3 if n < 3 else 2)), draw(small_rationals.filter(bool)), form)
+    elif family == "glblock":
+        l1, l2 = draw(small_rationals.filter(bool)), draw(small_rationals.filter(bool))
+        assume(l1 + l2 != 0)
+        t = gen_glblock(draw(st.integers(min_n, 2)), l1, l2)
+    else:
+        cartan = draw(st.sampled_from(CARTANS[min_n - 1 :]))
+        scale = draw(small_rationals.filter(bool))
+        t = gen_principal(cartan, [scale * d for d in find_symmetrizer(Matrix.from_rows(cartan))])
+    return gen_with_trivial_summand(t, draw(st.integers(0, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_triplets())
+def test_valid_generator_triplets_pass_validate_and_build_local(t):
+    # the mixed Jacobi identity follows from the triplet axioms, so neither check may refuse
+    assert validate(t).violations == []
+    assert len(build_local(t).xy_table) == t.dim_v
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_triplets(min_n=2), st.data())
+def test_a_rho_breaking_only_the_homomorphism_fails_both_checks(t, data):
+    # paired with W, both sides of mixed Jacobi give -Y(rho([U,W])X) exactly when rho is a homomorphism
+    n, dv = t.dim_g0, t.dim_v
+    mats = [[list(r) for r in m.entries] for m in t.rho.action]
+    a, r, c = (data.draw(st.integers(0, k - 1)) for k in (n, dv, dv))
+    mats[a][r][c] += data.draw(small_rationals.filter(bool))
+    rho = [Matrix.from_rows(m) for m in mats]
+    broken = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if sum((rho[k].scale(x) for k, x in enumerate(t.g0.structure[i][j])), Matrix.zeros(dv, dv))
+        != rho[i] @ rho[j] - rho[j] @ rho[i]
+    ]
+    assume(broken)
+    bad = FundamentalTriplet(t.g0, t.b0, Representation(dv, tuple(rho)))
+    assert validate(bad).violations == [f"representation homomorphism fails at basis pair ({i},{j})" for i, j in broken]
+    with pytest.raises(Refusal, match="mixed Jacobi identity fails"):
+        build_local(bad)
 
 
 def test_theta_swap_self_dual_module_keeps_tower_dims():
