@@ -308,6 +308,9 @@ def cmd_sl2(args) -> int:
 def _sub_basis_from_args(t: FundamentalTriplet, meta: dict, spec: str):
     if spec.startswith("file:"):
         data = load_spec(spec[5:])
+        n = t.dim_g0
+        if not (isinstance(data, list) and all(isinstance(v, list) and len(v) == n for v in data)):
+            raise SpecError(f"{spec}: expected a JSON list of g0 vectors, each a list of {n} rationals")
         return [tuple(parse_scalar(str(x)) for x in v) for v in data]
     if spec.replace(" ", "").startswith("o(") and spec.endswith(")"):
         if meta.get("family") != "symplectic":
@@ -352,11 +355,12 @@ def cmd_assemble(args) -> int:
     report["killing_rank"] = rank(killing_form(asm.algebra))
     report["center_dim"] = len(center(asm.algebra))
     if args.full:
+        pairs = asm.algebra.structure_pairs
         report["structure_constants"] = [
-            [i, j, [[k, format_scalar(c)] for k, c in enumerate(asm.algebra.structure[i][j]) if c != 0]]
+            [i, j, [[k, format_scalar(c)] for k, c in pairs[i][j]]]
             for i in range(asm.algebra.dim)
             for j in range(i + 1, asm.algebra.dim)
-            if any(c != 0 for c in asm.algebra.structure[i][j])
+            if pairs[i][j]
         ]
     _print_report(report)
     return 0

@@ -307,20 +307,27 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of the right null space (free variables set to 1, increasing)."""
-    r, pivots = rref(m)
+def sparse_kernel(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[Vector]:
+    """Canonical basis of the right null space of sparse rows (nonzero
+    entries only) with ncols columns: free variables set to 1, increasing."""
+    reduced, pivots = _sparse_rref(rows, ncols)
     pivot_set = set(pivots)
     basis: list[Vector] = []
-    for free in range(m.cols):
+    for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [ZERO] * m.cols
+        v = [ZERO] * ncols
         v[free] = ONE
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r.entries[row_idx][free]
+        for row, pc in zip(reduced, pivots):
+            if free in row:
+                v[pc] = -row[free]
         basis.append(tuple(v))
     return basis
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Canonical basis of the right null space (free variables set to 1, increasing)."""
+    return sparse_kernel((dict(support(r)) for r in m.entries), m.cols)
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:

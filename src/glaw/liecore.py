@@ -4,7 +4,11 @@ Houses the fundamental triplet (g0, B0, rho) and the subalgebra computations
 (derived algebra, center, representation kernel, grading element) that the
 local-bracket construction and the sl2 machinery rely on.  Validation is
 exhaustive on basis tuples, summing over nonzero entries only; Jacobi runs over
-i<j<k, which suffices once the separately checked antisymmetry holds.
+i<j<k, which suffices once the separately checked antisymmetry holds.  The
+center, the representation kernel and the Killing form read the sparse views
+(``structure_pairs``, ``action_cols``) and never scan the dense dim^3 table;
+an algebra built ``from_pairs`` (the assembled one) keeps its pairs as that
+view.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .exactla import (
     rank,
     solve,
     span_matrix,
+    sparse_kernel,
     support,
     vadd,
     vscale,
@@ -71,6 +76,29 @@ class LieAlgebraData:
     def from_table(table) -> "LieAlgebraData":
         dim = len(table)
         return LieAlgebraData(dim, tuple(tuple(as_vector(v) for v in row) for row in table))
+
+    @staticmethod
+    def from_pairs(dim: int, pairs) -> "LieAlgebraData":
+        """The algebra with [e_i, e_j] given by the nonzero (k, coefficient)
+        pairs ``pairs[i][j]`` in increasing k.
+
+        The dense table is filled from the pairs, every zero bracket sharing
+        one zero vector, and the pairs are kept as ``structure_pairs``.
+        """
+        pairs = tuple(tuple(tuple(p) for p in row) for row in pairs)
+        zero = vzero(dim)
+
+        def dense(p) -> Vector:
+            if not p:
+                return zero
+            v = [ZERO] * dim
+            for k, x in p:
+                v[k] = x
+            return tuple(v)
+
+        g = LieAlgebraData(dim, tuple(tuple(dense(p) for p in row) for row in pairs))
+        g.__dict__["structure_pairs"] = pairs  # the cached_property's slot; the dataclass is frozen
+        return g
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebraData":
@@ -259,8 +287,26 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
 
 
 def dual_rep(r: Representation) -> Representation:
-    """Contragredient action: each generator goes to minus its transpose."""
-    return Representation(r.dim_v, tuple((-a.transpose()) for a in r.action))
+    """Contragredient action: each generator goes to minus its transpose.
+
+    Built from the nonzeros of ``action_cols``: column l of rho_a is row l of
+    -rho_a^T, and row i of rho_a is column i of -rho_a^T, which also gives the
+    dual's own ``action_cols``.
+    """
+    n = r.dim_v
+    mats, dual_cols = [], []
+    for a in r.action_cols:
+        rows = [[ZERO] * n for _ in range(n)]
+        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        for l, col in enumerate(a.support):
+            for i, x in col:
+                rows[l][i] = y = -x
+                cols[i].append((l, y))
+        mats.append(Matrix(n, n, tuple(map(tuple, rows))))
+        dual_cols.append(SparseCols(n, n, tuple(map(tuple, cols))))
+    d = Representation(n, tuple(mats))
+    d.__dict__["action_cols"] = tuple(dual_cols)  # the cached_property's slot; the dataclass is frozen
+    return d
 
 
 def derived_subalgebra(g: LieAlgebraData) -> list[Vector]:
@@ -268,24 +314,28 @@ def derived_subalgebra(g: LieAlgebraData) -> list[Vector]:
     return list(image_basis(span_matrix(cols, g.dim)).basis)
 
 
-def _row_kernel(rows, dim: int) -> list[Vector]:
-    """Kernel of the matrix with these rows of length dim.
-
-    Zero and repeated rows are dropped first: the row space, hence the RREF
-    and the kernel basis, is unchanged.
-    """
-    rows = list(dict.fromkeys(row for row in rows if any(row)))
-    return kernel_basis(Matrix.from_rows(rows) if rows else Matrix.zeros(0, dim))
-
-
 def center(g: LieAlgebraData) -> list[Vector]:
-    n = g.dim
-    return _row_kernel((tuple(g.structure[i][j][k] for i in range(n)) for j in range(n) for k in range(n)), n)
+    """Canonical basis of the center: the x with sum_i x_i c[i][j][k] = 0.
+
+    Row (j, k) of that system holds c[i][j][k] at column i; the rows are
+    gathered from ``structure_pairs``, so only nonzero constants are read.
+    """
+    rows: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
+    for i, row in enumerate(g.structure_pairs):
+        for j, pairs in enumerate(row):
+            for k, x in pairs:
+                rows[j, k][i] = x
+    return sparse_kernel(rows.values(), g.dim)
 
 
 def rep_kernel(r: Representation, g: LieAlgebraData) -> list[Vector]:
-    rows = (tuple(r.action[i].entries[p][q] for i in range(g.dim)) for p in range(r.dim_v) for q in range(r.dim_v))
-    return _row_kernel(rows, g.dim)
+    """Canonical basis of the kernel of rho: row (p, q) holds rho_i[p][q] at column i."""
+    rows: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
+    for i, a in enumerate(r.action_cols):
+        for q, col in enumerate(a.support):
+            for p, x in col:
+                rows[p, q][i] = x
+    return sparse_kernel(rows.values(), g.dim)
 
 
 def grading_element(t: FundamentalTriplet) -> Vector | None:
@@ -319,22 +369,25 @@ def grading_element(t: FundamentalTriplet) -> Vector | None:
 def killing_form(g: LieAlgebraData) -> Matrix:
     """Gram matrix of the Killing form tr(ad x ad y) on the basis.
 
-    (ad e_i)[a][b] = c[i][b][a], so K[i][j] is the sum of c[i][b][a] c[j][a][b]
-    over the nonzero entries of ad e_i; K is symmetric since tr(AB) = tr(BA).
+    (ad e_i)[a][b] = c[i][b][a], so K[i][j] is the sum of
+    (ad e_i)[a][b] (ad e_j)[b][a] = c[i][b][a] c[j][a][b].  Each ad e_i is
+    indexed by position (a, b) from ``structure_pairs``, and a product is
+    taken only where both factors are nonzero; K is symmetric since
+    tr(AB) = tr(BA).
     """
     n = g.dim
-    c = g.structure
-    support = [[(a, b, x) for b in range(n) for a, x in enumerate(c[i][b]) if x] for i in range(n)]
+    ad: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]  # ad[i][a, b] = c[i][b][a]
+    ad_t: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]  # ad_t[j][a, b] = c[j][a][b]
+    for i, row in enumerate(g.structure_pairs):
+        for b, pairs in enumerate(row):
+            for a, x in pairs:
+                ad[i][a, b] = ad_t[i][b, a] = x
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
+        ad_i = ad[i]
         for j in range(i, n):
-            cj = c[j]
-            acc = ZERO
-            for a, b, x in support[i]:
-                y = cj[a][b]
-                if y:
-                    acc += x * y
-            rows[i][j] = rows[j][i] = acc
+            ad_j = ad_t[j]
+            rows[i][j] = rows[j][i] = sum((ad_i[p] * ad_j[p] for p in ad_i.keys() & ad_j.keys()), ZERO)
     return Matrix(n, n, tuple(tuple(r) for r in rows))
 
 

@@ -32,7 +32,6 @@ from .exactla import (
     kernel_basis,
     rank,
     support,
-    vzero,
 )
 from .liecore import (
     FundamentalTriplet,
@@ -561,7 +560,7 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
         blocks[d] = (len(labels), asm.dim_of(d))
         labels.extend([d] * asm.dim_of(d))
     total = len(labels)
-    table = [[vzero(total)] * total for _ in range(total)]
+    pairs = [[()] * total for _ in range(total)]
     for da in degrees:
         oa, na = blocks[da]
         for db in degrees:
@@ -570,12 +569,10 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
             ob, nb = blocks[db]
             o = blocks[da + db][0]
             for sa in range(na):
+                row = pairs[oa + sa]
                 for sb in range(nb):
-                    row = [ZERO] * total
-                    for k, x in asm.bracket_basis(da, sa, db, sb):
-                        row[o + k] = x
-                    table[oa + sa][ob + sb] = tuple(row)
-    algebra = LieAlgebraData(total, tuple(tuple(row) for row in table))
+                    row[ob + sb] = tuple((o + k, x) for k, x in asm.bracket_basis(da, sa, db, sb))
+    algebra = LieAlgebraData.from_pairs(total, pairs)
     return AssembledAlgebra(algebra, tuple(labels), blocks)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import assume, strategies as st
+
 from glaw import (
     FundamentalTriplet,
     LieAlgebraData,
@@ -14,6 +16,7 @@ from glaw import (
     gen_principal,
     gen_symplectic,
 )
+from glaw.generators import find_symmetrizer, gen_glblock, gen_with_trivial_summand
 from glaw.liecore import basis_vector
 
 F = Fraction
@@ -148,3 +151,54 @@ def jacobi_holds_everywhere(g: LieAlgebraData) -> bool:
                 if not vis_zero(acc):
                     return False
     return True
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+CARTANS = [[[2]], [[2, -1], [-1, 2]], [[2, -2], [-1, 2]], [[2, -1], [-3, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]]
+
+
+@st.composite
+def generator_triplets(draw, min_n=1):
+    """Triplets from the generator families with random parameters, all valid."""
+    family = draw(st.sampled_from(["sp", "glblock", "principal"]))
+    if family == "sp":
+        n = draw(st.integers(min_n, 3))
+        form = draw(st.sampled_from(["trace", "sl-shifted"] + (["g2"] if n < 3 else [])))
+        t = gen_symplectic(n, draw(st.integers(1, 3 if n < 3 else 2)), draw(small_rationals.filter(bool)), form)
+    elif family == "glblock":
+        l1, l2 = draw(small_rationals.filter(bool)), draw(small_rationals.filter(bool))
+        assume(l1 + l2 != 0)
+        t = gen_glblock(draw(st.integers(min_n, 2)), l1, l2)
+    else:
+        cartan = draw(st.sampled_from(CARTANS[min_n - 1 :]))
+        scale = draw(small_rationals.filter(bool))
+        t = gen_principal(cartan, [scale * d for d in find_symmetrizer(Matrix.from_rows(cartan))])
+    return gen_with_trivial_summand(t, draw(st.integers(0, 1)))
+
+
+def dense_kernel(rows, ncols: int) -> list[tuple]:
+    """Canonical null-space basis (free variables set to 1, increasing) by
+    textbook Gauss-Jordan on dense Fraction rows; an oracle independent of
+    glaw's elimination."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[free] = F(1)
+        for k, pc in enumerate(pivots):
+            v[pc] = -m[k][free]
+        basis.append(tuple(v))
+    return basis

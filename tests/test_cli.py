@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,10 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+def run_cli(*args: str, stdin: str | None = None, env: dict | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "glaw", *args],
         cwd=ROOT,
+        env={**os.environ, **env} if env else None,
         input=stdin,
         text=True,
         capture_output=True,
@@ -285,6 +287,21 @@ def test_grow_report_matches_golden_file(golden_name):
     assert got == golden
 
 
+E6_CARTAN = "2,-1,0,0,0,0;-1,2,-1,0,0,0;0,-1,2,-1,0,-1;0,0,-1,2,-1,0;0,0,0,-1,2,0;0,0,-1,0,0,2"
+
+
+def test_e6_assemble_full_report_matches_recorded_digest():
+    # the largest table built from (k, coefficient) pairs; its report is kept as a sha256 only
+    gen = run_cli("gen", "cartan", "--matrix", E6_CARTAN)
+    proc = run_cli("assemble", "-", "--max-degree", "12", "--full", stdin=gen.stdout, env={"GLAW_MAX_DEGREE": "12"})
+    assert proc.returncode == 0, proc.stderr
+    payload = strip_timings(json.loads(proc.stdout))
+    assert payload["dim"] == 78 and payload["killing_rank"] == 78 and payload["center_dim"] == 0
+    got = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    digest = (Path(__file__).parent / "golden" / "e6_assemble_full.sha256").read_text(encoding="utf-8").strip()
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
 def test_centralizer_of_the_zero_subalgebra_is_everything():
     # o(1) has no basis vectors, so every degree is its own centralizer
     gen = run_cli("gen", "sp", "--n", "1", "--p", "2", "--lambda", "2")
@@ -385,6 +402,36 @@ def test_unreadable_paths_are_a_parse_error(tmp_path, where):
     else:
         proc = run_cli("validate", str(tmp_path / "absent.json" if where == "missing" else tmp_path))
     assert_parse_error(proc)
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["5", "[1]", '[["1"]]', '[["1", "0", "0", "0", "0"]]'],
+    ids=["scalar", "flat-list", "short-vector", "long-vector"],
+)
+def test_malformed_subalgebra_files_are_a_parse_error(tmp_path, content):
+    # g0 = gl(2) has dimension 4, so --sub must list vectors of exactly 4 rationals
+    gen = run_cli("gen", "sp", "--n", "2", "--p", "2", "--lambda", "2")
+    spec = tmp_path / "sp.json"
+    spec.write_text(gen.stdout, encoding="utf-8")
+    sub = tmp_path / "sub.json"
+    sub.write_text(content, encoding="utf-8")
+    proc = run_cli("centralizer", str(spec), "--sub", f"file:{sub}", "--max-degree", "1")
+    assert_parse_error(proc)
+    assert "4 rationals" in proc.stderr
+
+
+def test_subalgebra_file_gives_the_same_report_as_o_n(tmp_path):
+    gen = run_cli("gen", "sp", "--n", "2", "--p", "2", "--lambda", "2")
+    spec = tmp_path / "sp.json"
+    spec.write_text(gen.stdout, encoding="utf-8")
+    sub = tmp_path / "sub.json"
+    sub.write_text('[[0, "1", "-1", 0]]', encoding="utf-8")  # E_01 - E_10 spans o(2)
+    reports = [
+        strip_timings(json.loads(run_cli("centralizer", str(spec), "--sub", s, "--max-degree", "2").stdout))
+        for s in (f"file:{sub}", "o(2)")
+    ]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(

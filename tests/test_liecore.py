@@ -1,7 +1,9 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glaw import (
     AmbiguousGrading,
@@ -18,13 +20,21 @@ from glaw import (
     rep_kernel,
     validate,
 )
-from glaw.exactla import in_span, kernel_basis, rank
+from glaw.exactla import SparseCols, in_span, kernel_basis, rank
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
-from glaw.generators import gen_symplectic
+from glaw.generators import gen_principal, gen_symplectic
 from glaw.localg import build_local
 from glaw.tower import assemble, grow_both
 
-from helpers import gl_standard_triplet, random_rational_vector, sl2_algebra, sl2_triplet
+from helpers import (
+    dense_kernel,
+    generator_triplets,
+    gl_standard_triplet,
+    random_rational_vector,
+    sl2_algebra,
+    sl2_triplet,
+    small_rationals,
+)
 
 F = Fraction
 
@@ -114,6 +124,17 @@ def test_dual_rep_cases():
     assert all(a.entries == b.entries for a, b in zip(dd.action, t.rho.action))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_dual_rep_is_minus_the_transpose_with_matching_columns(n, data):
+    # dual_rep fills the dual's sparse columns itself; they must be those of its matrices
+    square = st.lists(st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    r = Representation(n, tuple(Matrix.from_rows(m) for m in data.draw(st.lists(square, max_size=3))))
+    d = dual_rep(r)
+    assert d.action == tuple(-a.transpose() for a in r.action)
+    assert d.action_cols == tuple(SparseCols.from_matrix(m) for m in d.action)
+
+
 def test_derived_subalgebra_dimensions():
     assert derived_subalgebra(LieAlgebraData.abelian(3)) == []
     for n in (2, 3):
@@ -135,12 +156,43 @@ def test_center_dimensions():
     assert center(sl2_algebra()) == []
 
 
+@functools.cache
+def assembled_algebras() -> dict[str, LieAlgebraData]:
+    """Assembled principal A2 and g2-cubic algebras, and g2-cubic rewritten
+    in a skewed rational basis."""
+    out = {}
+    for name, t, degree in (
+        ("a2", gen_principal([[2, -1], [-1, 2]]), 3),
+        ("g2-cubic", gen_symplectic(2, 3, 1, "g2"), 4),
+    ):
+        local = build_local(t)
+        out[name] = assemble(*grow_both(local, degree), local).algebra
+    g2 = out["g2-cubic"]
+    rng = random.Random(11)
+    while True:
+        basis = [tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(g2.dim)) for _ in range(g2.dim)]
+        if rank(Matrix.from_cols(basis)) == g2.dim:
+            break
+    out["g2-cubic-skewed"] = restrict_algebra(g2, basis, "not a basis")
+    return out
+
+
+def center_rows(g: LieAlgebraData) -> list[tuple]:
+    """Row (j, k) of the center's system holds c[i][j][k] at column i, read off the dense table."""
+    n = g.dim
+    return [tuple(g.structure[i][j][k] for i in range(n)) for j in range(n) for k in range(n)]
+
+
+def rep_kernel_rows(r: Representation, n: int) -> list[tuple]:
+    """Row (p, q) of the kernel's system holds rho_i[p][q] at column i, read off the dense matrices."""
+    return [tuple(r.action[i].entries[p][q] for i in range(n)) for p in range(r.dim_v) for q in range(r.dim_v)]
+
+
 def test_center_matches_the_kernel_of_the_full_coefficient_matrix():
-    # zero and repeated rows are dropped before elimination; the basis must not change
-    for g in (gl_standard_triplet(3).g0, gl_standard_triplet(2).g0.direct_sum(sl2_algebra())):
-        n = g.dim
-        rows = [tuple(g.structure[i][j][k] for i in range(n)) for j in range(n) for k in range(n)]
-        assert center(g) == kernel_basis(Matrix.from_rows(rows))
+    # the rows gathered from structure_pairs must give the kernel of the full dense system
+    examples = [gl_standard_triplet(3).g0, gl_standard_triplet(2).g0.direct_sum(sl2_algebra())]
+    for g in examples + list(assembled_algebras().values()):
+        assert center(g) == kernel_basis(Matrix.from_rows(center_rows(g)))
 
 
 def test_subalgebra_closure_properties():
@@ -167,6 +219,14 @@ def test_rep_kernel_cases():
     for u in k:
         for a in range(glued.g0.dim):
             assert in_span(glued.g0.bracket(basis_vector(glued.g0.dim, a), u), k)
+
+
+def test_rep_kernel_matches_the_dense_kernel_of_the_action_entries():
+    t = gl_standard_triplet(2)
+    zero_rho = Representation(2, tuple(Matrix.zeros(2, 2) for _ in range(4)))
+    glued = direct_sum_with_zero_factor(t, sl2_algebra(), QuadraticForm(Matrix.identity(3)))
+    for r, g in ((t.rho, t.g0), (zero_rho, t.g0), (glued.rho, glued.g0), (dual_rep(glued.rho), glued.g0)):
+        assert rep_kernel(r, g) == dense_kernel(rep_kernel_rows(r, g.dim), g.dim)
 
 
 def test_grading_element_cases():
@@ -214,14 +274,21 @@ def dense_killing_form(g: LieAlgebraData) -> list[list[Fraction]]:
 
 
 def test_killing_form_matches_the_dense_trace():
-    local = build_local(gen_symplectic(2, 3, 1, "g2"))
-    g2 = assemble(*grow_both(local, 4), local).algebra
-    rng = random.Random(11)
-    while True:
-        basis = [tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(g2.dim)) for _ in range(g2.dim)]
-        if rank(Matrix.from_cols(basis)) == g2.dim:
-            break
-    skewed = restrict_algebra(g2, basis, "not a basis")
+    algebras = assembled_algebras()
+    skewed = algebras["g2-cubic-skewed"]
     assert any(x.denominator > 1 for row in skewed.structure for v in row for x in v)
-    for g in (g2, skewed):
+    for g in algebras.values():
         assert [list(row) for row in killing_form(g).entries] == dense_killing_form(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_triplets(), st.sampled_from([None, "abelian", "sl2"]))
+def test_center_rep_kernel_and_killing_form_match_their_dense_oracles(t, kernel):
+    # an adjoined ideal acting by zero gives rho a kernel and, when abelian, g0 a larger center
+    if kernel is not None:
+        extra = LieAlgebraData.abelian(1) if kernel == "abelian" else sl2_algebra()
+        t = direct_sum_with_zero_factor(t, extra, QuadraticForm(Matrix.identity(extra.dim)))
+    g, n = t.g0, t.dim_g0
+    assert center(g) == dense_kernel(center_rows(g), n)
+    assert rep_kernel(t.rho, g) == dense_kernel(rep_kernel_rows(t.rho, n), n)
+    assert [list(row) for row in killing_form(g).entries] == dense_killing_form(g)

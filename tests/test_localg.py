@@ -26,7 +26,6 @@ from glaw import (
 from glaw.exactla import vis_zero, vneg
 from glaw.generators import (
     _sl_basis_matrices,
-    find_symmetrizer,
     gen_glblock,
     gen_principal,
     gen_stabilizer_triplet,
@@ -38,7 +37,7 @@ from glaw.liecore import basis_vector, direct_sum_with_zero_factor, dual_rep
 from glaw.localg import IsoRefusal, LocalForm, LocalIsomorphism, local_iso_check, scale_by_components
 from glaw.sl2 import PolyInvariant
 
-from helpers import gl_standard_triplet, sl2_triplet
+from helpers import generator_triplets, gl_standard_triplet, sl2_triplet, small_rationals
 
 F = Fraction
 
@@ -269,29 +268,6 @@ def test_failure_order_matches_the_recorded_one():
     assert list(got) == list(recorded)
     for name, record in recorded.items():
         assert got[name] == record, name
-
-
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-CARTANS = [[[2]], [[2, -1], [-1, 2]], [[2, -2], [-1, 2]], [[2, -1], [-3, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]]
-
-
-@st.composite
-def generator_triplets(draw, min_n=1):
-    """Triplets from the generator families with random parameters, all valid."""
-    family = draw(st.sampled_from(["sp", "glblock", "principal"]))
-    if family == "sp":
-        n = draw(st.integers(min_n, 3))
-        form = draw(st.sampled_from(["trace", "sl-shifted"] + (["g2"] if n < 3 else [])))
-        t = gen_symplectic(n, draw(st.integers(1, 3 if n < 3 else 2)), draw(small_rationals.filter(bool)), form)
-    elif family == "glblock":
-        l1, l2 = draw(small_rationals.filter(bool)), draw(small_rationals.filter(bool))
-        assume(l1 + l2 != 0)
-        t = gen_glblock(draw(st.integers(min_n, 2)), l1, l2)
-    else:
-        cartan = draw(st.sampled_from(CARTANS[min_n - 1 :]))
-        scale = draw(small_rationals.filter(bool))
-        t = gen_principal(cartan, [scale * d for d in find_symmetrizer(Matrix.from_rows(cartan))])
-    return gen_with_trivial_summand(t, draw(st.integers(0, 1)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -557,6 +557,22 @@ def test_assemble_block_family_and_principal():
     assert rank(killing_form(asm.algebra)) == 14
 
 
+@pytest.mark.parametrize(
+    "make,budget",
+    [
+        pytest.param(lambda: gen_principal(A2), 3, id="principal-a2"),
+        pytest.param(lambda: gen_principal(G2_CARTAN), 6, id="principal-g2"),
+        pytest.param(lambda: gen_symplectic(2, 3, 1, "g2"), 4, id="g2-cubic"),
+        pytest.param(lambda: gen_glblock(2, 1, 1), 3, id="glblock-2"),
+    ],
+)
+def test_assembled_pairs_are_those_of_the_dense_table(make, budget):
+    # assemble builds from (k, coefficient) pairs; an algebra built from its dense table must read them back
+    local, tp, tn = grown(make(), budget)
+    g = assemble(tp, tn, local).algebra
+    assert LieAlgebraData(g.dim, g.structure).structure_pairs == g.structure_pairs
+
+
 def test_assembled_principal_a2_matches_traceless_matrix_model():
     # the rank-2 principal tower with the symmetric 2x2 matrix assembles to
     # the traceless 3x3 algebra; mapping coroots to diagonal differences,
