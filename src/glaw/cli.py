@@ -316,6 +316,9 @@ def _sub_basis_from_args(t: FundamentalTriplet, meta: dict, spec: str):
         if meta.get("family") != "symplectic":
             raise SpecError("o(n) needs a spec generated by `gen sp` (gl(n) basis metadata)")
         n = _integer(meta.get("n"), "meta field n")
+        k = spec.replace(" ", "")[2:-1]
+        if not (k.isdecimal() and int(k) == n):
+            raise SpecError(f"{spec!r} is not o({n}), the orthogonal subalgebra of this spec's gl({n})")
         out = []
         for a in range(n):
             for b in range(a + 1, n):

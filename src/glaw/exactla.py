@@ -11,7 +11,9 @@ the eligible row with the fewest nonzeros, ties to the lower row index; the
 reduced row echelon form is unique, so that choice only changes fill-in and
 never a result.  The bases produced here are canonical: null-space bases set
 each free variable to 1 in increasing column order, column-space bases are
-the pivot columns in left-to-right order.
+the pivot columns in left-to-right order.  Linear systems sharing a matrix
+are solved together: ``solve_many`` eliminates [a | b_0 | b_1 | ...] once,
+and ``solve``, ``inverse`` and ``in_span`` are single calls to it.
 """
 
 from __future__ import annotations
@@ -330,19 +332,39 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return sparse_kernel((dict(support(r)) for r in m.entries), m.cols)
 
 
+def solve_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector | None]:
+    """One exact solution of a x = b for each b (free variables 0), None
+    for each inconsistent b, from one elimination of [a | b_0 | b_1 | ...].
+
+    A reduced row whose pivot lies in the b block is zero on a's columns, so
+    it is a left null vector of a: it vanishes on every consistent b and
+    marks each b it is nonzero on as inconsistent.  A consistent b reads its
+    solution off the rows pivoted in a, exactly as a one-column solve would.
+    """
+    bs = [as_vector(b) for b in bs]
+    if any(len(b) != a.rows for b in bs):
+        raise ValueError("right-hand side length does not match row count")
+    n = a.cols
+    rows = [dict(support(r)) for r in a.entries]
+    for k, b in enumerate(bs):
+        for i, x in support(b):
+            rows[i][n + k] = x
+    reduced, pivots = _sparse_rref(rows, n + len(bs))
+    out = [[ZERO] * n for _ in bs]
+    inconsistent = set()
+    for row, pc in zip(reduced, pivots):
+        for j, x in row.items():
+            if j >= n:
+                if pc < n:
+                    out[j - n][pc] = x
+                else:
+                    inconsistent.add(j - n)
+    return [None if k in inconsistent else tuple(x) for k, x in enumerate(out)]
+
+
 def solve(a: Matrix, b: Sequence) -> Vector | None:
     """One exact solution of a x = b (free variables 0), or None if inconsistent."""
-    b = as_vector(b)
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    aug = hstack([a, Matrix.from_cols([b])])
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [ZERO] * a.cols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r.entries[row_idx][a.cols]
-    return tuple(x)
+    return solve_many(a, [b])[0]
 
 
 @dataclass(frozen=True)
@@ -387,11 +409,10 @@ def image_basis(m: Matrix | SparseCols) -> ImageBasis:
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices invert")
-    aug = hstack([m, Matrix.identity(m.rows)])
-    r, pivots = rref(aug)
-    if len(pivots) != m.rows or any(p >= m.rows for p in pivots):
+    cols = solve_many(m, Matrix.identity(m.rows).entries)
+    if None in cols:
         raise ValueError("matrix is singular")
-    return Matrix(m.rows, m.rows, tuple(row[m.rows:] for row in r.entries))
+    return Matrix.from_cols(cols, nrows=m.rows)
 
 
 def span_matrix(vectors: Sequence[Vector], dim: int) -> Matrix:
@@ -407,5 +428,4 @@ def subspace_equal(a: Sequence[Vector], b: Sequence[Vector], dim: int) -> bool:
 
 
 def in_span(v: Vector, vectors: Sequence[Vector]) -> bool:
-    m = span_matrix(vectors, len(v))
-    return rank(m) == rank(hstack([m, Matrix.from_cols([v])]))
+    return solve_many(span_matrix(vectors, len(v)), [v])[0] is not None

@@ -19,7 +19,6 @@ from .exactla import (
     frac,
     kernel_basis,
     rank,
-    solve,
     span_matrix,
 )
 from .liecore import (
@@ -28,6 +27,7 @@ from .liecore import (
     QuadraticForm,
     Refusal,
     Representation,
+    algebra_in_basis,
 )
 from .sl2 import PolyInvariant, vector_field_apply
 
@@ -183,6 +183,8 @@ def gen_glblock(n: int, lam1, lam2) -> FundamentalTriplet:
     """Two gl(n) blocks with joint trace zero acting on n x n matrices by
     (A,B).X = AX - XB, with the block-scaled trace form."""
     lam1, lam2 = frac(lam1), frac(lam2)
+    if n < 1:
+        raise Refusal("n must be at least 1")
     if lam1 == 0 or lam2 == 0 or lam1 + lam2 == 0:
         raise Refusal("the block form needs lam1, lam2 and lam1+lam2 nonzero")
     ident = Matrix.identity(n)
@@ -199,19 +201,8 @@ def gen_glblock(n: int, lam1, lam2) -> FundamentalTriplet:
         )
 
     basis_m = Matrix.from_cols([flatten(p) for p in pairs], nrows=2 * n * n)
-    table = []
-    for p in range(dim):
-        row = []
-        for q in range(dim):
-            ap, bp = pairs[p]
-            aq, bq = pairs[q]
-            br = (ap @ aq - aq @ ap, bp @ bq - bq @ bp)
-            coords = solve(basis_m, flatten(br))
-            if coords is None:
-                raise Refusal("bracket escaped the block subalgebra; internal error")
-            row.append(coords)
-        table.append(tuple(row))
-    g0 = LieAlgebraData(dim, tuple(table))
+    brackets = [flatten((ap @ aq - aq @ ap, bp @ bq - bq @ bp)) for ap, bp in pairs for aq, bq in pairs]
+    g0 = algebra_in_basis(basis_m, brackets, "bracket escaped the block subalgebra; internal error")
 
     def tr(m: Matrix) -> Fraction:
         return sum((m.entries[i][i] for i in range(n)), ZERO)
@@ -344,17 +335,8 @@ def gen_stabilizer_triplet(p: PolyInvariant, center_scale) -> FundamentalTriplet
     basis_m = span_matrix([flatten(m) for m in mats], n * n)
     if rank(basis_m) != dim:
         raise Refusal("identity lies in the stabilizer; the family does not apply")
-    table = []
-    for q1 in range(dim):
-        row = []
-        for q2 in range(dim):
-            br = mats[q1] @ mats[q2] - mats[q2] @ mats[q1]
-            coords = solve(basis_m, flatten(br))
-            if coords is None:
-                raise Refusal("the stabilizer is not closed under the bracket; internal error")
-            row.append(coords)
-        table.append(tuple(row))
-    g0 = LieAlgebraData(dim, tuple(table))
+    brackets = [flatten(a @ b - b @ a) for a in mats for b in mats]
+    g0 = algebra_in_basis(basis_m, brackets, "the stabilizer is not closed under the bracket; internal error")
     gram = Matrix.from_rows(
         [
             [

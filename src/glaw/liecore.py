@@ -29,10 +29,10 @@ from .exactla import (
     kernel_basis,
     rank,
     solve,
+    solve_many,
     span_matrix,
     sparse_kernel,
     support,
-    vadd,
     vscale,
     vzero,
 )
@@ -131,20 +131,22 @@ class LieAlgebraData:
         return LieAlgebraData(n + m, tuple(tuple(row) for row in table))
 
 
+def algebra_in_basis(m: Matrix, brackets: list[Vector], refusal: str) -> LieAlgebraData:
+    """The algebra on the columns of m whose [e_p, e_q] is brackets[p * m.cols + q],
+    written in those columns by one elimination; refuses with ``refusal``
+    when a bracket leaves their span."""
+    coords = solve_many(m, brackets)
+    if None in coords:
+        raise Refusal(refusal)
+    dim = m.cols
+    return LieAlgebraData(dim, tuple(tuple(coords[p * dim : (p + 1) * dim]) for p in range(dim)))
+
+
 def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> LieAlgebraData:
     """Structure constants of a subalgebra in the given basis; refuses with
     ``refusal`` when a bracket leaves its span."""
-    m = span_matrix(basis, g.dim)
-    table = []
-    for p in basis:
-        row = []
-        for q in basis:
-            coords = solve(m, g.bracket(p, q))
-            if coords is None:
-                raise Refusal(f"{refusal}; inconsistent data")
-            row.append(coords)
-        table.append(tuple(row))
-    return LieAlgebraData(len(basis), tuple(table))
+    brackets = [g.bracket(p, q) for p in basis for q in basis]
+    return algebra_in_basis(span_matrix(basis, g.dim), brackets, f"{refusal}; inconsistent data")
 
 
 def basis_vector(dim: int, i: int) -> Vector:
@@ -347,23 +349,15 @@ def grading_element(t: FundamentalTriplet) -> Vector | None:
     z = center(t.g0)
     if not z:
         return None
-    rows = []
-    target = []
-    two = Fraction(2)
-    for p in range(t.dim_v):
-        for q in range(t.dim_v):
-            rows.append(tuple(t.rho.act(zv, basis_vector(t.dim_v, q))[p] for zv in z))
-            target.append(two if p == q else ZERO)
-    sys = Matrix.from_rows(rows)
-    coeffs = solve(sys, target)
+    mats = [t.rho.matrix_of(zv).entries for zv in z]
+    dv = t.dim_v
+    sys = Matrix(dv * dv, len(z), tuple(tuple(m[p][q] for m in mats) for p in range(dv) for q in range(dv)))
+    coeffs = solve(sys, [Fraction(2) if p == q else ZERO for p in range(dv) for q in range(dv)])
     if coeffs is None:
         return None
     if kernel_basis(sys):
         raise AmbiguousGrading("several central elements act as 2*Id")
-    h = vzero(t.dim_g0)
-    for c, zv in zip(coeffs, z):
-        h = vadd(h, vscale(c, zv))
-    return h
+    return span_matrix(z, t.dim_g0).matvec(coeffs)
 
 
 def killing_form(g: LieAlgebraData) -> Matrix:

@@ -21,22 +21,21 @@ from .exactla import (
     bilinear,
     hstack,
     image_basis,
-    in_span,
     inverse,
     kernel_basis,
     rank,
     solve,
+    solve_many,
     span_matrix,
+    sparse_kernel,
     support,
-    vadd,
     vdot,
     vis_zero,
     vneg,
-    vscale,
-    vzero,
 )
 from .liecore import (
     FundamentalTriplet,
+    LieAlgebraData,
     QuadraticForm,
     Refusal,
     Representation,
@@ -205,13 +204,21 @@ def _component_change_of_basis(t: FundamentalTriplet, ideal_bases: list[list[Vec
     return m
 
 
+def _is_ideal(g: LieAlgebraData, basis: list[Vector]) -> bool:
+    """Is the span of basis closed under brackets with every element of g?"""
+    brackets = [g.bracket(basis_vector(g.dim, a), w) for w in basis for a in range(g.dim)]
+    return None not in solve_many(span_matrix(basis, g.dim), brackets)
+
+
+def _orthogonal_complement(t: FundamentalTriplet, vectors: list[Vector]) -> list[Vector]:
+    """Canonical basis of the B0-orthogonal complement of the span of vectors."""
+    return sparse_kernel((dict(support(t.b0.gram.matvec(v))) for v in vectors), t.dim_g0)
+
+
 def _check_orthogonal_ideals(t: FundamentalTriplet, ideal_bases: list[list[Vector]]):
-    n = t.dim_g0
     for basis in ideal_bases:
-        for w in basis:
-            for a in range(n):
-                if not in_span(t.g0.bracket(basis_vector(n, a), w), basis):
-                    raise Refusal("a listed subspace is not an ideal of g0")
+        if not _is_ideal(t.g0, basis):
+            raise Refusal("a listed subspace is not an ideal of g0")
     for p in range(len(ideal_bases)):
         for q in range(p + 1, len(ideal_bases)):
             for u in ideal_bases[p]:
@@ -272,27 +279,18 @@ def box_rescale_rep(
         raise Refusal("gamma must be nonzero")
     n = t.dim_g0
     z_basis = list(center_part)
-    zc = center(t.g0)
-    for z in z_basis:
-        if not in_span(z, zc):
-            raise Refusal("the given subspace is not central")
-    rows = [t.b0.gram.matvec(z) for z in z_basis]
-    l_basis = kernel_basis(Matrix.from_rows(rows)) if rows else [
-        basis_vector(n, i) for i in range(n)
-    ]
+    if None in solve_many(span_matrix(center(t.g0), n), z_basis):
+        raise Refusal("the given subspace is not central")
+    l_basis = _orthogonal_complement(t, z_basis)
     m = _component_change_of_basis(t, [z_basis, l_basis])
-    for a in range(n):
-        for w in l_basis:
-            if not in_span(t.g0.bracket(basis_vector(n, a), w), l_basis):
-                raise Refusal("the orthogonal complement of Z is not an ideal")
+    if not _is_ideal(t.g0, l_basis):
+        raise Refusal("the orthogonal complement of Z is not an ideal")
     m_inv = inverse(m)
     k = len(z_basis)
+    z_m = span_matrix(z_basis, n)
     new_action = []
     for a in range(n):
-        coords = m_inv.matvec(basis_vector(n, a))
-        z_part = vzero(n)
-        for c, z in zip(coords[:k], z_basis):
-            z_part = vadd(z_part, vscale(c, z))
+        z_part = z_m.matvec(m_inv.col(a)[:k])
         new_action.append(t.rho.matrix_of(basis_vector(n, a)) + t.rho.matrix_of(z_part).scale(gamma - 1))
     out = FundamentalTriplet(t.g0, t.b0, Representation(t.dim_v, tuple(new_action)))
     old_local = build_local(t)
@@ -455,14 +453,11 @@ def reduce_triplet(t: FundamentalTriplet, assert_completely_reducible: bool) -> 
         mzk = span_matrix(z_and_k, n)
         if rank(mzk.transpose() @ t.b0.gram @ mzk) != len(z_and_k):
             raise Refusal("B0 restricted to the central part of the kernel is degenerate")
-    rows = [t.b0.gram.matvec(kv) for kv in k_basis]
-    f_basis = kernel_basis(Matrix.from_rows(rows)) if rows else [basis_vector(n, i) for i in range(n)]
+    f_basis = _orthogonal_complement(t, k_basis)
     if len(f_basis) + len(k_basis) != n or rank(span_matrix(list(k_basis) + f_basis, n)) != n:
         raise Refusal("the orthogonal complement of the kernel does not complement it")
-    for a in range(n):
-        for w in f_basis:
-            if not in_span(t.g0.bracket(basis_vector(n, a), w), f_basis):
-                raise Refusal("the orthogonal complement of the kernel is not an ideal")
+    if not _is_ideal(t.g0, f_basis):
+        raise Refusal("the orthogonal complement of the kernel is not an ideal")
     v0 = _trivial_component(t)
     img_cols = [t.rho.action[a].col(x) for a in range(n) for x in range(dv)]
     v1 = list(image_basis(span_matrix(img_cols, dv)).basis)
@@ -476,18 +471,11 @@ def reduce_triplet(t: FundamentalTriplet, assert_completely_reducible: bool) -> 
     gram_f = f_m.transpose() @ t.b0.gram @ f_m
     if rank(gram_f) != nf:
         raise Refusal("B0 restricted to the faithful ideal is degenerate")
-    v1_m = span_matrix(v1, dv)
     nv1 = len(v1)
-    action = []
-    for p in range(nf):
-        cols = []
-        for m in range(nv1):
-            img = t.rho.act(f_basis[p], v1[m])
-            coords = solve(v1_m, img)
-            if coords is None:
-                raise Refusal("the span of g0.V is not rho-stable; inconsistent data")
-            cols.append(coords)
-        action.append(Matrix.from_cols(cols, nrows=nv1))
+    coords = solve_many(span_matrix(v1, dv), [t.rho.act(f, v) for f in f_basis for v in v1])
+    if None in coords:
+        raise Refusal("the span of g0.V is not rho-stable; inconsistent data")
+    action = [Matrix.from_cols(coords[p * nv1 : (p + 1) * nv1], nrows=nv1) for p in range(nf)]
     part = FundamentalTriplet(g0f, QuadraticForm(gram_f), Representation(nv1, tuple(action)))
     return ReductionResult(part, tuple(v0), tuple(v1), tuple(k_basis), tuple(f_basis))
 
@@ -500,14 +488,7 @@ def _trivial_component(t: FundamentalTriplet) -> list[Vector]:
 
 
 def _intersect_spans(a: list[Vector], b: list[Vector], dim: int) -> list[Vector]:
-    if not a or not b:
-        return []
-    m = hstack([span_matrix(a, dim), span_matrix(list(vneg(v) for v in b), dim)])
-    out = []
-    for kv in kernel_basis(m):
-        vec = vzero(dim)
-        for c, av in zip(kv[: len(a)], a):
-            vec = vadd(vec, vscale(c, av))
-        if not vis_zero(vec):
-            out.append(vec)
-    return out
+    ma = span_matrix(a, dim)
+    m = hstack([ma, span_matrix([vneg(v) for v in b], dim)])
+    vecs = [ma.matvec(kv[: len(a)]) for kv in kernel_basis(m)]
+    return [v for v in vecs if not vis_zero(v)]

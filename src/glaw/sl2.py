@@ -18,7 +18,7 @@ from .exactla import (
     Vector,
     ZERO,
     frac,
-    hstack,
+    in_span,
     rank,
     solve,
     span_matrix,
@@ -279,10 +279,7 @@ def property_p_test(t: FundamentalTriplet, x: Vector) -> bool:
     """True when x lies outside the span of the derived algebra applied to x."""
     if vis_zero(x):
         return False
-    der = derived_subalgebra(t.g0)
-    cols = [t.rho.act(u, x) for u in der]
-    m = span_matrix(cols, t.dim_v)
-    return rank(m) != rank(hstack([m, span_matrix([x], t.dim_v)]))
+    return not in_span(x, [t.rho.act(u, x) for u in derived_subalgebra(t.g0)])
 
 
 def complete_triple(t: FundamentalTriplet, x: Vector) -> Sl2Certificate:

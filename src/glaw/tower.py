@@ -28,9 +28,10 @@ from .exactla import (
     ZERO,
     bilinear,
     image_basis,
-    in_span,
-    kernel_basis,
     rank,
+    solve_many,
+    span_matrix,
+    sparse_kernel,
     support,
 )
 from .liecore import (
@@ -647,10 +648,8 @@ def finiteness_report(
 
 
 def _check_subalgebra(g, sub: list[Vector]):
-    for p in range(len(sub)):
-        for q in range(len(sub)):
-            if not in_span(g.bracket(sub[p], sub[q]), sub):
-                raise Refusal("the given subspace is not closed under the bracket")
+    if None in solve_many(span_matrix(sub, g.dim), [g.bracket(p, q) for p in sub for q in sub]):
+        raise Refusal("the given subspace is not closed under the bracket")
 
 
 def _common_kernel(dim: int, maps) -> list[Vector]:
@@ -658,7 +657,7 @@ def _common_kernel(dim: int, maps) -> list[Vector]:
     space, each map given by its dense value on the k-th basis vector (no maps:
     everything)."""
     rows = [row for f in maps for row in zip(*(f(k) for k in range(dim)))]
-    return kernel_basis(Matrix.from_rows(rows)) if rows else [basis_vector(dim, k) for k in range(dim)]
+    return sparse_kernel((dict(support(r)) for r in rows), dim)
 
 
 def centralizer_graded(

@@ -421,6 +421,21 @@ def test_malformed_subalgebra_files_are_a_parse_error(tmp_path, content):
     assert "4 rationals" in proc.stderr
 
 
+@pytest.mark.parametrize("sub", ["o(3)", "o(x)", "o()"])
+def test_o_k_must_name_the_spec_n(sub):
+    # the spec is gl(2), so only o(2) names a subalgebra of it
+    gen = run_cli("gen", "sp", "--n", "2", "--p", "2", "--lambda", "2")
+    proc = run_cli("centralizer", "-", "--sub", sub, "--max-degree", "1", stdin=gen.stdout)
+    assert_parse_error(proc)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_glblock_needs_a_positive_n(n):
+    proc = run_cli("gen", "glblock", "--n", n, "--lambda1", "1", "--lambda2", "2")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "n must be at least 1", "kind": "precondition"}
+
+
 def test_subalgebra_file_gives_the_same_report_as_o_n(tmp_path):
     gen = run_cli("gen", "sp", "--n", "2", "--p", "2", "--lambda", "2")
     spec = tmp_path / "sp.json"

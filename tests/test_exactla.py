@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glaw.exactla import (
     Matrix,
@@ -15,6 +15,7 @@ from glaw.exactla import (
     rank,
     rref,
     solve,
+    solve_many,
 )
 
 F = Fraction
@@ -136,10 +137,10 @@ NONZERO = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
 
 
 @st.composite
-def mostly_zero_matrices(draw) -> Matrix:
-    """Up to 12x15, a quarter of the cells or fewer nonzero, then some rows
+def mostly_zero_matrices(draw, max_rows: int = 12, max_cols: int = 15) -> Matrix:
+    """Up to max_rows x max_cols, a quarter of the cells or fewer nonzero, then some rows
     replaced by scaled copies or combinations of others and some by zeros."""
-    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 15))
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
     grid = [[F(0)] * cols for _ in range(rows)]
     cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), NONZERO)
     for i, j, x in draw(st.lists(cell, max_size=rows * cols // 4)):
@@ -214,3 +215,49 @@ def test_kernel_vectors_canonical_free_variable_convention():
     # one pivot at column 0; free columns 1 and 2 get the unit value in order
     m = Matrix.from_rows([[1, 2, 3]])
     assert kernel_basis(m) == [(F(-2), F(1), F(0)), (F(-3), F(0), F(1))]
+
+
+def sympy_solve(a: Matrix, b: tuple) -> tuple | None:
+    """The solution of a x = b with free variables 0, read off sympy's RREF of [a | b]."""
+    r, pivots = sympy_rref(Matrix.from_rows([list(row) + [x] for row, x in zip(a.entries, b)]))
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = [F(0)] * a.cols
+    for k, pc in enumerate(pivots):
+        x[pc] = r[k][a.cols]
+    return tuple(x)
+
+
+@st.composite
+def systems(draw) -> tuple[Matrix, list[tuple]]:
+    """A mostly-zero a up to 8x10 and up to 6 right-hand sides, each a x
+    (consistent) or a x + c y for a left null vector y of a and c != 0
+    (inconsistent whenever a has one), in any order."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    a = draw(mostly_zero_matrices(8, 10))
+    at = [[QQ(x.numerator, x.denominator) for x in a.col(j)] for j in range(a.cols)]
+    null = DomainMatrix(at, (a.cols, a.rows), QQ).nullspace().to_list()
+    left_null = [tuple(F(int(x.numerator), int(x.denominator)) for x in y) for y in null]
+    bs = []
+    for inconsistent in draw(st.lists(st.booleans(), max_size=6)):
+        b = a.matvec(draw(st.lists(st.one_of(st.just(F(0)), NONZERO), min_size=a.cols, max_size=a.cols)))
+        if inconsistent and left_null:
+            y, c = draw(st.sampled_from(left_null)), draw(NONZERO)
+            b = tuple(x + c * v for x, v in zip(b, y))
+        bs.append(b)
+    return a, bs
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example((Matrix.from_rows([[1, 0], [0, 0]]), [(F(0), F(1)), (F(2), F(0)), (F(1), F(3)), (F(0), F(0))]))
+def test_solve_many_matches_sympy_column_by_column(system):
+    # the example puts an inconsistent b before a consistent one, twice
+    a, bs = system
+    got = solve_many(a, bs)
+    assert len(got) == len(bs)
+    for b, x in zip(bs, got):
+        assert x == sympy_solve(a, b)
+        assert x is None or a.matvec(x) == b

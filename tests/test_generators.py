@@ -136,6 +136,10 @@ def test_glblock_refusals():
         gen_glblock(2, 1, -1)
     with pytest.raises(Refusal):
         gen_glblock(2, 0, 1)
+    with pytest.raises(Refusal):
+        gen_glblock(0, 1, 1)
+    with pytest.raises(Refusal):
+        gen_glblock(-1, 1, 1)
 
 
 def test_glblock_dimensions_and_grading_pair():

@@ -23,7 +23,7 @@ from glaw import (
     triplet_iso_extend,
     validate,
 )
-from glaw.exactla import vis_zero, vneg
+from glaw.exactla import inverse, solve, vis_zero, vneg
 from glaw.generators import (
     _sl_basis_matrices,
     gen_glblock,
@@ -33,9 +33,10 @@ from glaw.generators import (
     gen_with_trivial_summand,
     monomial_basis,
 )
-from glaw.liecore import basis_vector, direct_sum_with_zero_factor, dual_rep
+from glaw.liecore import basis_vector, direct_sum_with_zero_factor, dual_rep, restrict_algebra
 from glaw.localg import IsoRefusal, LocalForm, LocalIsomorphism, local_iso_check, scale_by_components
 from glaw.sl2 import PolyInvariant
+from glaw.tower import centralizer_graded, grow_both
 
 from helpers import generator_triplets, gl_standard_triplet, sl2_triplet, small_rationals
 
@@ -578,3 +579,66 @@ def test_reduce_refuses_non_reducible_action():
         reduce_triplet(t, assert_completely_reducible=True)
     with pytest.raises(Refusal):
         reduce_triplet(gl_standard_triplet(2), assert_completely_reducible=False)
+
+
+def _gl2_centralizer(sub):
+    L = build_local(gl_standard_triplet(2))
+    return centralizer_graded(*grow_both(L, 2), L, sub, 2)
+
+
+E = [basis_vector(4, k) for k in range(4)]  # E00, E01, E10, E11 of gl(2)
+
+
+@pytest.mark.parametrize(
+    "call, kind, text",
+    [
+        (
+            lambda: restrict_algebra(gl_standard_triplet(2).g0, [E[1], E[2]], "bracket left the faithful ideal"),
+            Refusal,
+            "bracket left the faithful ideal; inconsistent data",
+        ),
+        (
+            lambda: deform_form(gl_standard_triplet(2), [[E[0]], [E[1], E[2], E[3]]], [F(1), F(2)]),
+            Refusal,
+            "a listed subspace is not an ideal of g0",
+        ),
+        (lambda: box_rescale_rep(gl_standard_triplet(2), [E[1]], F(2)), Refusal, "the given subspace is not central"),
+        (
+            lambda: _gl2_centralizer([E[1], E[2]]),
+            Refusal,
+            "the given subspace is not closed under the bracket",
+        ),
+        (
+            lambda: triplet_iso_extend(*[gl_standard_triplet(2)] * 2, Matrix.zeros(4, 4), Matrix.identity(2)),
+            Refusal,
+            "A is not invertible",
+        ),
+        (
+            lambda: triplet_iso_extend(*[gl_standard_triplet(2)] * 2, Matrix.identity(4), Matrix.zeros(2, 2)),
+            Refusal,
+            "gamma is not invertible",
+        ),
+        (lambda: inverse(Matrix.from_rows([[1, 2], [2, 4]])), ValueError, "matrix is singular"),
+        (lambda: inverse(Matrix.zeros(2, 3)), ValueError, "only square matrices invert"),
+        (
+            lambda: solve(Matrix.identity(2), (1, 2, 3)),
+            ValueError,
+            "right-hand side length does not match row count",
+        ),
+    ],
+    ids=[
+        "restrict-not-closed",
+        "deform-not-ideal",
+        "box-not-central",
+        "centralizer-not-closed",
+        "iso-singular-a",
+        "iso-singular-gamma",
+        "inverse-singular",
+        "inverse-not-square",
+        "solve-wrong-length",
+    ],
+)
+def test_refusal_types_and_texts(call, kind, text):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == text
