@@ -5,15 +5,24 @@ floating point enters the pipeline.  Reports are emitted as canonical JSON
 (sorted keys) and are byte-identical across runs apart from the timings
 field, which is excluded from the triplet hash.
 
-Exit codes: 0 success, 1 invariant violation, 2 parse/structural error,
-3 violated operation precondition.
+`main` is the one path from argv to output: it loads and parses the spec,
+runs the command's handler, which only returns its report fields and exit
+code, adds `command`, `name`, `triplet_hash` and `timings.seconds` (the
+whole command), and writes the report, or maps the error to a JSON message
+on stderr.  `gen` writes the spec it emits itself.
+
+Exit codes: 0 success, 1 invariant violation, 2 parse/structural error
+(error kind "parse") or unexpected error (kind "internal"), 3 violated
+operation precondition (kind "precondition").
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -195,75 +204,42 @@ def load_spec(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each maps (triplet, name, meta, args) to (report fields, exit code)
 
 
-def _print_report(report: dict):
-    sys.stdout.write(canonical_json(report))
-
-
-def _envelope(command: str, t: FundamentalTriplet, name: str, started: float) -> dict:
-    return {
-        "command": command,
-        "name": name,
-        "triplet_hash": triplet_hash(t),
-        "timings": {"seconds": round(time.time() - started, 6)},
-    }
-
-
-def cmd_validate(args) -> int:
-    started = time.time()
-    t, name, _ = parse_triplet_spec(load_spec(args.spec))
+def cmd_validate(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
     rep = validate(t)
-    report = _envelope("validate", t, name, started)
-    report["ok"] = rep.ok
-    report["violations"] = rep.violations
-    _print_report(report)
-    return 0 if rep.ok else 1
+    return {"ok": rep.ok, "violations": rep.violations}, 0 if rep.ok else 1
 
 
-def cmd_grow(args, thin: bool = False) -> int:
-    started = time.time()
-    t, name, _ = parse_triplet_spec(load_spec(args.spec))
+def cmd_grow(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
+    """`grow`, and `dims`, which leaves out the pairing ranks."""
     sides = [POSITIVE, NEGATIVE] if args.side == "both" else [args.side]
     budget = _budget(args)
     local = build_local(t)
     towers = {side: grow(local, side, budget) for side in sides}
-    report = _envelope("dims" if thin else "grow", t, name, started)
-    report["max_degree"] = budget
-    report["dims"] = {side: tw.dims() for side, tw in towers.items()}
-    report["terminated"] = {side: tw.terminated for side, tw in towers.items()}
-    if not thin and POSITIVE in towers and NEGATIVE in towers:
+    fields = {
+        "max_degree": budget,
+        "dims": {side: tw.dims() for side, tw in towers.items()},
+        "terminated": {side: tw.terminated for side, tw in towers.items()},
+    }
+    if args.command == "grow" and len(towers) == 2:
         tp, tn = towers[POSITIVE], towers[NEGATIVE]
         top = min(tp.top_degree, tn.top_degree)
-        report["pairing_ranks"] = [rank(m) for m in pairing_table(tp, tn, top)] if top >= 1 else []
-    _print_report(report)
-    return 0
+        fields["pairing_ranks"] = [rank(m) for m in pairing_table(tp, tn, top)] if top >= 1 else []
+    return fields, 0
 
 
-def cmd_dims(args) -> int:
-    return cmd_grow(args, thin=True)
-
-
-def cmd_pn_check(args) -> int:
-    started = time.time()
-    t, name, _ = parse_triplet_spec(load_spec(args.spec))
-    local = build_local(t)
-    res = pn_check(local, args.n)
-    report = _envelope("pn-check", t, name, started)
-    report["n"] = args.n
-    report["holds"] = res.holds
-    report["witness"] = (
-        None
-        if res.witness is None
-        else {
+def cmd_pn_check(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
+    res = pn_check(build_local(t), args.n)
+    witness = None
+    if res.witness is not None:
+        witness = {
             "dual_indices": list(res.witness[0]),
             "v_indices": list(res.witness[1]),
             "value": [format_scalar(x) for x in res.value],
         }
-    )
-    _print_report(report)
-    return 0
+    return {"n": args.n, "holds": res.holds, "witness": witness}, 0
 
 
 def _x_vector_from_args(t: FundamentalTriplet, meta: dict, args):
@@ -276,6 +252,9 @@ def _x_vector_from_args(t: FundamentalTriplet, meta: dict, args):
     if fam != "symplectic":
         raise SpecError("--poly needs a spec generated by `gen sp` (monomial metadata); use --x-vector")
     n, p = _integer(meta.get("n"), "meta field n"), _integer(meta.get("p"), "meta field p")
+    # there are at least n monomials when p >= 1, so n <= dim_V bounds the count (and the parse below)
+    if not (1 <= n <= t.dim_v and p >= 1 and math.comb(n + p - 1, n - 1) == t.dim_v):
+        raise SpecError(f"meta fields n={n}, p={p} do not give dim_V={t.dim_v} degree-p monomials in n variables")
     poly = PolyInvariant.from_string(args.poly, n)
     if not poly.is_homogeneous() or poly.degree() != p:
         raise SpecError(f"the polynomial must be homogeneous of degree {p}")
@@ -286,23 +265,19 @@ def _x_vector_from_args(t: FundamentalTriplet, meta: dict, args):
     return tuple(coords)
 
 
-def cmd_sl2(args) -> int:
-    started = time.time()
-    t, name, meta = parse_triplet_spec(load_spec(args.spec))
+def cmd_sl2(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
     if not (args.poly or args.x_vector):
         raise SpecError("one of --poly or --x-vector is required")
     x = _x_vector_from_args(t, meta, args)
-    report = _envelope("sl2", t, name, started)
-    report["property_P"] = property_p_test(t, x)
+    property_p = property_p_test(t, x)
     cert = complete_triple(t, x)
-    report["certificate"] = {
+    certificate = {
         "x": [format_scalar(v) for v in cert.x],
         "h0": [format_scalar(v) for v in cert.h0],
         "y": [format_scalar(v) for v in cert.y],
         "residuals_zero": cert.ok,
     }
-    _print_report(report)
-    return 0
+    return {"property_P": property_p, "certificate": certificate}, 0
 
 
 def _sub_basis_from_args(t: FundamentalTriplet, meta: dict, spec: str):
@@ -316,6 +291,8 @@ def _sub_basis_from_args(t: FundamentalTriplet, meta: dict, spec: str):
         if meta.get("family") != "symplectic":
             raise SpecError("o(n) needs a spec generated by `gen sp` (gl(n) basis metadata)")
         n = _integer(meta.get("n"), "meta field n")
+        if n * n != t.dim_g0:
+            raise SpecError(f"meta field n={n} does not match dim_g0={t.dim_g0}; g0 = gl(n) has dimension n^2")
         k = spec.replace(" ", "")[2:-1]
         if not (k.isdecimal() and int(k) == n):
             raise SpecError(f"{spec!r} is not o({n}), the orthogonal subalgebra of this spec's gl({n})")
@@ -330,55 +307,45 @@ def _sub_basis_from_args(t: FundamentalTriplet, meta: dict, spec: str):
     raise SpecError(f"unknown subalgebra specifier {spec!r}; use o(n) or file:PATH")
 
 
-def cmd_centralizer(args) -> int:
-    started = time.time()
-    t, name, meta = parse_triplet_spec(load_spec(args.spec))
+def cmd_centralizer(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
     sub = _sub_basis_from_args(t, meta, args.sub)
     local = build_local(t)
     budget = _budget(args)
-    graded = centralizer_graded(*grow_both(local, budget), local, sub, budget)
-    report = _envelope("centralizer", t, name, started)
-    report["sub_dim"] = len(sub)
-    report["dims"] = {str(d): len(v) for d, v in sorted(graded.items())}
-    report["bases"] = {
-        str(d): [[format_scalar(x) for x in vec] for vec in v] for d, v in sorted(graded.items())
-    }
-    _print_report(report)
-    return 0
+    graded = sorted(centralizer_graded(*grow_both(local, budget), local, sub, budget).items())
+    return {
+        "sub_dim": len(sub),
+        "dims": {str(d): len(v) for d, v in graded},
+        "bases": {str(d): [[format_scalar(x) for x in vec] for vec in v] for d, v in graded},
+    }, 0
 
 
-def cmd_assemble(args) -> int:
-    started = time.time()
-    t, name, _ = parse_triplet_spec(load_spec(args.spec))
+def cmd_assemble(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
     local = build_local(t)
     asm = assemble(*grow_both(local, _budget(args)), local)
-    report = _envelope("assemble", t, name, started)
-    report["dim"] = asm.algebra.dim
-    report["degrees"] = list(asm.degrees)
-    report["killing_rank"] = rank(killing_form(asm.algebra))
-    report["center_dim"] = len(center(asm.algebra))
+    fields = {
+        "dim": asm.algebra.dim,
+        "degrees": list(asm.degrees),
+        "killing_rank": rank(killing_form(asm.algebra)),
+        "center_dim": len(center(asm.algebra)),
+    }
     if args.full:
         pairs = asm.algebra.structure_pairs
-        report["structure_constants"] = [
+        fields["structure_constants"] = [
             [i, j, [[k, format_scalar(c)] for k, c in pairs[i][j]]]
             for i in range(asm.algebra.dim)
             for j in range(i + 1, asm.algebra.dim)
             if pairs[i][j]
         ]
-    _print_report(report)
-    return 0
+    return fields, 0
 
 
-def cmd_reduce(args) -> int:
-    started = time.time()
-    t, name, _ = parse_triplet_spec(load_spec(args.spec))
+def cmd_reduce(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
     red = reduce_triplet(t, assert_completely_reducible=True)
-    report = _envelope("reduce", t, name, started)
-    report["v0_dim"] = len(red.v0)
-    report["kernel_dim"] = len(red.g0_kernel)
-    report["transitive_part"] = emit_triplet_spec(red.transitive_part, name=f"{name}:transitive")
-    _print_report(report)
-    return 0
+    return {
+        "v0_dim": len(red.v0),
+        "kernel_dim": len(red.g0_kernel),
+        "transitive_part": emit_triplet_spec(red.transitive_part, name=f"{name}:transitive"),
+    }, 0
 
 
 def cmd_gen(args) -> int:
@@ -398,14 +365,12 @@ def cmd_gen(args) -> int:
         t = gen_principal(rows, sym)
         name = args.name or f"cartan({args.matrix})"
         meta = {"family": "cartan", "matrix": rows}
-    elif args.family == "trivial-summand":
+    else:  # trivial-summand, the last family the parser allows
         base, base_name, base_meta = parse_triplet_spec(load_spec(args.spec))
         t = gen_with_trivial_summand(base, args.k)
         name = args.name or f"{base_name}+trivial({args.k})"
         meta = dict(base_meta)
         meta["trivial_summand"] = args.k
-    else:  # pragma: no cover
-        raise SpecError(f"unknown generator family {args.family!r}")
     sys.stdout.write(canonical_json(emit_triplet_spec(t, name, meta)))
     return 0
 
@@ -414,67 +379,53 @@ def cmd_gen(args) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="glaw",
         description="exact-arithmetic workbench for graded Lie algebras built from fundamental triplets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec(p):
+    def add_command(command, fn, summary, degree=False, **kwargs):
+        p = sub.add_parser(command, help=summary, **kwargs)
         p.add_argument("spec", help="path to a TripletSpec JSON file, or - for stdin")
+        if degree:
+            p.add_argument("--max-degree", type=int, dest="max_degree", help="capped by GLAW_MAX_DEGREE (default 8)")
+        p.set_defaults(fn=fn)
+        return p
 
-    def add_degree(p):
-        p.add_argument("--max-degree", type=int, dest="max_degree", help="capped by GLAW_MAX_DEGREE (default 8)")
+    add_command("validate", cmd_validate, "check every triplet invariant")
 
-    p = sub.add_parser("validate", help="check every triplet invariant")
-    add_spec(p)
-    p.set_defaults(fn=cmd_validate)
+    for command, summary in (
+        ("grow", "grow the graded tower and report dims and pairing ranks"),
+        ("dims", "grow and report the dimension table only"),
+    ):
+        p = add_command(command, cmd_grow, summary, degree=True)
+        p.add_argument("--side", choices=["pos", "neg", "both"], default="both")
 
-    p = sub.add_parser("grow", help="grow the graded tower and report dims and pairing ranks")
-    add_spec(p)
-    add_degree(p)
-    p.add_argument("--side", choices=["pos", "neg", "both"], default="both")
-    p.set_defaults(fn=cmd_grow)
-
-    p = sub.add_parser("dims", help="grow and report the dimension table only")
-    add_spec(p)
-    add_degree(p)
-    p.add_argument("--side", choices=["pos", "neg", "both"], default="both")
-    p.set_defaults(fn=cmd_dims)
-
-    p = sub.add_parser(
+    p = add_command(
         "pn-check",
-        help="test the universal degree-n vanishing identity",
+        cmd_pn_check,
+        "test the universal degree-n vanishing identity",
         description="Evaluates the degree-n identity on all basis tuples. "
         "The scan costs dim(V)^n * dim(V)^(n-1) evaluations, so n above 4 is "
         "only practical for module dimensions up to about 6.",
     )
-    add_spec(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_pn_check)
 
-    p = sub.add_parser("sl2", help="property (P) test and triple completion for a candidate")
-    add_spec(p)
+    p = add_command("sl2", cmd_sl2, "property (P) test and triple completion for a candidate")
     p.add_argument("--poly", help="candidate as a polynomial (needs gen sp metadata)")
     p.add_argument("--x-vector", dest="x_vector", help="candidate as comma-separated coordinates")
-    p.set_defaults(fn=cmd_sl2)
 
-    p = sub.add_parser("centralizer", help="graded centralizer of a g0 subalgebra")
-    add_spec(p)
-    add_degree(p)
+    p = add_command("centralizer", cmd_centralizer, "graded centralizer of a g0 subalgebra", degree=True)
     p.add_argument("--sub", required=True, help="o(n) or file:PATH with a JSON list of g0 vectors")
-    p.set_defaults(fn=cmd_centralizer)
 
-    p = sub.add_parser("assemble", help="assemble a terminated tower into structure constants")
-    add_spec(p)
-    add_degree(p)
+    p = add_command("assemble", cmd_assemble, "assemble a terminated tower into structure constants", degree=True)
     p.add_argument("--full", action="store_true", help="include the full structure constants")
-    p.set_defaults(fn=cmd_assemble)
 
-    p = sub.add_parser("reduce", help="split off the trivial summand and the representation kernel")
-    add_spec(p)
-    p.set_defaults(fn=cmd_reduce)
+    add_command("reduce", cmd_reduce, "split off the trivial summand and the representation kernel")
 
     p = sub.add_parser("gen", help="emit a built-in triplet family as TripletSpec JSON")
     gsub = p.add_subparsers(dest="family", required=True)
@@ -485,35 +436,39 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--lambda", dest="lam", required=True, help="center scale, a rational like 2 or 1/2")
     g.add_argument("--form", default="trace", choices=["trace", "sl-shifted", "g2"])
     g.add_argument("--name")
-    g.set_defaults(fn=cmd_gen)
 
     g = gsub.add_parser("glblock", help="two gl(n) blocks on n x n matrices")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--lambda1", required=True)
     g.add_argument("--lambda2", required=True)
     g.add_argument("--name")
-    g.set_defaults(fn=cmd_gen)
 
     g = gsub.add_parser("cartan", help="principal grading data of a symmetrizable matrix")
     g.add_argument("--matrix", required=True, help="rows separated by ';', entries by ','")
     g.add_argument("--symmetrizer", help="comma-separated positive rationals")
     g.add_argument("--name")
-    g.set_defaults(fn=cmd_gen)
 
     g = gsub.add_parser("trivial-summand", help="append a zero-action summand to a spec")
     g.add_argument("spec")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--name")
-    g.set_defaults(fn=cmd_gen)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv, run one command and write its report or its JSON error."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "gen":
+            return cmd_gen(args)
+        started = time.time()
+        t, name, meta = parse_triplet_spec(load_spec(args.spec))
+        fields, code = args.fn(t, name, meta, args)
+        report = {"command": args.command, "name": name, "triplet_hash": triplet_hash(t), **fields}
+        report["timings"] = {"seconds": round(time.time() - started, 6)}  # after every step above
+        sys.stdout.write(canonical_json(report))
+        return code
     except (SpecError, StructureError, ValueError) as exc:
         sys.stderr.write(canonical_json({"error": str(exc), "kind": "parse"}))
         return 2
@@ -521,6 +476,9 @@ def main(argv=None) -> int:
         hint = " (run `glaw reduce` first)" if "transitive" in str(exc) else ""
         sys.stderr.write(canonical_json({"error": str(exc) + hint, "kind": "precondition"}))
         return 3
+    except Exception as exc:
+        sys.stderr.write(canonical_json({"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}))
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

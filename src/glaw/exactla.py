@@ -137,6 +137,8 @@ class Matrix:
             if not cols:
                 raise ValueError("from_cols with no columns needs an explicit row count")
             nrows = len(cols[0])
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("column length does not match row count")
         rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
         return Matrix(nrows, len(cols), rows)
 

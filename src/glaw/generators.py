@@ -286,6 +286,8 @@ def gen_principal(cartan, symmetrizer=None) -> FundamentalTriplet:
 
 def gen_with_trivial_summand(base: FundamentalTriplet, k: int) -> FundamentalTriplet:
     """Append a k-dimensional summand on which everything acts by zero."""
+    if k < 0:
+        raise Refusal("k must be at least 0")
     if k == 0:
         return base
     dv = base.dim_v + k

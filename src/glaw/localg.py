@@ -83,6 +83,11 @@ class LocalAlgebra:
         return self.dual_action.act(u, y)
 
     @cached_property
+    def transitivity(self) -> TransitivityReport:
+        """transitivity_check of this local algebra, computed once."""
+        return transitivity_check(self)
+
+    @cached_property
     def xy_pairs(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
         """xy_table[i][j] as its nonzero (k, coefficient) pairs."""
         return tuple(tuple(tuple(support(v)) for v in row) for row in self.xy_table)

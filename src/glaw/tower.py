@@ -44,7 +44,7 @@ from .liecore import (
     killing_form,
     restrict_algebra,
 )
-from .localg import LocalAlgebra, build_local, reduce_triplet, transitivity_check
+from .localg import LocalAlgebra, build_local, reduce_triplet
 
 POSITIVE = "pos"
 NEGATIVE = "neg"
@@ -79,11 +79,6 @@ class Tower:
     components: tuple[GradedComponent, ...]
     phis: tuple[SparseCols, ...]  # phis[n-1] built candidates for degree n+1
     terminated: bool
-
-    @property
-    def growth_local(self) -> LocalAlgebra:
-        """The local algebra this side was grown over as its positive part."""
-        return self.local if self.side == POSITIVE else self.local.swapped
 
     def dims(self) -> list[int]:
         return [c.dim for c in self.components]
@@ -202,7 +197,7 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
         raise ValueError("side must be 'pos' or 'neg'")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    report = transitivity_check(L)
+    report = L.transitivity
     if not report.transitive:
         raise TransitivityRequired(
             "the local part is not transitive "
@@ -538,10 +533,6 @@ class AssembledAlgebra:
     algebra: LieAlgebraData
     degrees: tuple[int, ...]
     blocks: dict[int, tuple[int, int]]  # degree -> (offset, dim)
-
-    def degree_basis(self, degree: int) -> list[int]:
-        off, dim = self.blocks[degree]
-        return list(range(off, off + dim))
 
 
 def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:

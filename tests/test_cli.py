@@ -1,11 +1,17 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from glaw import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -459,3 +465,105 @@ def test_symplectic_metadata_without_n_is_a_parse_error(argv):
     proc = run_cli(*argv, stdin=json.dumps(obj))
     assert_parse_error(proc)
     assert "meta" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value, argv",
+    [
+        ("n", 3, ("centralizer", "-", "--sub", "o(3)", "--max-degree", "1")),
+        ("p", 3, ("sl2", "-", "--poly", "x0^3+x1^3")),
+    ],
+    ids=["o(n)-needs-n-squared-dim-g0", "poly-needs-dim-V-monomials"],
+)
+def test_metadata_that_disagrees_with_the_dimensions_is_a_parse_error(field, value, argv):
+    # gl(2) on quadrics: dim_g0 = 4 = 2^2 and dim_V = 3 quadratic monomials in 2 variables
+    obj = json.loads(run_cli("gen", "sp", "--n", "2", "--p", "2", "--lambda", "2").stdout)
+    obj["meta"][field] = value
+    proc = run_cli(*argv, stdin=json.dumps(obj))
+    assert_parse_error(proc)
+    assert proc.stdout == "" and "meta field" in proc.stderr
+
+
+def test_trivial_summand_needs_a_non_negative_k():
+    gen = run_cli("gen", "sp", "--n", "2", "--p", "1", "--lambda", "1")
+    proc = run_cli("gen", "trivial-summand", "-", "--k", "-1", stdin=gen.stdout)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "k must be at least 0", "kind": "precondition"}
+
+
+def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """Run glaw.cli.main in this process on a spec read from stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_an_unexpected_exception_is_an_internal_json_error(monkeypatch):
+    def broken(t):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    code, out, err = run_main(["validate", "-"], stdin=gen_g2_spec())
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "RuntimeError: boom", "kind": "internal"}
+
+
+def fuzz_bases() -> list[dict]:
+    """Small generator specs with their metadata: gl(2) on quadrics and on lines, gl(1) on quadrics."""
+    specs = []
+    for n, p in [("2", "2"), ("2", "1"), ("1", "2")]:
+        code, out, _ = run_main(["gen", "sp", "--n", n, "--p", p, "--lambda", "2"])
+        assert code == 0
+        specs.append(json.loads(out))
+    return specs
+
+
+FUZZ_BASES = fuzz_bases()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**12) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_COMMANDS = st.one_of(
+    st.just(["validate"]),
+    st.builds(lambda d: ["grow", "--max-degree", d], st.sampled_from(["1", "2", "3"])),
+    st.just(["pn-check", "--n", "2"]),
+    st.builds(lambda poly: ["sl2", "--poly", poly], st.sampled_from(["x0^2+x1^2", "x0*x1", "x0^2", "x0^3+x1^3"])),
+    st.builds(
+        lambda sub, d: ["centralizer", "--sub", sub, "--max-degree", d],
+        st.sampled_from(["o(1)", "o(2)", "o(3)"]),
+        st.sampled_from(["1", "2", "3"]),
+    ),
+)
+
+
+@st.composite
+def mutated_specs(draw) -> dict:
+    """A generator spec with one field dropped, replaced by a random JSON value,
+    or with its meta.n or meta.p edited."""
+    spec = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    how = draw(st.sampled_from(["drop", "replace", "meta"]))
+    if how == "meta":
+        spec["meta"][draw(st.sampled_from(["n", "p"]))] = draw(st.integers(-2, 6) | st.just(10**12) | JSON_VALUES)
+    else:
+        target = spec["meta"] if draw(st.booleans()) else spec
+        key = draw(st.sampled_from(sorted(target)))
+        if how == "drop":
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=mutated_specs(), command=FUZZ_COMMANDS)
+def test_fuzzed_specs_get_a_defined_answer(spec, command):
+    code, out, err = run_main([command[0], "-", *command[1:]], stdin=json.dumps(spec))
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or command[0] == "validate"
+    if code in (0, 1):
+        json.loads(out)
+    else:
+        assert out == ""
+        assert json.loads(err)["kind"] in ("parse", "precondition", "internal")

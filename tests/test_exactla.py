@@ -9,6 +9,7 @@ from glaw.exactla import (
     SparseCols,
     format_scalar,
     image_basis,
+    in_span,
     inverse,
     kernel_basis,
     parse_scalar,
@@ -209,6 +210,20 @@ def test_inverse():
     assert (inverse(m) @ m).entries == Matrix.identity(2).entries
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+
+
+@pytest.mark.parametrize(
+    "cols, nrows", [([(1,), (1, 2)], None), ([(1, 2), (1,)], None), ([(1, 0, 5)], 2)], ids=["long", "short", "explicit"]
+)
+def test_from_cols_refuses_a_column_of_the_wrong_length(cols, nrows):
+    with pytest.raises(ValueError, match="column length does not match row count"):
+        Matrix.from_cols(cols, nrows)
+
+
+def test_in_span_refuses_vectors_longer_than_v():
+    # (1, 0, 5) is not a vector of the plane; it must not be truncated to (1, 0)
+    with pytest.raises(ValueError):
+        in_span((1, 0), [(1, 0, 5)])
 
 
 def test_kernel_vectors_canonical_free_variable_convention():

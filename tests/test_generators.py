@@ -194,6 +194,11 @@ def test_trivial_summand_identity_and_shape():
         assert all(m.entries[i][j] == 0 for i in range(t.dim_v) for j in range(base.dim_v, t.dim_v))
 
 
+def test_trivial_summand_refuses_a_negative_k():
+    with pytest.raises(Refusal, match="k must be at least 0"):
+        gen_with_trivial_summand(gen_symplectic(2, 2, 2, "trace"), -1)
+
+
 def test_stabilizer_of_poly_dimensions():
     quad2 = PolyInvariant.from_string("x0^2+x1^2", 2)
     assert len(stabilizer_of_poly(2, quad2)) == 1

@@ -33,9 +33,10 @@ from glaw import (
 )
 from glaw.exactla import rank, subspace_equal, vadd, vis_zero, vneg, vscale, vzero
 from glaw.liecore import basis_vector, center as lie_center, killing_form
+import glaw.localg
 from glaw.localg import LocalAlgebra
 from glaw.sl2 import PolyInvariant
-from glaw.tower import NEGATIVE, POSITIVE, _WordLowering, eval_term, term_to_str
+from glaw.tower import NEGATIVE, POSITIVE, _WordLowering, eval_term, grow_both, term_to_str
 
 from helpers import (
     gl_standard_triplet,
@@ -764,3 +765,14 @@ def test_centralizer_rejects_non_subalgebra():
     bad = [basis_vector(4, 1), basis_vector(4, 2)]  # span{E_12, E_21} is not closed
     with pytest.raises(Refusal):
         centralizer_graded(tp, tn, local, bad, 1)
+
+
+def test_grow_both_checks_transitivity_once(monkeypatch):
+    # both sides are grown over the same local algebra, which caches the report
+    calls = []
+    check = glaw.localg.transitivity_check
+    monkeypatch.setattr(glaw.localg, "transitivity_check", lambda L: calls.append(L) or check(L))
+    local = build_local(gen_symplectic(3, 2, 2, "trace"))
+    tp, tn = grow_both(local, 3)
+    assert calls == [local]
+    assert tp.dims() == tn.dims()
