@@ -28,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactla import Matrix, format_scalar, parse_scalar, rank
+from .exactla import ONE, Matrix, dense, format_scalar, parse_scalar, rank
 from .generators import (
     gen_glblock,
     gen_principal,
@@ -109,7 +109,7 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
         raise SpecError(f"missing or malformed header field: {exc}") from exc
     if dim_g0 < 1 or dim_v < 1:
         raise SpecError("dimensions must be positive")
-    # shapes first: the structure table below has dim_g0^3 entries
+    # shapes first: B0 and rho below have dim_g0^2 and dim_g0 * dim_V^2 entries
     gram_rows = obj.get("B0")
     if not (
         isinstance(gram_rows, list)
@@ -129,8 +129,8 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
     entries = obj.get("structure_constants", [])
     if not isinstance(entries, list):
         raise SpecError("structure_constants must be a list of [i, j, terms] entries")
-    zero = Fraction(0)
-    table = [[[zero] * dim_g0 for _ in range(dim_g0)] for _ in range(dim_g0)]
+    # [e_i, e_j] for i < j, summed over every entry naming the pair; an [j, i, terms] entry adds -terms
+    sums: dict[tuple[int, int], dict[int, Fraction]] = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
             raise SpecError(f"malformed structure constant entry {entry!r}")
@@ -149,9 +149,13 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
                 raise SpecError(f"malformed structure coefficient {term!r}") from exc
             if not 0 <= k < dim_g0:
                 raise SpecError(f"structure coefficient index {k} out of range")
-            table[i][j][k] += coeff
-            table[j][i][k] -= coeff
-    g0 = LieAlgebraData(dim_g0, tuple(tuple(tuple(v) for v in row) for row in table))
+            terms = sums.setdefault((min(i, j), max(i, j)), {})
+            terms[k] = terms.get(k, 0) + (coeff if i < j else -coeff)
+    pairs = [[()] * dim_g0 for _ in range(dim_g0)]
+    for (i, j), terms in sums.items():
+        pairs[i][j] = tuple(sorted((k, x) for k, x in terms.items() if x))
+        pairs[j][i] = tuple((k, -x) for k, x in pairs[i][j])
+    g0 = LieAlgebraData(dim_g0, tuple(map(tuple, pairs)))
     try:
         triplet = FundamentalTriplet(g0, QuadraticForm(gram), Representation(dim_v, mats))
     except StructureError as exc:
@@ -164,11 +168,10 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
 
 def emit_triplet_spec(t: FundamentalTriplet, name: str, meta: dict | None = None) -> dict:
     sc = []
-    for i in range(t.dim_g0):
+    for i, row in enumerate(t.g0.structure_pairs):
         for j in range(i + 1, t.dim_g0):
-            terms = [[k, format_scalar(c)] for k, c in enumerate(t.g0.structure[i][j]) if c != 0]
-            if terms:
-                sc.append([i, j, terms])
+            if row[j]:
+                sc.append([i, j, [[k, format_scalar(c)] for k, c in row[j]]])
     out = {
         "name": name,
         "dim_g0": t.dim_g0,
@@ -259,10 +262,7 @@ def _x_vector_from_args(t: FundamentalTriplet, meta: dict, args):
     if not poly.is_homogeneous() or poly.degree() != p:
         raise SpecError(f"the polynomial must be homogeneous of degree {p}")
     mono = monomial_basis(n, p)
-    coords = [Fraction(0)] * t.dim_v
-    for e, c in poly.terms:
-        coords[mono.index(e)] = c
-    return tuple(coords)
+    return dense(((mono.index(e), c) for e, c in poly.terms), t.dim_v)
 
 
 def cmd_sl2(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
@@ -296,14 +296,7 @@ def _sub_basis_from_args(t: FundamentalTriplet, meta: dict, spec: str):
         k = spec.replace(" ", "")[2:-1]
         if not (k.isdecimal() and int(k) == n):
             raise SpecError(f"{spec!r} is not o({n}), the orthogonal subalgebra of this spec's gl({n})")
-        out = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                v = [Fraction(0)] * (n * n)
-                v[a * n + b] = Fraction(1)
-                v[b * n + a] = Fraction(-1)
-                out.append(tuple(v))
-        return out
+        return [dense(((a * n + b, ONE), (b * n + a, -ONE)), n * n) for a in range(n) for b in range(a + 1, n)]
     raise SpecError(f"unknown subalgebra specifier {spec!r}; use o(n) or file:PATH")
 
 

@@ -12,8 +12,9 @@ reduced row echelon form is unique, so that choice only changes fill-in and
 never a result.  The bases produced here are canonical: null-space bases set
 each free variable to 1 in increasing column order, column-space bases are
 the pivot columns in left-to-right order.  Linear systems sharing a matrix
-are solved together: ``solve_many`` eliminates [a | b_0 | b_1 | ...] once,
-and ``solve``, ``inverse`` and ``in_span`` are single calls to it.
+are solved together: ``solve_pairs`` eliminates [a | b_0 | b_1 | ...] once
+on sparse right-hand sides, ``solve_many`` is its dense form, and ``solve``,
+``inverse`` and ``in_span`` are single calls to it.
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ def vis_zero(a: Vector) -> bool:
 def support(v: Sequence) -> list[tuple[int, Fraction]]:
     """The nonzero (index, value) entries of a dense vector."""
     return [(i, x) for i, x in enumerate(v) if x]
+
+
+def dense(x: Pairs, n: int) -> Vector:
+    """The length-n vector with the given nonzero (index, value) entries."""
+    out = [ZERO] * n
+    for i, v in x:
+        out[i] = v
+    return tuple(out)
 
 
 def bilinear(x: Pairs, y: Pairs, entry: Callable[[int, int], Pairs], out):
@@ -220,10 +229,7 @@ class SparseCols(NamedTuple):
         return SparseCols(m.rows, m.cols, tuple(tuple(support(m.col(j))) for j in range(m.cols)))
 
     def col(self, j: int) -> Vector:
-        out = [ZERO] * self.rows
-        for i, x in self.support[j]:
-            out[i] = x
-        return tuple(out)
+        return dense(self.support[j], self.rows)
 
     def columns(self) -> list[Vector]:
         return [self.col(j) for j in range(self.cols)]
@@ -334,34 +340,41 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return sparse_kernel((dict(support(r)) for r in m.entries), m.cols)
 
 
-def solve_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector | None]:
+def solve_pairs(a: Matrix, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Fraction], ...] | None]:
     """One exact solution of a x = b for each b (free variables 0), None
     for each inconsistent b, from one elimination of [a | b_0 | b_1 | ...].
+    Each b and each solution is given by its nonzero (index, value) pairs,
+    a solution's in increasing index.
 
     A reduced row whose pivot lies in the b block is zero on a's columns, so
     it is a left null vector of a: it vanishes on every consistent b and
     marks each b it is nonzero on as inconsistent.  A consistent b reads its
-    solution off the rows pivoted in a, exactly as a one-column solve would.
+    solution off the rows pivoted in a, which come in increasing pivot order.
     """
-    bs = [as_vector(b) for b in bs]
-    if any(len(b) != a.rows for b in bs):
-        raise ValueError("right-hand side length does not match row count")
     n = a.cols
     rows = [dict(support(r)) for r in a.entries]
     for k, b in enumerate(bs):
-        for i, x in support(b):
+        for i, x in b:
             rows[i][n + k] = x
     reduced, pivots = _sparse_rref(rows, n + len(bs))
-    out = [[ZERO] * n for _ in bs]
+    out: list[list[tuple[int, Fraction]]] = [[] for _ in bs]
     inconsistent = set()
     for row, pc in zip(reduced, pivots):
         for j, x in row.items():
             if j >= n:
                 if pc < n:
-                    out[j - n][pc] = x
+                    out[j - n].append((pc, x))
                 else:
                     inconsistent.add(j - n)
     return [None if k in inconsistent else tuple(x) for k, x in enumerate(out)]
+
+
+def solve_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector | None]:
+    """``solve_pairs`` on dense right-hand sides, with dense solutions."""
+    bs = [as_vector(b) for b in bs]
+    if any(len(b) != a.rows for b in bs):
+        raise ValueError("right-hand side length does not match row count")
+    return [None if x is None else dense(x, a.cols) for x in solve_pairs(a, [support(b) for b in bs])]
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:

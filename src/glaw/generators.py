@@ -16,10 +16,12 @@ from .exactla import (
     Matrix,
     Vector,
     ZERO,
+    dense,
     frac,
     kernel_basis,
     rank,
     span_matrix,
+    support,
 )
 from .liecore import (
     FundamentalTriplet,
@@ -73,16 +75,18 @@ def _gl_basis_matrices(n: int) -> list[Matrix]:
 
 
 def _gl_structure(n: int) -> LieAlgebraData:
-    basis = _gl_basis_matrices(n)
-    dim = n * n
-    table = []
-    for p in range(dim):
-        row = []
-        for q in range(dim):
-            m = basis[p] @ basis[q] - basis[q] @ basis[p]
-            row.append(tuple(m.entries[i][j] for i in range(n) for j in range(n)))
-        table.append(tuple(row))
-    return LieAlgebraData(dim, tuple(table))
+    """gl(n) on E_ab (index a*n + b): [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
+
+    def bracket(a: int, b: int, c: int, d: int):
+        terms = {}
+        if b == c:
+            terms[a * n + d] = 1
+        if d == a:
+            terms[c * n + b] = terms.get(c * n + b, 0) - 1
+        return tuple((k, Fraction(x)) for k, x in sorted(terms.items()) if x)
+
+    r = range(n)
+    return LieAlgebraData(n * n, tuple(tuple(bracket(a, b, c, d) for c in r for d in r) for a in r for b in r))
 
 
 def symplectic_form_gram(n: int, form) -> Matrix:
@@ -201,7 +205,7 @@ def gen_glblock(n: int, lam1, lam2) -> FundamentalTriplet:
         )
 
     basis_m = Matrix.from_cols([flatten(p) for p in pairs], nrows=2 * n * n)
-    brackets = [flatten((ap @ aq - aq @ ap, bp @ bq - bq @ bp)) for ap, bp in pairs for aq, bq in pairs]
+    brackets = [tuple(support(flatten((ap @ aq - aq @ ap, bp @ bq - bq @ bp)))) for ap, bp in pairs for aq, bq in pairs]
     g0 = algebra_in_basis(basis_m, brackets, "bracket escaped the block subalgebra; internal error")
 
     def tr(m: Matrix) -> Fraction:
@@ -311,10 +315,7 @@ def stabilizer_of_poly(n: int, p: PolyInvariant) -> list[Vector]:
     cols = []
     for u in basis:
         res = vector_field_apply(p, u)
-        col = [ZERO] * len(target.exponents)
-        for e, c in res.terms:
-            col[index[e]] = c
-        cols.append(tuple(col))
+        cols.append(dense(((index[e], c) for e, c in res.terms), len(target.exponents)))
     return kernel_basis(Matrix.from_cols(cols, nrows=len(target.exponents)))
 
 
@@ -337,7 +338,7 @@ def gen_stabilizer_triplet(p: PolyInvariant, center_scale) -> FundamentalTriplet
     basis_m = span_matrix([flatten(m) for m in mats], n * n)
     if rank(basis_m) != dim:
         raise Refusal("identity lies in the stabilizer; the family does not apply")
-    brackets = [flatten(a @ b - b @ a) for a in mats for b in mats]
+    brackets = [tuple(support(flatten(a @ b - b @ a))) for a in mats for b in mats]
     g0 = algebra_in_basis(basis_m, brackets, "the stabilizer is not closed under the bracket; internal error")
     gram = Matrix.from_rows(
         [

@@ -2,13 +2,14 @@
 
 Houses the fundamental triplet (g0, B0, rho) and the subalgebra computations
 (derived algebra, center, representation kernel, grading element) that the
-local-bracket construction and the sl2 machinery rely on.  Validation is
-exhaustive on basis tuples, summing over nonzero entries only; Jacobi runs over
-i<j<k, which suffices once the separately checked antisymmetry holds.  The
-center, the representation kernel and the Killing form read the sparse views
-(``structure_pairs``, ``action_cols``) and never scan the dense dim^3 table;
-an algebra built ``from_pairs`` (the assembled one) keeps its pairs as that
-view.
+local-bracket construction and the sl2 machinery rely on.  An algebra is
+stored as its structure pairs: [e_i, e_j] as the nonzero (k, coefficient)
+pairs, so its size is bounded by its nonzero constants.  No module builds the
+dense dim^3 table; ``structure`` is a lazy view of it for readers outside
+glaw.  Validation is exhaustive on basis tuples, summing over nonzero entries
+only; Jacobi runs over i<j<k, which suffices once the separately checked
+antisymmetry holds.  The representation is stored dense, as its spec gives
+it, with the sparse view ``action_cols``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import cached_property
 
 from .exactla import (
     Matrix,
+    Pairs,
     SparseCols,
     Vector,
     ZERO,
@@ -29,12 +31,10 @@ from .exactla import (
     kernel_basis,
     rank,
     solve,
-    solve_many,
+    solve_pairs,
     span_matrix,
     sparse_kernel,
     support,
-    vscale,
-    vzero,
 )
 
 
@@ -60,55 +60,41 @@ class NoTriple(Refusal):
 
 @dataclass(frozen=True)
 class LieAlgebraData:
-    """A Lie algebra on basis e_0..e_{dim-1}; structure[i][j] is [e_i, e_j]."""
+    """A Lie algebra on basis e_0..e_{dim-1}; structure_pairs[i][j] is
+    [e_i, e_j] as its nonzero (k, coefficient) pairs in increasing k, and
+    every zero bracket is the empty tuple."""
 
     dim: int
-    structure: tuple[tuple[Vector, ...], ...]
+    structure_pairs: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
     def __post_init__(self):
-        if len(self.structure) != self.dim:
-            raise StructureError("structure table has wrong outer size")
-        for row in self.structure:
-            if len(row) != self.dim or any(len(v) != self.dim for v in row):
-                raise StructureError("structure table has wrong inner size")
+        n = self.dim
+        if len(self.structure_pairs) != n or any(len(row) != n for row in self.structure_pairs):
+            raise StructureError("structure table has wrong shape")
+        for row in self.structure_pairs:
+            for pairs in row:
+                last = -1
+                for k, x in pairs:
+                    if not (last < k < n and x):
+                        raise StructureError("structure pairs must be nonzero at increasing indices below dim")
+                    last = k
 
     @staticmethod
     def from_table(table) -> "LieAlgebraData":
+        """The algebra with [e_i, e_j] = table[i][j], a dense dim x dim x dim table."""
         dim = len(table)
-        return LieAlgebraData(dim, tuple(tuple(as_vector(v) for v in row) for row in table))
-
-    @staticmethod
-    def from_pairs(dim: int, pairs) -> "LieAlgebraData":
-        """The algebra with [e_i, e_j] given by the nonzero (k, coefficient)
-        pairs ``pairs[i][j]`` in increasing k.
-
-        The dense table is filled from the pairs, every zero bracket sharing
-        one zero vector, and the pairs are kept as ``structure_pairs``.
-        """
-        pairs = tuple(tuple(tuple(p) for p in row) for row in pairs)
-        zero = vzero(dim)
-
-        def dense(p) -> Vector:
-            if not p:
-                return zero
-            v = [ZERO] * dim
-            for k, x in p:
-                v[k] = x
-            return tuple(v)
-
-        g = LieAlgebraData(dim, tuple(tuple(dense(p) for p in row) for row in pairs))
-        g.__dict__["structure_pairs"] = pairs  # the cached_property's slot; the dataclass is frozen
-        return g
+        if any(len(v) != dim for row in table for v in row):
+            raise StructureError("structure table has wrong shape")
+        return LieAlgebraData(dim, tuple(tuple(tuple(support(as_vector(v))) for v in row) for row in table))
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebraData":
-        z = vzero(dim)
-        return LieAlgebraData(dim, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+        return LieAlgebraData(dim, (((),) * dim,) * dim)
 
     @cached_property
-    def structure_pairs(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """structure[i][j] as its nonzero (k, coefficient) pairs."""
-        return tuple(tuple(tuple(support(v)) for v in row) for row in self.structure)
+    def structure(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense table, structure[i][j] = [e_i, e_j], built on first read."""
+        return tuple(tuple(SparseCols(self.dim, self.dim, row).columns()) for row in self.structure_pairs)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         table = self.structure_pairs
@@ -119,23 +105,18 @@ class LieAlgebraData:
         return Matrix.from_cols(cols, nrows=self.dim)
 
     def direct_sum(self, other: "LieAlgebraData") -> "LieAlgebraData":
+        """self + other with other's basis after self's; cross brackets are zero."""
         n, m = self.dim, other.dim
-        table = [[vzero(n + m) for _ in range(n + m)] for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                table[i][j] = self.structure[i][j] + vzero(m)
-            # cross brackets stay zero
-        for i in range(m):
-            for j in range(m):
-                table[n + i][n + j] = vzero(n) + other.structure[i][j]
-        return LieAlgebraData(n + m, tuple(tuple(row) for row in table))
+        rows = [row + ((),) * m for row in self.structure_pairs]
+        rows += [((),) * n + tuple(tuple((n + k, x) for k, x in p) for p in row) for row in other.structure_pairs]
+        return LieAlgebraData(n + m, tuple(rows))
 
 
-def algebra_in_basis(m: Matrix, brackets: list[Vector], refusal: str) -> LieAlgebraData:
-    """The algebra on the columns of m whose [e_p, e_q] is brackets[p * m.cols + q],
-    written in those columns by one elimination; refuses with ``refusal``
-    when a bracket leaves their span."""
-    coords = solve_many(m, brackets)
+def algebra_in_basis(m: Matrix, brackets: list[Pairs], refusal: str) -> LieAlgebraData:
+    """The algebra on the columns of m whose [e_p, e_q] has the nonzero pairs
+    brackets[p * m.cols + q], written in those columns by one elimination;
+    refuses with ``refusal`` when a bracket leaves their span."""
+    coords = solve_pairs(m, brackets)
     if None in coords:
         raise Refusal(refusal)
     dim = m.cols
@@ -145,7 +126,7 @@ def algebra_in_basis(m: Matrix, brackets: list[Vector], refusal: str) -> LieAlge
 def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> LieAlgebraData:
     """Structure constants of a subalgebra in the given basis; refuses with
     ``refusal`` when a bracket leaves its span."""
-    brackets = [g.bracket(p, q) for p in basis for q in basis]
+    brackets = [tuple(support(g.bracket(p, q))) for p in basis for q in basis]
     return algebra_in_basis(span_matrix(basis, g.dim), brackets, f"{refusal}; inconsistent data")
 
 
@@ -245,13 +226,11 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
     rep = ValidationReport()
     g, b0, rho = t.g0, t.b0, t.rho
     n = g.dim
+    c = g.structure_pairs
     for i in range(n):
         for j in range(i, n):
-            lhs = g.structure[i][j]
-            rhs = vscale(Fraction(-1), g.structure[j][i])
-            if lhs != rhs:
+            if c[i][j] != tuple((k, -x) for k, x in c[j][i]):
                 rep.add(f"antisymmetry fails at basis pair ({i},{j})")
-    c = g.structure_pairs
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -265,15 +244,21 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
         rep.add("form is not symmetric")
     if rank(b0.gram) != n:
         rep.add("form is degenerate")
-    # B([e_i,e_j], e_k) = (G^T c_ij)[k] and B(e_i, [e_j,e_k]) = (G c_jk)[i], c_ij = [e_i,e_j]
-    brackets = Matrix.from_cols([g.structure[i][j] for i in range(n) for j in range(n)], nrows=n)
-    left = (b0.gram.transpose() @ brackets).entries
-    right = (b0.gram @ brackets).entries
+    # B([e_i,e_j], e_k) = (G^T c_ij)[k] and B(e_i, [e_j,e_k]) = (G c_jk)[i], c_ij = [e_i,e_j];
+    # both are zero unless (i,j,k) is in the support of one of the two products
+    g_rows = [support(r) for r in b0.gram.entries]
+    g_cols = SparseCols.from_matrix(b0.gram).support
+    left, right = {}, {}
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if left[k][i * n + j] != right[i][j * n + k]:
-                    rep.add(f"form invariance fails at basis triple ({i},{j},{k})")
+            if c[i][j]:
+                left[i, j] = bilinear(c[i][j], ((0, 1),), lambda m, _: g_rows[m], defaultdict(int))
+                right[i, j] = bilinear(c[i][j], ((0, 1),), lambda m, _: g_cols[m], defaultdict(int))
+    suspects = {(i, j, k) for (i, j), v in left.items() for k in v}
+    suspects |= {(i, j, k) for (j, k), v in right.items() for i in v}
+    for i, j, k in sorted(suspects):
+        if left.get((i, j), {}).get(k, 0) != right.get((j, k), {}).get(i, 0):
+            rep.add(f"form invariance fails at basis triple ({i},{j},{k})")
     cols = [m.support for m in rho.action_cols]
     for i in range(n):
         for j in range(i + 1, n):
@@ -312,8 +297,9 @@ def dual_rep(r: Representation) -> Representation:
 
 
 def derived_subalgebra(g: LieAlgebraData) -> list[Vector]:
-    cols = [g.structure[i][j] for i in range(g.dim) for j in range(i + 1, g.dim)]
-    return list(image_basis(span_matrix(cols, g.dim)).basis)
+    n = g.dim
+    cols = tuple(g.structure_pairs[i][j] for i in range(n) for j in range(i + 1, n))
+    return list(image_basis(SparseCols(n, len(cols), cols)).basis)
 
 
 def center(g: LieAlgebraData) -> list[Vector]:

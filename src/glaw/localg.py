@@ -26,6 +26,7 @@ from .exactla import (
     rank,
     solve,
     solve_many,
+    solve_pairs,
     span_matrix,
     sparse_kernel,
     support,
@@ -211,8 +212,8 @@ def _component_change_of_basis(t: FundamentalTriplet, ideal_bases: list[list[Vec
 
 def _is_ideal(g: LieAlgebraData, basis: list[Vector]) -> bool:
     """Is the span of basis closed under brackets with every element of g?"""
-    brackets = [g.bracket(basis_vector(g.dim, a), w) for w in basis for a in range(g.dim)]
-    return None not in solve_many(span_matrix(basis, g.dim), brackets)
+    brackets = [support(g.bracket(basis_vector(g.dim, a), w)) for w in basis for a in range(g.dim)]
+    return None not in solve_pairs(span_matrix(basis, g.dim), brackets)
 
 
 def _orthogonal_complement(t: FundamentalTriplet, vectors: list[Vector]) -> list[Vector]:
@@ -333,6 +334,17 @@ class IsoRefusal:
     witness: tuple
 
 
+def _lie_homomorphism_failure(g1: LieAlgebraData, g2: LieAlgebraData, a_map: Matrix) -> tuple[int, int] | None:
+    """The first basis pair i < j with A[e_i, e_j] != [A e_i, A e_j], or None."""
+    a_cols = SparseCols.from_matrix(a_map).support
+    for i in range(g1.dim):
+        for j in range(i + 1, g1.dim):
+            lhs = bilinear(g1.structure_pairs[i][j], ((0, 1),), lambda k, _: a_cols[k], [ZERO] * a_map.rows)
+            if tuple(lhs) != g2.bracket(a_map.col(i), a_map.col(j)):
+                return i, j
+    return None
+
+
 def triplet_iso_extend(
     t1: FundamentalTriplet, t2: FundamentalTriplet, a_map: Matrix, gamma: Matrix
 ) -> LocalIsomorphism | IsoRefusal:
@@ -356,12 +368,8 @@ def triplet_iso_extend(
         gamma_inv = inverse(gamma)
     except ValueError:
         raise Refusal("gamma is not invertible") from None
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = a_map.matvec(t1.g0.structure[i][j])
-            rhs = t2.g0.bracket(a_map.col(i), a_map.col(j))
-            if lhs != rhs:
-                return IsoRefusal("lie-homomorphism", (i, j))
+    if (ij := _lie_homomorphism_failure(t1.g0, t2.g0, a_map)) is not None:
+        return IsoRefusal("lie-homomorphism", ij)
     pulled = a_map.transpose() @ t2.b0.gram @ a_map
     for i in range(n):
         for j in range(n):
@@ -409,10 +417,8 @@ def local_iso_check(
             inverse(m)
         except ValueError:
             raise Refusal("all three maps must be invertible") from None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a_map.matvec(t1.g0.structure[i][j]) != t2.g0.bracket(a_map.col(i), a_map.col(j)):
-                return IsoRefusal("lie-homomorphism", (i, j))
+    if (ij := _lie_homomorphism_failure(t1.g0, t2.g0, a_map)) is not None:
+        return IsoRefusal("lie-homomorphism", ij)
     l1, l2 = build_local(t1), build_local(t2)
     for a in range(n):
         col = a_map.col(a)

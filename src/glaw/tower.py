@@ -27,9 +27,10 @@ from .exactla import (
     Vector,
     ZERO,
     bilinear,
+    dense,
     image_basis,
     rank,
-    solve_many,
+    solve_pairs,
     span_matrix,
     sparse_kernel,
     support,
@@ -488,10 +489,7 @@ def pn_evaluate(L: LocalAlgebra, ys: list[Vector], xs: list[Vector]) -> Vector:
                 for w, v in kernel.lower(j, word).items():
                     lowered[w] = lowered.get(w, ZERO) + yj * c * v
         words = lowered
-    out = [ZERO] * L.dim_v
-    for (i,), c in words.items():
-        out[i] += c
-    return tuple(out)
+    return dense(((i, c) for (i,), c in words.items()), L.dim_v)
 
 
 @dataclass(frozen=True)
@@ -564,7 +562,7 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
                 row = pairs[oa + sa]
                 for sb in range(nb):
                     row[ob + sb] = tuple((o + k, x) for k, x in asm.bracket_basis(da, sa, db, sb))
-    algebra = LieAlgebraData.from_pairs(total, pairs)
+    algebra = LieAlgebraData(total, tuple(map(tuple, pairs)))
     return AssembledAlgebra(algebra, tuple(labels), blocks)
 
 
@@ -639,7 +637,7 @@ def finiteness_report(
 
 
 def _check_subalgebra(g, sub: list[Vector]):
-    if None in solve_many(span_matrix(sub, g.dim), [g.bracket(p, q) for p in sub for q in sub]):
+    if None in solve_pairs(span_matrix(sub, g.dim), [support(g.bracket(p, q)) for p in sub for q in sub]):
         raise Refusal("the given subspace is not closed under the bracket")
 
 

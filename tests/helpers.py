@@ -28,7 +28,7 @@ def sl2_algebra() -> LieAlgebraData:
     table = [[z, (F(0), F(2), F(0)), (F(0), F(0), F(-2))],
              [(F(0), F(-2), F(0)), z, (F(1), F(0), F(0))],
              [(F(0), F(0), F(2)), (F(-1), F(0), F(0)), z]]
-    return LieAlgebraData(3, tuple(tuple(row) for row in table))
+    return LieAlgebraData.from_table(table)
 
 
 def sl2_triplet() -> FundamentalTriplet:

@@ -4,14 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glaw import cli
+from glaw import cli, gen_symplectic
+from helpers import generator_triplets
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -211,6 +214,58 @@ def test_triplet_hash_is_content_based(tmp_path):
     obj2["name"] = "renamed"
     t2, _, _ = parse_triplet_spec(obj2)
     assert triplet_hash(t1) == triplet_hash(t2)
+
+
+def _negated(terms):
+    return [[k, str(-Fraction(c))] for k, c in terms]
+
+
+# each rewrites the canonical i < j entries of a spec into an equivalent list
+EQUIVALENT_ENTRIES = {
+    "reversed": lambda sc: [[j, i, _negated(terms)] for i, j, terms in sc],
+    "repeated": lambda sc: [[i, j, [[k, str(Fraction(c) / 2)]]] for i, j, terms in sc for k, c in terms for _ in (0, 1)],
+    "unsorted-terms": lambda sc: [[i, j, terms[::-1]] for i, j, terms in sc],
+    "cancelling": lambda sc: sc
+    + [[0, 1, [[2, "1"], [3, "1/2"]]], [1, 0, [[2, "1"]]], [0, 1, [[3, "-1/2"]]], [0, 3, [[1, "5"]]], [3, 0, [[1, "5"]]]],
+}
+
+
+@pytest.mark.parametrize("variant", list(EQUIVALENT_ENTRIES))
+def test_equivalent_structure_entries_parse_to_the_canonical_spec(variant):
+    # gl(2) on coordinates: [E01, E10] = E00 - E11 is an entry with two terms
+    canonical = cli.emit_triplet_spec(gen_symplectic(2, 1, 1), "gl2")
+    obj = dict(canonical, structure_constants=EQUIVALENT_ENTRIES[variant](canonical["structure_constants"]))
+    assert obj["structure_constants"] != canonical["structure_constants"]
+    t, name, meta = cli.parse_triplet_spec(obj)
+    assert cli.triplet_hash(t) == cli.triplet_hash(cli.parse_triplet_spec(canonical)[0])
+    assert cli.canonical_json(cli.emit_triplet_spec(t, name, meta)) == cli.canonical_json(canonical)
+
+
+def test_parsing_takes_memory_bounded_by_the_spec_entries():
+    # one structure entry in dim_g0 = 100: a dense dim_g0^3 table would be 10^6 cells
+    n = 100
+    obj = {
+        "dim_g0": n,
+        "dim_V": 1,
+        "B0": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+        "rho": [[["0"]] for _ in range(n)],
+        "structure_constants": [[0, 1, [[2, "1"]]]],
+    }
+    tracemalloc.start()
+    try:
+        cli.parse_triplet_spec(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_triplets())
+def test_emitted_specs_parse_back_to_the_same_triplet(t):
+    again, _, _ = cli.parse_triplet_spec(json.loads(cli.canonical_json(cli.emit_triplet_spec(t, "x"))))
+    assert cli.triplet_hash(again) == cli.triplet_hash(t)
+    assert again.g0.structure_pairs == t.g0.structure_pairs
 
 
 def test_degree_cap_env_var(tmp_path):

@@ -16,8 +16,8 @@ from glaw import (
     stabilizer_of_poly,
     validate,
 )
-from glaw.exactla import subspace_equal, vis_zero
-from glaw.generators import find_symmetrizer, symplectic_form_gram
+from glaw.exactla import subspace_equal, support, vis_zero
+from glaw.generators import _gl_structure, find_symmetrizer, symplectic_form_gram
 from glaw.liecore import basis_vector
 from glaw.sl2 import PolyInvariant
 
@@ -225,3 +225,18 @@ def test_stabilizer_triplet_center_scaling():
     from glaw import grading_element
 
     assert grading_element(t) == basis_vector(t.dim_g0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gl_structure_matches_matrix_commutators(n):
+    # reference: [E_p, E_q] = E_p E_q - E_q E_p on elementary matrices, flattened row-major
+    def unit(p):
+        return Matrix.from_rows([[1 if i * n + j == p else 0 for j in range(n)] for i in range(n)])
+
+    def flat(m):
+        return [m.entries[i][j] for i in range(n) for j in range(n)]
+
+    reference = tuple(
+        tuple(tuple(support(flat(unit(p) @ unit(q) - unit(q) @ unit(p)))) for q in range(n * n)) for p in range(n * n)
+    )
+    assert _gl_structure(n).structure_pairs == reference

@@ -112,6 +112,23 @@ def test_structure_errors_are_distinct_from_invariant_violations():
         Representation(2, (Matrix.identity(3),))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: LieAlgebraData(2, (((), ()),)), id="missing-row"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ()), ((),))), id="short-row"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((2, F(1)),)), ((), ()))), id="index-out-of-range"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((1, F(1)), (0, F(1)))), ((), ()))), id="decreasing-indices"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((0, F(1)), (0, F(1)))), ((), ()))), id="repeated-index"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((0, F(0)),)), ((), ()))), id="zero-coefficient"),
+        pytest.param(lambda: LieAlgebraData.from_table([[(0, 0), (0,)], [(0, 0), (0, 0)]]), id="dense-short-vector"),
+    ],
+)
+def test_malformed_structure_pairs_are_structure_errors(make):
+    with pytest.raises(StructureError):
+        make()
+
+
 def test_dual_rep_cases():
     r = Representation(2, (Matrix.identity(2), Matrix.from_rows([[1, 0], [0, 2]])))
     d = dual_rep(r)

@@ -571,7 +571,7 @@ def test_assembled_pairs_are_those_of_the_dense_table(make, budget):
     # assemble builds from (k, coefficient) pairs; an algebra built from its dense table must read them back
     local, tp, tn = grown(make(), budget)
     g = assemble(tp, tn, local).algebra
-    assert LieAlgebraData(g.dim, g.structure).structure_pairs == g.structure_pairs
+    assert LieAlgebraData.from_table(g.structure).structure_pairs == g.structure_pairs
 
 
 def test_assembled_principal_a2_matches_traceless_matrix_model():
