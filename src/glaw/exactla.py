@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -43,8 +44,9 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+@lru_cache(maxsize=4096)
 def parse_scalar(text: str) -> Fraction:
-    """Parse a canonical "p/q" or "p" string; reject junk and zero denominators."""
+    """Parse a canonical "p/q" or "p" string; reject junk and zero denominators (not cached)."""
     s = text.strip()
     try:
         value = Fraction(s)

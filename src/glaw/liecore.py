@@ -235,6 +235,8 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 # [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]
+                if not (c[j][k] or c[k][i] or c[i][j]):
+                    continue
                 acc = defaultdict(int)
                 for p, inner in ((i, c[j][k]), (j, c[k][i]), (k, c[i][j])):
                     bilinear(((p, 1),), inner, lambda a, b: c[a][b], acc)

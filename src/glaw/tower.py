@@ -7,17 +7,20 @@ lowering exactly the excess, so no free-algebra scaffolding is needed.  The
 negative side is the positive side of the swapped triplet, grown over the
 local algebra read off ``L.swapped`` (the swap fixes all elements).  Every
 bracket with a degree +-1 generator, in growth and in assembly alike, goes
-through one mechanism over the stored raise, lower and g0-action maps.  Bases
-of each new degree are pivot columns under the deterministic elimination of
-exactla, so reruns are bit-identical.
+through one mechanism over the stored raise, lower and g0-action maps; a
+degree's g0 action is lifted on its first read.  Bases of each new degree are
+pivot columns under the deterministic elimination of exactla, so reruns are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from math import prod
 
 from .exactla import (
@@ -57,8 +60,9 @@ class GradedComponent:
 
     Every map is stored by sparse columns (``SparseCols``; ``.to_matrix()``
     gives the dense matrix).  ``act0[a]`` is the action of the a-th g0 basis
-    element, a (dim x dim) map.  ``lower[j]`` is ad of the j-th degree-(-1)
-    generator, a (prev_dim x dim) map (prev_dim is dim g0 at degree 1).
+    element, a (dim x dim) map, computed on first read by ``_lift``.
+    ``lower[j]`` is ad of the j-th degree-(-1) generator, a (prev_dim x dim)
+    map (prev_dim is dim g0 at degree 1).
     ``provenance`` lists, for degree >= 2, the pivot tensors (generator index,
     previous-degree index) whose classes form the basis; ``tensor_coords``
     expresses every tensor class in that basis, column i * prev_dim + m for
@@ -67,10 +71,14 @@ class GradedComponent:
 
     degree: int
     dim: int
-    act0: tuple[SparseCols, ...]
     lower: tuple[SparseCols, ...]
     provenance: tuple[tuple[int, int], ...]
     tensor_coords: SparseCols | None
+    _lift: Callable[[], tuple[SparseCols, ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def act0(self) -> tuple[SparseCols, ...]:
+        return self._lift()
 
 
 @dataclass(frozen=True)
@@ -116,26 +124,22 @@ def _pairs(v: Sparse) -> tuple[tuple[int, Fraction], ...]:
 class _Graded:
     """Brackets in g0 + sum of the grown degrees, read off the stored maps.
 
-    ``comps[s]`` lists the components of degrees s, 2s, ... for s = +1 and
-    -1; a degree past the end of its list is zero.  Arguments are given by
-    their nonzero (index, coefficient) pairs; each method adds its value into
-    ``out`` (a dense list, or a new sparse vector when omitted) and returns it.
+    ``comps`` and ``dims`` map each signed degree to its component and dim,
+    bound from ``pos`` (degrees 1, 2, ...), ``neg`` (-1, -2, ...) and ``add``;
+    an unbound degree is zero.  Arguments are given by their nonzero (index,
+    coefficient) pairs; each method adds its value into ``out`` (a dense list,
+    or a new sparse vector when omitted) and returns it.
     """
 
-    def __init__(self, g0: LieAlgebraData, pos, neg):
+    def __init__(self, g0: LieAlgebraData, pos=(), neg=()):
         self.g0 = g0
-        self.comps = {1: pos, -1: neg}
+        self.comps = {s * n: c for s, comps in ((1, pos), (-1, neg)) for n, c in enumerate(comps, 1)}
+        self.dims = {0: g0.dim} | {d: c.dim for d, c in self.comps.items()}
         self.memo: dict[tuple[int, int, int, int], tuple[tuple[int, Fraction], ...]] = {}
 
-    def comp(self, d: int) -> GradedComponent | None:
-        comps = self.comps[1 if d > 0 else -1]
-        return comps[abs(d) - 1] if abs(d) <= len(comps) else None
-
-    def dim_of(self, d: int) -> int:
-        if d == 0:
-            return self.g0.dim
-        comp = self.comp(d)
-        return comp.dim if comp else 0
+    def add(self, d: int, comp: GradedComponent) -> None:
+        self.comps[d] = comp
+        self.dims[d] = comp.dim
 
     def act0(self, d: int, u, w, out: Sparse | list | None = None) -> Sparse | list:
         """[u, w] for u in g0 and w of degree d."""
@@ -143,7 +147,7 @@ class _Graded:
         if d == 0:
             table = self.g0.structure_pairs
             return bilinear(u, w, lambda a, b: table[a][b], out)
-        mats = self.comp(d).act0
+        mats = self.comps[d].act0
         return bilinear(u, w, lambda a, l: mats[a].support[l], out)
 
     def gen_bracket(self, s: int, g, d: int, w, out: Sparse | list | None = None) -> Sparse | list:
@@ -154,14 +158,14 @@ class _Graded:
         through tower -s's maps (at |d| = 1 these hold the local [X, Y]).
         """
         out = defaultdict(int) if out is None else out
-        if not self.dim_of(d + s):
+        if not self.dims.get(d + s):
             return out
         if d == 0:
             return self.act0(s, [(a, -x) for a, x in w], g, out)
         if (d > 0) == (s > 0):
-            coords, prev = self.comp(d + s).tensor_coords.support, self.dim_of(d)
+            coords, prev = self.comps[d + s].tensor_coords.support, self.dims[d]
             return bilinear(g, w, lambda i, m: coords[i * prev + m], out)
-        lower = self.comp(d).lower
+        lower = self.comps[d].lower
         return bilinear(g, w, lambda i, m: lower[i].support[m], out)
 
     def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Fraction], ...]:
@@ -180,10 +184,10 @@ class _Graded:
         if da == s:
             return _pairs(self.gen_bracket(s, _unit(sa), db, _unit(sb)))
         # [[g, u], w] = [g, [u, w]] - [u, [g, w]] for the provenance g (x) u of e_sa
-        gen, prev_idx = self.comp(da).provenance[sa]
+        gen, prev_idx = self.comps[da].provenance[sa]
         out = self.gen_bracket(s, _unit(gen), da - s + db, self.bracket_basis(da - s, prev_idx, db, sb))
         gw = [(k, -x) for k, x in _pairs(self.gen_bracket(s, _unit(gen), db, _unit(sb)))]
-        if self.dim_of(da + db):
+        if self.dims.get(da + db):
             bilinear(_unit(prev_idx), gw, lambda p, q: self.bracket_basis(da - s, p, db + s, q), out)
         return _pairs(out)
 
@@ -213,30 +217,30 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
     lower1 = tuple(
         SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in table[i][j]) for i in range(dv))) for j in range(dv)
     )
-    comps = [GradedComponent(sign, dv, t.rho.action_cols, lower1, (), None)]
-    gr = _Graded(t.g0, comps, [])
+    gr = _Graded(t.g0)
+    gr.add(1, GradedComponent(sign, dv, lower1, (), None, lambda: t.rho.action_cols))
     phis: list[SparseCols] = []
-    while len(comps) < max_degree and comps[-1].dim:
-        n = len(comps)
-        cur = comps[-1]
+    while (n := len(gr.comps)) < max_degree and gr.dims[n]:
+        cur_dim = gr.dims[n]
         phi = _growth_map(gr, n)
         phis.append(phi)
         ib = image_basis(phi)
         new_dim = len(ib.pivots)
         if new_dim == 0:
-            comps.append(GradedComponent(sign * (n + 1), 0, (), (), (), None))
+            gr.add(n + 1, GradedComponent(sign * (n + 1), 0, (), (), None, tuple))
             break
-        provenance = tuple((p // cur.dim, p % cur.dim) for p in ib.pivots)
+        provenance = tuple((p // cur_dim, p % cur_dim) for p in ib.pivots)
         # lower[j] column k is block j of the k-th pivot column: [y_j, e_k] in degree n
         blocks = [[[] for _ in range(new_dim)] for _ in range(dv)]
         for k, col in enumerate(ib.basis_cols.support):
             for r, x in col:
-                j, m = divmod(r, cur.dim)
+                j, m = divmod(r, cur_dim)
                 blocks[j][k].append((m, x))
-        lower = tuple(SparseCols(cur.dim, new_dim, tuple(map(tuple, b))) for b in blocks)
-        comps.append(GradedComponent(sign * (n + 1), new_dim, (), lower, provenance, ib.coord_cols))
-        comps[-1] = replace(comps[-1], act0=_lifted_action(gr, n + 1))
-    return Tower(L, side, tuple(comps), tuple(phis), comps[-1].dim == 0)
+        lower = tuple(SparseCols(cur_dim, new_dim, tuple(map(tuple, b))) for b in blocks)
+        lift = partial(_lifted_action, gr, n + 1)
+        gr.add(n + 1, GradedComponent(sign * (n + 1), new_dim, lower, provenance, ib.coord_cols, lift))
+    comps = tuple(gr.comps.values())
+    return Tower(L, side, comps, tuple(phis), comps[-1].dim == 0)
 
 
 def grow_both(L: LocalAlgebra, max_degree: int) -> tuple[Tower, Tower]:
@@ -246,8 +250,8 @@ def grow_both(L: LocalAlgebra, max_degree: int) -> tuple[Tower, Tower]:
 
 def _growth_map(gr: _Graded, n: int) -> SparseCols:
     """Columns Phi(x_i (x) u_l), one block per y_j: [[y_j, x_i], u_l] + [x_i, [y_j, u_l]]."""
-    dv, dim = gr.dim_of(1), gr.dim_of(n)
-    yx, lower = gr.comp(1).lower, gr.comp(n).lower
+    dv, dim = gr.dims[1], gr.dims[n]
+    yx, lower = gr.comps[1].lower, gr.comps[n].lower
     cols = []
     for i in range(dv):
         for l in range(dim):
@@ -262,9 +266,9 @@ def _growth_map(gr: _Graded, n: int) -> SparseCols:
 
 def _lifted_action(gr: _Graded, d: int) -> tuple[SparseCols, ...]:
     """The g0 action on degree d: [a, [x, u]] = [[a, x], u] + [x, [a, u]]."""
-    comp, rho, prev = gr.comp(d), gr.comp(1).act0, gr.comp(d - 1).act0
+    comp, rho, prev = gr.comps[d], gr.comps[1].act0, gr.comps[d - 1].act0
     out = []
-    for a in range(gr.dim_of(0)):
+    for a in range(gr.dims[0]):
         cols = []
         for i, l in comp.provenance:
             col = gr.gen_bracket(1, rho[a].support[i], d - 1, _unit(l))
@@ -543,12 +547,12 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
     if not (tp.terminated and tn.terminated):
         raise Refusal("assembly needs both towers terminated (a zero degree reached)")
     asm = _Graded(L.triplet.g0, tp.components, tn.components)
-    degrees = [d for d in range(-tn.top_degree, tp.top_degree + 1) if asm.dim_of(d) > 0]
+    degrees = [d for d in range(-tn.top_degree, tp.top_degree + 1) if asm.dims.get(d)]
     blocks: dict[int, tuple[int, int]] = {}
     labels: list[int] = []
     for d in degrees:
-        blocks[d] = (len(labels), asm.dim_of(d))
-        labels.extend([d] * asm.dim_of(d))
+        blocks[d] = (len(labels), asm.dims[d])
+        labels.extend([d] * asm.dims[d])
     total = len(labels)
     pairs = [[()] * total for _ in range(total)]
     for da in degrees:
@@ -657,8 +661,8 @@ def centralizer_graded(
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
     out: dict[int, list[Vector]] = {}
     for d in range(-max_degree, max_degree + 1):
-        dim = (tp if d > 0 else tn).dim_at(abs(d)) if d else gr.dim_of(0)
-        maps = [lambda k, d=d, s=support(s): gr.act0(d, s, _unit(k), [ZERO] * gr.dim_of(d)) for s in sub]
+        dim = (tp if d > 0 else tn).dim_at(abs(d)) if d else gr.dims[0]
+        maps = [lambda k, d=d, s=support(s): gr.act0(d, s, _unit(k), [ZERO] * gr.dims.get(d, 0)) for s in sub]
         out[d] = _common_kernel(dim, maps)
     return out
 
@@ -669,8 +673,8 @@ def centralizer_in_degree_zero(
     """Elements of g0 commuting with a graded subspace (any degrees)."""
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
     maps = [
-        lambda k, d=d, s=support(s): gr.act0(d, _unit(k), s, [ZERO] * gr.dim_of(d))
+        lambda k, d=d, s=support(s): gr.act0(d, _unit(k), s, [ZERO] * gr.dims.get(d, 0))
         for d, vecs in sorted(graded_sub.items())
         for s in vecs
     ]
-    return _common_kernel(gr.dim_of(0), maps)
+    return _common_kernel(gr.dims[0], maps)

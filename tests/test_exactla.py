@@ -35,6 +35,17 @@ def test_scalar_rejects_junk(bad):
         parse_scalar(bad)
 
 
+def test_a_malformed_scalar_is_refused_the_same_way_every_time():
+    # parse_scalar is memoized; a refusal must not be cached or turned into a value
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            parse_scalar("1/0")
+        messages.append(str(err.value))
+    assert messages == ["malformed rational '1/0'"] * 2
+    assert parse_scalar("0") is parse_scalar("0") == 0
+
+
 def test_rank_identity_zero_and_dependent():
     assert rank(Matrix.identity(3)) == 3
     assert rank(Matrix.zeros(2, 5)) == 0

@@ -1,6 +1,11 @@
+import io
 import itertools
+import json
 import random
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,14 +36,17 @@ from glaw import (
     stabilizer_of_poly,
     theta_swap,
 )
+from glaw import cli
 from glaw.exactla import rank, subspace_equal, vadd, vis_zero, vneg, vscale, vzero
 from glaw.liecore import basis_vector, center as lie_center, killing_form
 import glaw.localg
-from glaw.localg import LocalAlgebra
+import glaw.tower
+from glaw.localg import LocalAlgebra, reduce_triplet
 from glaw.sl2 import PolyInvariant
 from glaw.tower import NEGATIVE, POSITIVE, _WordLowering, eval_term, grow_both, term_to_str
 
 from helpers import (
+    generator_triplets,
     gl_standard_triplet,
     jacobi_holds_everywhere,
     random_abelian_triplet,
@@ -52,6 +60,7 @@ F = Fraction
 A2 = [[2, -1], [-1, 2]]
 C2 = [[2, -1], [-2, 2]]
 G2_CARTAN = [[2, -1], [-3, 2]]
+HYPERBOLIC = [[2, -3], [-3, 2]]
 
 
 def grown(t, n):
@@ -201,9 +210,12 @@ def test_component_action_is_a_representation_and_lower_is_equivariant():
         (gen_symplectic(2, 2, 2, "trace"), 2),
         (gen_principal(A2), 3),
         (gen_principal(C2), 4),
+        # hyperbolic and budget-capped: the top degree's act0 is built only on the read below
+        (gen_principal(HYPERBOLIC), 6),
     ]
     for t, budget in cases:
         local, tp, _ = grown(t, budget)
+        assert tp.top_degree == budget or tp.terminated
         n0, dv = t.dim_g0, t.dim_v
         dual = local.dual_action
         ad = [t.g0.ad_matrix(basis_vector(n0, a)) for a in range(n0)]
@@ -230,6 +242,50 @@ def test_component_action_is_a_representation_and_lower_is_equivariant():
                         if c:
                             rhs = rhs + lower[j2].scale(c)
                     assert lhs.entries == rhs.entries
+
+
+def count_lifts(monkeypatch) -> list[int]:
+    """Record the degree of every later _lifted_action call."""
+    calls = []
+    lift = glaw.tower._lifted_action
+    monkeypatch.setattr(glaw.tower, "_lifted_action", lambda gr, d: calls.append(d) or lift(gr, d))
+    return calls
+
+
+@pytest.mark.parametrize("budget", [2, 3, 5])
+def test_the_top_degree_action_is_lifted_only_when_read(monkeypatch, budget):
+    local = build_local(gen_principal(HYPERBOLIC))
+    calls = count_lifts(monkeypatch)
+    tp = grow(local, POSITIVE, budget)
+    assert not tp.terminated and len(tp.components) == budget
+    # each growth map reads the action of the degree below it
+    assert calls == list(range(2, budget))
+    top = tp.component(budget).act0
+    assert calls == list(range(2, budget + 1))
+    assert tp.component(budget).act0 is top
+
+
+def test_grow_wide_command_lifts_one_action(monkeypatch):
+    # gl(3) on cubics to degree 3: degree 2's action feeds the degree-3 growth map, degree 3's is never read
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["gen", "sp", "--n", "3", "--p", "3", "--lambda", "1"]) == 0
+    calls = count_lifts(monkeypatch)
+    report = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(out.getvalue())), redirect_stdout(report):
+        assert cli.main(["grow", "-", "--max-degree", "3", "--side", "pos"]) == 0
+    assert json.loads(report.getvalue())["dims"] == {"pos": [10, 45, 330]}
+    assert calls == [2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_triplets(), st.integers(1, 3))
+def test_a_lazily_read_action_equals_the_one_read_by_growth(t, budget):
+    # in the tower grown one degree further, the growth map has read every action up to the budget
+    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    lazy, eager = grow(local, POSITIVE, budget), grow(local, POSITIVE, budget + 1)
+    for n, comp in enumerate(lazy.components, 1):
+        assert comp.act0 == eager.component(n).act0
 
 
 # ---------------------------------------------------------------------------
