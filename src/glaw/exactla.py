@@ -4,17 +4,23 @@ Scalars are ``fractions.Fraction`` at the API (already canonical: reduced,
 positive denominator, str() gives "p/q" or "p").  Vectors are tuples of
 Fractions; ``Matrix`` is an immutable dense row-major grid and ``SparseCols``
 an immutable matrix stored by columns, each column the tuple of its nonzero
-(row, value) pairs.  Elimination runs on sparse integer rows ({column: int},
-denominators cleared, each row divided by the gcd of its entries) and
-converts back to Fractions only for its result.  In each column the pivot is
-the eligible row with the fewest nonzeros, ties to the lower row index; the
-reduced row echelon form is unique, so that choice only changes fill-in and
-never a result.  The bases produced here are canonical: null-space bases set
-each free variable to 1 in increasing column order, column-space bases are
-the pivot columns in left-to-right order.  Linear systems sharing a matrix
-are solved together: ``solve_pairs`` eliminates [a | b_0 | b_1 | ...] once
-on sparse right-hand sides, ``solve_many`` is its dense form, and ``solve``,
-``inverse`` and ``in_span`` are single calls to it.
+(row, value) pairs.  Inside sparse supports an integral value is kept as a
+Python ``int`` (``tight``) and any other as a ``Fraction``: both compare,
+hash, print and expose numerator and denominator alike, and int
+multiply-adds are far cheaper.  Every dense result (``Matrix``, the dense
+views of ``SparseCols`` and ``ImageBasis``, kernels, solutions) holds only
+Fractions, converted by ``frac`` where it is built.  Elimination runs on
+sparse integer rows ({column: int}, denominators cleared, each row divided
+by the gcd of its entries) and divides each reduced row by its pivot at the
+end, giving an int wherever the pivot divides the entry.  In each column the
+pivot is the eligible row with the fewest nonzeros, ties to the lower row
+index; the reduced row echelon form is unique, so that choice only changes
+fill-in and never a result.  The bases produced here are canonical:
+null-space bases set each free variable to 1 in increasing column order,
+column-space bases are the pivot columns in left-to-right order.  Linear
+systems sharing a matrix are solved together: ``solve_pairs`` eliminates
+[a | b_0 | b_1 | ...] once on sparse right-hand sides, ``solve_many`` is its
+dense form, and ``solve``, ``inverse`` and ``in_span`` are single calls to it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
-Pairs = Iterable[tuple[int, Fraction]]  # nonzero (index, value) entries of a vector
+Exact = int | Fraction  # a sparse value: an int when integral, else a Fraction
+Pairs = Iterable[tuple[int, Exact]]  # nonzero (index, value) entries of a vector
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -42,6 +49,11 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return parse_scalar(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def tight(x: Exact) -> Exact:
+    """x as an int when it is integral; any other value is returned as is."""
+    return x.numerator if x.denominator == 1 else x
 
 
 @lru_cache(maxsize=4096)
@@ -99,10 +111,10 @@ def support(v: Sequence) -> list[tuple[int, Fraction]]:
 
 
 def dense(x: Pairs, n: int) -> Vector:
-    """The length-n vector with the given nonzero (index, value) entries."""
+    """The length-n Fraction vector with the given nonzero (index, value) entries."""
     out = [ZERO] * n
     for i, v in x:
-        out[i] = v
+        out[i] = frac(v)
     return tuple(out)
 
 
@@ -112,14 +124,22 @@ def bilinear(x: Pairs, y: Pairs, entry: Callable[[int, int], Pairs], out):
     x and y are walked over their supports, ``entry(i, j)`` gives the nonzero
     pairs of a vector (a structure constant, a column of a stored map), and
     ``out`` is a dense list or a dict defaulting to 0.  A pair of basis
-    vectors costs one entry read.
+    vectors costs one entry read, and a coefficient x_i y_j of 1 or -1 adds
+    or subtracts the entries without a multiply.
     """
     y = list(y)
     for i, xi in x:
         for j, yj in y:
             c = xi * yj
-            for k, e in entry(i, j):
-                out[k] += c * e
+            if c == 1:
+                for k, e in entry(i, j):
+                    out[k] += e
+            elif c == -1:
+                for k, e in entry(i, j):
+                    out[k] -= e
+            else:
+                for k, e in entry(i, j):
+                    out[k] += c * e
     return out
 
 
@@ -219,12 +239,13 @@ class SparseCols(NamedTuple):
     """Immutable matrix stored by columns.
 
     ``support[j]`` holds the nonzero entries of column j as (row, value) pairs
-    in increasing row order, so equal matrices have equal supports.
+    in increasing row order, so equal matrices have equal supports.  A value
+    may be an int or a Fraction; the dense views hold Fractions.
     """
 
     rows: int
     cols: int
-    support: tuple[tuple[tuple[int, Fraction], ...], ...]
+    support: tuple[tuple[tuple[int, Exact], ...], ...]
 
     @staticmethod
     def from_matrix(m: Matrix) -> "SparseCols":
@@ -246,7 +267,7 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g <= 1 else {j: x // g for j, x in row.items()}
 
 
-def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+def _integer_row(row: dict[int, Exact]) -> dict[int, int]:
     """A sparse rational row scaled by the lcm of its denominators, then made primitive."""
     den = lcm(*(x.denominator for x in row.values()))
     return _primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()})
@@ -267,7 +288,7 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
     return _primitive(out)
 
 
-def _sparse_rref(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[dict], tuple[int, ...]]:
+def _sparse_rref(rows: Iterable[dict[int, Exact]], ncols: int) -> tuple[list[dict[int, Exact]], tuple[int, ...]]:
     """Nonzero rows of the reduced row echelon form of rows with ncols
     columns, in pivot order, and the pivots.
 
@@ -279,7 +300,8 @@ def _sparse_rref(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[
     by their new leading column.  Back-substitution then clears each pivot
     column from the pivot rows above it.  Every working row is a nonzero
     multiple of a row of the rational reduction, so dividing each pivot row
-    by its pivot entry gives the unique reduced form.
+    by its pivot entry gives the unique reduced form: an entry the pivot
+    divides becomes an int, any other a Fraction.
     """
     buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
     for idx, row in enumerate(rows):
@@ -304,13 +326,17 @@ def _sparse_rref(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[
         for c in [c for c in row if c != pivots[k] and c in where]:
             row = _eliminate(row, reduced[where[c]], c)
         reduced[k] = row
-    return [{j: Fraction(x, row[pc]) for j, x in row.items()} for row, pc in zip(reduced, pivots)], tuple(pivots)
+    out = []
+    for row, pc in zip(reduced, pivots):
+        p = row[pc]
+        out.append({j: x // p if x % p == 0 else Fraction(x, p) for j, x in row.items()})
+    return out, tuple(pivots)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot-column indices."""
     reduced, pivots = _sparse_rref((dict(support(r)) for r in m.entries), m.cols)
-    out = [tuple(row.get(j, ZERO) for j in range(m.cols)) for row in reduced]
+    out = [dense(row.items(), m.cols) for row in reduced]
     out += [(ZERO,) * m.cols] * (m.rows - len(pivots))
     return Matrix(m.rows, m.cols, tuple(out)), pivots
 
@@ -319,7 +345,7 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def sparse_kernel(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[Vector]:
+def sparse_kernel(rows: Iterable[dict[int, Exact]], ncols: int) -> list[Vector]:
     """Canonical basis of the right null space of sparse rows (nonzero
     entries only) with ncols columns: free variables set to 1, increasing."""
     reduced, pivots = _sparse_rref(rows, ncols)
@@ -332,7 +358,7 @@ def sparse_kernel(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[Vecto
         v[free] = ONE
         for row, pc in zip(reduced, pivots):
             if free in row:
-                v[pc] = -row[free]
+                v[pc] = frac(-row[free])
         basis.append(tuple(v))
     return basis
 
@@ -365,7 +391,7 @@ def solve_pairs(a: Matrix, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Fractio
         for j, x in row.items():
             if j >= n:
                 if pc < n:
-                    out[j - n].append((pc, x))
+                    out[j - n].append((pc, frac(x)))
                 else:
                     inconsistent.add(j - n)
     return [None if k in inconsistent else tuple(x) for k, x in enumerate(out)]
@@ -390,7 +416,8 @@ class ImageBasis:
 
     Both are stored sparse: column k of ``basis_cols`` is the pivot column
     ``pivots[k]``, and column j of ``coord_cols`` expresses column j in that
-    basis.  ``basis`` and ``coords`` are their dense views.
+    basis, with an integral value as an int.  ``basis`` and ``coords`` are
+    their dense (Fraction) views.
     """
 
     pivots: tuple[int, ...]
@@ -410,12 +437,12 @@ def image_basis(m: Matrix | SparseCols) -> ImageBasis:
     """Column-space basis and coordinates, read off the sparse reduced rows."""
     if isinstance(m, Matrix):
         m = SparseCols.from_matrix(m)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
+    rows: list[dict[int, Exact]] = [{} for _ in range(m.rows)]
     for j, col in enumerate(m.support):
         for i, x in col:
             rows[i][j] = x
     reduced, pivots = _sparse_rref(rows, m.cols)
-    coords: list[list[tuple[int, Fraction]]] = [[] for _ in range(m.cols)]
+    coords: list[list[tuple[int, Exact]]] = [[] for _ in range(m.cols)]
     for k, row in enumerate(reduced):
         for j, x in row.items():
             coords[j].append((k, x))

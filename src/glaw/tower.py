@@ -24,6 +24,7 @@ from functools import cached_property, partial
 from math import prod
 
 from .exactla import (
+    Exact,
     Matrix,
     ONE,
     SparseCols,
@@ -31,12 +32,14 @@ from .exactla import (
     ZERO,
     bilinear,
     dense,
+    frac,
     image_basis,
     rank,
     solve_pairs,
     span_matrix,
     sparse_kernel,
     support,
+    tight,
 )
 from .liecore import (
     FundamentalTriplet,
@@ -59,8 +62,10 @@ class GradedComponent:
     """One graded piece with its g0 action and the maps tying it to its neighbours.
 
     Every map is stored by sparse columns (``SparseCols``; ``.to_matrix()``
-    gives the dense matrix).  ``act0[a]`` is the action of the a-th g0 basis
-    element, a (dim x dim) map, computed on first read by ``_lift``.
+    gives the dense Fraction matrix) that keep each integral value as an int
+    and any other as a Fraction, so growth and assembly multiply ints where
+    they can.  ``act0[a]`` is the action of the a-th g0 basis element, a
+    (dim x dim) map, computed on first read by ``_lift``.
     ``lower[j]`` is ad of the j-th degree-(-1) generator, a (prev_dim x dim)
     map (prev_dim is dim g0 at degree 1).
     ``provenance`` lists, for degree >= 2, the pivot tensors (generator index,
@@ -109,16 +114,25 @@ class Tower:
         return max((n for n in range(1, len(self.components) + 1) if self.component(n).dim > 0), default=0)
 
 
-Sparse = dict[int, Fraction]  # index -> coefficient; absent indices are zero
+Sparse = dict[int, Exact]  # index -> coefficient; absent indices are zero
 
 
-def _unit(i: int) -> tuple[tuple[int, Fraction]]:
-    return ((i, ONE),)
+def _unit(i: int) -> tuple[tuple[int, int]]:
+    return ((i, 1),)
 
 
-def _pairs(v: Sparse) -> tuple[tuple[int, Fraction], ...]:
-    """The nonzero entries of a sparse vector in increasing index order."""
-    return tuple((k, v[k]) for k in sorted(v) if v[k])
+def _tight(pairs) -> tuple[tuple[int, Exact], ...]:
+    """(index, value) pairs with integral values as ints."""
+    return tuple((k, tight(x)) for k, x in pairs)
+
+
+def _pairs(v: Sparse) -> tuple[tuple[int, Exact], ...]:
+    """The nonzero entries of a sparse vector in increasing index order, integral ones as ints."""
+    return _tight((k, v[k]) for k in sorted(v) if v[k])
+
+
+def _tight_cols(m: SparseCols) -> SparseCols:
+    return SparseCols(m.rows, m.cols, tuple(map(_tight, m.support)))
 
 
 class _Graded:
@@ -128,24 +142,29 @@ class _Graded:
     bound from ``pos`` (degrees 1, 2, ...), ``neg`` (-1, -2, ...) and ``add``;
     an unbound degree is zero.  Arguments are given by their nonzero (index,
     coefficient) pairs; each method adds its value into ``out`` (a dense list,
-    or a new sparse vector when omitted) and returns it.
+    or a new sparse vector when omitted) and returns it.  The g0 structure
+    pairs are read with integral values as ints, like the stored maps.
     """
 
     def __init__(self, g0: LieAlgebraData, pos=(), neg=()):
         self.g0 = g0
         self.comps = {s * n: c for s, comps in ((1, pos), (-1, neg)) for n, c in enumerate(comps, 1)}
         self.dims = {0: g0.dim} | {d: c.dim for d, c in self.comps.items()}
-        self.memo: dict[tuple[int, int, int, int], tuple[tuple[int, Fraction], ...]] = {}
+        self.memo: dict[tuple[int, int, int, int], tuple[tuple[int, Exact], ...]] = {}
 
     def add(self, d: int, comp: GradedComponent) -> None:
         self.comps[d] = comp
         self.dims[d] = comp.dim
 
+    @cached_property
+    def g0_pairs(self) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
+        return tuple(tuple(map(_tight, row)) for row in self.g0.structure_pairs)
+
     def act0(self, d: int, u, w, out: Sparse | list | None = None) -> Sparse | list:
         """[u, w] for u in g0 and w of degree d."""
         out = defaultdict(int) if out is None else out
         if d == 0:
-            table = self.g0.structure_pairs
+            table = self.g0_pairs
             return bilinear(u, w, lambda a, b: table[a][b], out)
         mats = self.comps[d].act0
         return bilinear(u, w, lambda a, l: mats[a].support[l], out)
@@ -168,14 +187,14 @@ class _Graded:
         lower = self.comps[d].lower
         return bilinear(g, w, lambda i, m: lower[i].support[m], out)
 
-    def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Fraction], ...]:
+    def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Exact], ...]:
         key = (da, sa, db, sb)
         hit = self.memo.get(key)
         if hit is None:
             hit = self.memo[key] = self._bracket_basis(da, sa, db, sb)
         return hit
 
-    def _bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Fraction], ...]:
+    def _bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Exact], ...]:
         if abs(da) > 1 >= abs(db):
             return tuple((k, -x) for k, x in self.bracket_basis(db, sb, da, sa))
         if da == 0:
@@ -215,10 +234,11 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
     dv, n0 = t.dim_v, t.dim_g0
     table = growth.xy_pairs
     lower1 = tuple(
-        SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in table[i][j]) for i in range(dv))) for j in range(dv)
+        SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in _tight(table[i][j])) for i in range(dv)))
+        for j in range(dv)
     )
     gr = _Graded(t.g0)
-    gr.add(1, GradedComponent(sign, dv, lower1, (), None, lambda: t.rho.action_cols))
+    gr.add(1, GradedComponent(sign, dv, lower1, (), None, lambda: tuple(map(_tight_cols, t.rho.action_cols))))
     phis: list[SparseCols] = []
     while (n := len(gr.comps)) < max_degree and gr.dims[n]:
         cur_dim = gr.dims[n]
@@ -565,7 +585,7 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
             for sa in range(na):
                 row = pairs[oa + sa]
                 for sb in range(nb):
-                    row[ob + sb] = tuple((o + k, x) for k, x in asm.bracket_basis(da, sa, db, sb))
+                    row[ob + sb] = tuple((o + k, frac(x)) for k, x in asm.bracket_basis(da, sa, db, sb))
     algebra = LieAlgebraData(total, tuple(map(tuple, pairs)))
     return AssembledAlgebra(algebra, tuple(labels), blocks)
 

@@ -155,6 +155,14 @@ def jacobi_holds_everywhere(g: LieAlgebraData) -> bool:
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 CARTANS = [[[2]], [[2, -1], [-1, 2]], [[2, -2], [-1, 2]], [[2, -1], [-3, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]]
+E6_CARTAN = [
+    [2, -1, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0],
+    [0, -1, 2, -1, 0, -1],
+    [0, 0, -1, 2, -1, 0],
+    [0, 0, 0, -1, 2, 0],
+    [0, 0, -1, 0, 0, 2],
+]
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from glaw.exactla import (
     Matrix,
     SparseCols,
+    _sparse_rref,
+    bilinear,
+    dense,
     format_scalar,
     image_basis,
     in_span,
@@ -17,6 +21,10 @@ from glaw.exactla import (
     rref,
     solve,
     solve_many,
+    solve_pairs,
+    sparse_kernel,
+    support,
+    tight,
 )
 
 F = Fraction
@@ -287,3 +295,64 @@ def test_solve_many_matches_sympy_column_by_column(system):
     for b, x in zip(bs, got):
         assert x == sympy_solve(a, b)
         assert x is None or a.matvec(x) == b
+
+
+# ---------------------------------------------------------------------------
+# scalar representation: ints inside sparse supports, Fractions at the surface
+
+
+@pytest.mark.parametrize("kind", [int, F], ids=["int", "fraction"])
+@pytest.mark.parametrize(
+    "xi, yj", [(1, 1), (-1, 1), (1, -1), (-1, -1), (2, 3), (F(1, 2), 2), (F(-1, 3), 3), (F(2, 3), F(1, 2))]
+)
+def test_bilinear_unit_coefficients_give_the_general_product(kind, xi, yj):
+    # x_i y_j = 1 or -1 adds or subtracts the entry without a multiply; every branch must equal c * e
+    entries = {(0, 1): ((0, kind(3)), (2, kind(-5))), (1, 1): ((1, kind(7)),)}
+    x, y = ((0, xi), (1, kind(2))), ((1, yj),)
+    expected = [F(0)] * 3
+    for i, a in x:
+        for j, b in y:
+            for k, e in entries[i, j]:
+                expected[k] += F(a) * F(b) * F(e)
+    assert bilinear(x, y, lambda i, j: entries[i, j], [F(0)] * 3) == expected
+    got = bilinear(x, y, lambda i, j: entries[i, j], defaultdict(int))
+    assert [got[k] for k in range(3)] == expected
+    if kind is int and type(xi) is type(yj) is int:
+        assert all(type(v) is int for v in got.values())
+
+
+def only_fractions(*vectors) -> bool:
+    return all(type(x) is F for v in vectors for x in v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mostly_zero_matrices(8, 10))
+def test_every_dense_result_holds_only_fractions(m):
+    # the integral copy makes the elimination return ints; each public result converts them
+    integral = Matrix.from_rows([[x.numerator for x in row] for row in m.entries])
+    for a in (m, integral):
+        cols = [a.col(j) for j in range(a.cols)]
+        assert only_fractions(*rref(a)[0].entries)
+        assert only_fractions(*kernel_basis(a))
+        assert only_fractions(*sparse_kernel((dict(support(r)) for r in a.entries), a.cols))
+        assert only_fractions(*([x for _, x in sol] for sol in solve_pairs(a, [support(c) for c in cols])))
+        assert only_fractions(*solve_many(a, cols), solve(a, cols[0]))
+        ib = image_basis(a)
+        assert only_fractions(*ib.basis, *ib.coords)
+        sparse = SparseCols(a.rows, a.cols, tuple(tuple((i, tight(x)) for i, x in support(c)) for c in cols))
+        assert only_fractions(*image_basis(sparse).basis, *image_basis(sparse).coords)
+        assert only_fractions(sparse.col(0), *sparse.columns(), *sparse.to_matrix().entries)
+    assert only_fractions(*inverse(Matrix.from_rows([[1, 2], [3, 5]])).entries)
+    assert only_fractions(dense(((0, 1), (2, -3)), 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mostly_zero_matrices())
+def test_sparse_rref_returns_an_int_exactly_for_an_integral_entry(m):
+    reduced, pivots = _sparse_rref((dict(support(r)) for r in m.entries), m.cols)
+    expected, expected_pivots = sympy_rref(m)
+    assert pivots == expected_pivots
+    assert [[row.get(j, 0) for j in range(m.cols)] for row in reduced] == expected[: len(pivots)]
+    for row in reduced:
+        for x in row.values():
+            assert type(x) in (int, F) and (type(x) is int) == (x.denominator == 1)

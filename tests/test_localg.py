@@ -38,7 +38,7 @@ from glaw.localg import IsoRefusal, LocalForm, LocalIsomorphism, local_iso_check
 from glaw.sl2 import PolyInvariant
 from glaw.tower import centralizer_graded, grow_both
 
-from helpers import generator_triplets, gl_standard_triplet, sl2_triplet, small_rationals
+from helpers import E6_CARTAN, generator_triplets, gl_standard_triplet, sl2_triplet, small_rationals
 
 F = Fraction
 
@@ -178,14 +178,6 @@ def test_theta_swap_fixes_the_bracket_table():
             assert Ls.xy_table[i][j] == vneg(L.xy_table[j][i])
 
 
-E6_CARTAN = [
-    [2, -1, 0, 0, 0, 0],
-    [-1, 2, -1, 0, 0, 0],
-    [0, -1, 2, -1, 0, -1],
-    [0, 0, -1, 2, -1, 0],
-    [0, 0, 0, -1, 2, 0],
-    [0, 0, -1, 0, 0, 2],
-]
 SWAP_FAMILIES = {
     "gl3-cubic": lambda: gen_symplectic(3, 3, 1, "trace"),
     "sym-square-3": lambda: gen_symplectic(3, 2, 2, "trace"),

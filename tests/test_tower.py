@@ -8,13 +8,15 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from glaw import (
+    FundamentalTriplet,
     LieAlgebraData,
     Matrix,
     QuadraticForm,
     Refusal,
+    Representation,
     TransitivityRequired,
     assemble,
     assemble_nontransitive,
@@ -35,6 +37,7 @@ from glaw import (
     pn_expand,
     stabilizer_of_poly,
     theta_swap,
+    validate,
 )
 from glaw import cli
 from glaw.exactla import rank, subspace_equal, vadd, vis_zero, vneg, vscale, vzero
@@ -46,6 +49,7 @@ from glaw.sl2 import PolyInvariant
 from glaw.tower import NEGATIVE, POSITIVE, _WordLowering, eval_term, grow_both, term_to_str
 
 from helpers import (
+    E6_CARTAN,
     generator_triplets,
     gl_standard_triplet,
     jacobi_holds_everywhere,
@@ -286,6 +290,31 @@ def test_a_lazily_read_action_equals_the_one_read_by_growth(t, budget):
     lazy, eager = grow(local, POSITIVE, budget), grow(local, POSITIVE, budget + 1)
     for n, comp in enumerate(lazy.components, 1):
         assert comp.act0 == eager.component(n).act0
+
+
+def stored_values(tower):
+    """Every value in a tower's stored maps: lower, act0, tensor_coords and phis."""
+    for comp in tower.components:
+        maps = (*comp.lower, *comp.act0, *([comp.tensor_coords] if comp.tensor_coords else []))
+        yield from (x for m in maps for col in m.support for _, x in col)
+    yield from (x for m in tower.phis for col in m.support for _, x in col)
+
+
+def test_principal_e6_maps_hold_only_ints_and_assemble_to_fractions():
+    # the assemble-deep job: every multiply-add of growth and assembly runs on ints
+    local = build_local(gen_principal(E6_CARTAN))
+    tp, tn = grow_both(local, 12)
+    assert {type(x) for t in (tp, tn) for x in stored_values(t)} == {int}
+    pairs = assemble(tp, tn, local).algebra.structure_pairs
+    assert {type(x) for row in pairs for p in row for _, x in p} == {F}
+
+
+def test_gl3_cubic_maps_keep_a_fraction_only_where_it_is_not_integral():
+    # the grow-wide job, both sides: thirds appear, every integral value is an int
+    local = build_local(gen_symplectic(3, 3, 1, "trace"))
+    values = [x for t in grow_both(local, 3) for x in stored_values(t)]
+    assert {type(x) for x in values} == {int, F}
+    assert all((type(x) is F) == (x.denominator != 1) for x in values)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +789,46 @@ def test_finiteness_report_cases():
     rep = finiteness_report(build_local(t2), 2, completely_reducible=True, irreducible_components=2)
     assert not rep.terminated
     assert "infinite" in rep.advisory
+
+
+def extended_form(asm, tp, tn, local) -> QuadraticForm:
+    """The extended invariant form on an assembled algebra: the triplet's Gram
+    on degree 0, the degree-n pairing between degrees n and -n, zero across."""
+    dim = asm.algebra.dim
+    grid = [[F(0)] * dim for _ in range(dim)]
+    tables = [local.triplet.b0.gram] + pairing_table(tp, tn, tp.top_degree)
+    for d, (off, nd) in asm.blocks.items():
+        if d >= 0:
+            offn, nn = asm.blocks[-d]
+            for a in range(nd):
+                for b in range(nn):
+                    grid[off + a][offn + b] = tables[d].entries[a][b]
+                    if d:
+                        grid[offn + b][off + a] = tables[d].entries[a][b]
+    return QuadraticForm(Matrix.from_rows(grid))
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_triplets())
+def test_a_terminating_tower_assembles_to_a_valid_algebra_matching_its_finiteness_report(t):
+    # rational lambdas and form scales mix int and Fraction values in the maps; the assembled
+    # algebra with its extended form, acting on itself by ad, must pass every check of validate
+    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    for budget in range(2, 7):
+        tp = grow(local, POSITIVE, budget)
+        if tp.terminated or max(tp.dims()) > 40:
+            break
+    assume(tp.terminated)
+    rep = finiteness_report(local, budget)
+    tp, tn = grow_both(local, budget)
+    asm = assemble(tp, tn, local)
+    g = asm.algebra
+    assert {type(x) for row in g.structure_pairs for p in row for _, x in p} <= {F}
+    ad = Representation(g.dim, tuple(g.ad_matrix(basis_vector(g.dim, i)) for i in range(g.dim)))
+    assert validate(FundamentalTriplet(g, extended_form(asm, tp, tn, local), ad)).violations == []
+    assert rep.terminated
+    assert rep.killing_nondegenerate == (rank(killing_form(g)) == g.dim)
+    assert rep.assembled_center_dim == len(lie_center(g))
 
 
 def test_degree_budget_reports_partial_dims():
