@@ -293,7 +293,10 @@ def _sparse_rref(rows: Iterable[dict[int, Exact]], ncols: int) -> tuple[list[dic
     columns, in pivot order, and the pivots.
 
     Gauss-Jordan elimination on sparse integer rows (fraction-free,
-    gcd-normalised in the style of Bareiss).  Rows wait in buckets keyed by
+    gcd-normalised in the style of Bareiss).  A single-entry row {j: x}
+    only says x_j = 0: it enters as {j: 1}, and a later single-entry row in
+    the same column is dropped, since it lies in the row space and so leaves
+    the unique reduced form unchanged.  Rows wait in buckets keyed by
     their leading column.  Taking columns in increasing order, the pivot of a
     column is the sparsest row of its bucket, ties to the lower row index
     (Markowitz); the other rows of the bucket are eliminated and re-bucketed
@@ -304,10 +307,19 @@ def _sparse_rref(rows: Iterable[dict[int, Exact]], ncols: int) -> tuple[list[dic
     divides becomes an int, any other a Fraction.
     """
     buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    singles: set[int] = set()
     for idx, row in enumerate(rows):
-        if row:
+        if len(row) == 1:
+            (j,) = row
+            if j in singles:
+                continue
+            singles.add(j)
+            row = {j: 1}
+        elif row:
             row = _integer_row(row)
-            buckets.setdefault(min(row), []).append((idx, row))
+        else:
+            continue
+        buckets.setdefault(min(row), []).append((idx, row))
     reduced: list[dict[int, int]] = []
     pivots: list[int] = []
     for col in range(ncols):

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactla import (
+    Exact,
     Matrix,
     Pairs,
     SparseCols,
@@ -27,6 +28,7 @@ from .exactla import (
     ZERO,
     as_vector,
     bilinear,
+    frac,
     image_basis,
     kernel_basis,
     rank,
@@ -35,6 +37,7 @@ from .exactla import (
     span_matrix,
     sparse_kernel,
     support,
+    tight,
 )
 
 
@@ -351,26 +354,31 @@ def grading_element(t: FundamentalTriplet) -> Vector | None:
 def killing_form(g: LieAlgebraData) -> Matrix:
     """Gram matrix of the Killing form tr(ad x ad y) on the basis.
 
-    (ad e_i)[a][b] = c[i][b][a], so K[i][j] is the sum of
-    (ad e_i)[a][b] (ad e_j)[b][a] = c[i][b][a] c[j][a][b].  Each ad e_i is
-    indexed by position (a, b) from ``structure_pairs``, and a product is
-    taken only where both factors are nonzero; K is symmetric since
-    tr(AB) = tr(BA).
+    (ad e_i)[a][b] = c[i][b][a], so K[i][j] is the sum over ad positions
+    (a, b) of c[i][b][a] c[j][a][b].  The nonzero constants are grouped by
+    position, at[a, b] listing every (i, c[i][b][a]), and each group is
+    multiplied with the group at the transposed position (b, a): one
+    multiply-add per pair of nonzero factors, on ints where the constants are
+    integral.  Only the nonzero cells of K are converted to Fractions; every
+    zero cell is ``ZERO``.
     """
     n = g.dim
-    ad: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]  # ad[i][a, b] = c[i][b][a]
-    ad_t: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]  # ad_t[j][a, b] = c[j][a][b]
+    at: dict[tuple[int, int], list[tuple[int, Exact]]] = defaultdict(list)
     for i, row in enumerate(g.structure_pairs):
         for b, pairs in enumerate(row):
             for a, x in pairs:
-                ad[i][a, b] = ad_t[i][b, a] = x
+                at[a, b].append((i, tight(x)))
+    acc: dict[tuple[int, int], Exact] = defaultdict(int)
+    for (a, b), left in at.items():
+        right = at.get((b, a), ())
+        for i, x in left:
+            for j, y in right:
+                acc[i, j] += x * y
     rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        ad_i = ad[i]
-        for j in range(i, n):
-            ad_j = ad_t[j]
-            rows[i][j] = rows[j][i] = sum((ad_i[p] * ad_j[p] for p in ad_i.keys() & ad_j.keys()), ZERO)
-    return Matrix(n, n, tuple(tuple(r) for r in rows))
+    for (i, j), v in acc.items():
+        if v:
+            rows[i][j] = frac(v)
+    return Matrix(n, n, tuple(map(tuple, rows)))
 
 
 def direct_sum_with_zero_factor(

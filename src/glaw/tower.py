@@ -562,7 +562,8 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
 
     Requires both towers terminated; cross brackets are reduced by the graded
     Jacobi identity to the stored raise/lower/action maps, memoized per basis
-    pair.
+    pair.  Each unordered basis pair i < j is computed once, and [e_j, e_i]
+    is filled as the negation of [e_i, e_j]; the diagonal is zero.
     """
     if not (tp.terminated and tn.terminated):
         raise Refusal("assembly needs both towers terminated (a zero degree reached)")
@@ -575,17 +576,19 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
         labels.extend([d] * asm.dims[d])
     total = len(labels)
     pairs = [[()] * total for _ in range(total)]
-    for da in degrees:
+    for n, da in enumerate(degrees):
         oa, na = blocks[da]
-        for db in degrees:
+        for db in degrees[n:]:
             if da + db not in blocks:
                 continue
             ob, nb = blocks[db]
             o = blocks[da + db][0]
             for sa in range(na):
-                row = pairs[oa + sa]
-                for sb in range(nb):
-                    row[ob + sb] = tuple((o + k, frac(x)) for k, x in asm.bracket_basis(da, sa, db, sb))
+                i = oa + sa
+                for sb in range(sa + 1 if da == db else 0, nb):
+                    v = asm.bracket_basis(da, sa, db, sb)
+                    pairs[i][ob + sb] = tuple((o + k, frac(x)) for k, x in v)
+                    pairs[ob + sb][i] = tuple((o + k, frac(-x)) for k, x in v)
     algebra = LieAlgebraData(total, tuple(map(tuple, pairs)))
     return AssembledAlgebra(algebra, tuple(labels), blocks)
 

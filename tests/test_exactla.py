@@ -297,6 +297,52 @@ def test_solve_many_matches_sympy_column_by_column(system):
         assert x is None or a.matvec(x) == b
 
 
+@st.composite
+def with_repeated_single_entry_rows(draw) -> tuple[Matrix, Matrix, int]:
+    """A mostly-zero matrix with single-entry rows inserted, the same matrix with
+    copies of those rows (repeated, sign-flipped or Fraction-scaled) inserted
+    anywhere, and a split column n: columns n and up are solve_pairs' b block."""
+    grid = [list(row) for row in draw(mostly_zero_matrices(8, 10)).entries]
+    cols = len(grid[0])
+    singles = draw(st.lists(st.tuples(st.integers(0, cols - 1), NONZERO), min_size=1, max_size=4))
+    copies = draw(st.lists(st.tuples(st.sampled_from(singles), st.sampled_from([F(1), F(-1)]) | NONZERO), max_size=6))
+    for j, x in singles:
+        grid.insert(draw(st.integers(0, len(grid))), [x if c == j else F(0) for c in range(cols)])
+    base = Matrix.from_rows(grid)
+    for (j, x), scale in copies:
+        grid.insert(draw(st.integers(0, len(grid))), [scale * x if c == j else F(0) for c in range(cols)])
+    return Matrix.from_rows(grid), base, draw(st.integers(1, cols))
+
+
+def split_system(m: Matrix, n: int) -> tuple[Matrix, list]:
+    """[a | b_0 | b_1 | ...] with a the first n columns of m, each b as its nonzero pairs."""
+    return Matrix.from_rows([row[:n] for row in m.entries]), [support(m.col(j)) for j in range(n, m.cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(with_repeated_single_entry_rows())
+@example((Matrix.from_rows([[1, 0, 0], [0, 0, -2], [0, 1, 0], [0, 0, 2], [0, 0, F(1, 3)]]),
+          Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), 2))
+def test_repeated_single_entry_rows_change_no_result(system):
+    # the elimination keeps the first single-entry row of each column; a copy lies in the row space
+    # (the example repeats a single-entry row of the b block, which makes that b inconsistent)
+    m, base, n = system
+    r, pivots = rref(m)
+    expected, expected_pivots = sympy_rref(m)
+    assert pivots == expected_pivots and [list(row) for row in r.entries] == expected
+    r0, pivots0 = rref(base)
+    assert pivots == pivots0 and r.entries[: len(pivots)] == r0.entries[: len(pivots)]
+    rows, rows0 = ([dict(support(row)) for row in a.entries] for a in (m, base))
+    assert sparse_kernel(rows, m.cols) == sparse_kernel(rows0, m.cols)
+    ib, ib0 = image_basis(m), image_basis(base)
+    assert (ib.pivots, ib.coord_cols) == (ib0.pivots, ib0.coord_cols)
+    a, bs = split_system(m, n)
+    got = solve_pairs(a, bs)
+    assert got == solve_pairs(*split_system(base, n))
+    for b, x in zip(bs, got):
+        assert (None if x is None else dense(x, n)) == sympy_solve(a, dense(b, m.rows))
+
+
 # ---------------------------------------------------------------------------
 # scalar representation: ints inside sparse supports, Fractions at the surface
 

@@ -1,6 +1,9 @@
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +23,14 @@ from glaw import (
     rep_kernel,
     validate,
 )
-from glaw.exactla import SparseCols, in_span, kernel_basis, rank
+from glaw.exactla import SparseCols, format_scalar, in_span, kernel_basis, rank
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
 from glaw.generators import gen_principal, gen_symplectic
 from glaw.localg import build_local
 from glaw.tower import assemble, grow_both
 
 from helpers import (
+    E6_CARTAN,
     dense_kernel,
     generator_triplets,
     gl_standard_triplet,
@@ -296,6 +300,26 @@ def test_killing_form_matches_the_dense_trace():
     assert any(x.denominator > 1 for row in skewed.structure for v in row for x in v)
     for g in algebras.values():
         assert [list(row) for row in killing_form(g).entries] == dense_killing_form(g)
+
+
+def test_e6_killing_form_matches_its_recorded_digest():
+    # the assemble-deep job's Killing matrix, rendered cell by cell with format_scalar
+    local = build_local(gen_principal(E6_CARTAN))
+    k = killing_form(assemble(*grow_both(local, 12), local).algebra)
+    text = json.dumps([[format_scalar(x) for x in row] for row in k.entries], separators=(",", ":")) + "\n"
+    digest = (Path(__file__).parent / "golden" / "e6_killing.sha256").read_text(encoding="utf-8").strip()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert {type(x) for row in k.entries for x in row} == {F}
+    assert sum(1 for row in k.entries for x in row if x) == 88
+
+
+def test_every_killing_form_entry_is_a_fraction_zeros_included():
+    # the products run on ints where the constants are integral; the matrix holds Fractions only
+    for g in assembled_algebras().values():
+        entries = [x for row in killing_form(g).entries for x in row]
+        assert all(type(x) is F for x in entries)
+    skewed = assembled_algebras()["g2-cubic-skewed"]
+    assert {type(x) for row in skewed.structure_pairs for p in row for _, x in p} == {F}
 
 
 @settings(max_examples=40, deadline=None)

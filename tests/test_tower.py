@@ -309,6 +309,35 @@ def test_principal_e6_maps_hold_only_ints_and_assemble_to_fractions():
     assert {type(x) for row in pairs for p in row for _, x in p} == {F}
 
 
+def test_principal_e6_assembly_computes_each_unordered_pair_once(monkeypatch):
+    # a count guard, no timing: computing both orders of every pair takes 5,490 recursion calls
+    calls = []
+    recurse = glaw.tower._Graded._bracket_basis
+    monkeypatch.setattr(glaw.tower._Graded, "_bracket_basis", lambda gr, *key: calls.append(key) or recurse(gr, *key))
+    local = build_local(gen_principal(E6_CARTAN))
+    assemble(*grow_both(local, 12), local)
+    assert len(calls) < 5490
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_triplets())
+def test_both_orders_of_a_basis_pair_bracket_to_negatives(t):
+    # assembly fills [e_j, e_i] as -[e_i, e_j]; here each order runs its own recursion and memo
+    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    for budget in range(2, 7):
+        tp = grow(local, POSITIVE, budget)
+        if tp.terminated or max(tp.dims()) > 40:
+            break
+    assume(tp.terminated)
+    tp, tn = grow_both(local, budget)
+    assume(max(tn.dims()) <= 40)
+    forward, backward = (glaw.tower._Graded(local.triplet.g0, tp.components, tn.components) for _ in range(2))
+    basis = [(d, s) for d, dim in sorted(forward.dims.items()) for s in range(dim)]
+    for i, (da, sa) in enumerate(basis):
+        for db, sb in basis[i:]:
+            assert backward.bracket_basis(db, sb, da, sa) == tuple((k, -x) for k, x in forward.bracket_basis(da, sa, db, sb))
+
+
 def test_gl3_cubic_maps_keep_a_fraction_only_where_it_is_not_integral():
     # the grow-wide job, both sides: thirds appear, every integral value is an int
     local = build_local(gen_symplectic(3, 3, 1, "trace"))
