@@ -19,14 +19,12 @@ import itertools
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, partial
 from math import prod
 
 from .exactla import (
     Exact,
     Matrix,
-    ONE,
     SparseCols,
     Vector,
     ZERO,
@@ -46,7 +44,6 @@ from .liecore import (
     LieAlgebraData,
     Refusal,
     TransitivityRequired,
-    basis_vector,
     center as algebra_center,
     killing_form,
     restrict_algebra,
@@ -128,7 +125,7 @@ def _tight(pairs) -> tuple[tuple[int, Exact], ...]:
 
 def _pairs(v: Sparse) -> tuple[tuple[int, Exact], ...]:
     """The nonzero entries of a sparse vector in increasing index order, integral ones as ints."""
-    return _tight((k, v[k]) for k in sorted(v) if v[k])
+    return tuple((k, x if type(x) is int else tight(x)) for k, x in sorted(v.items()) if x)
 
 
 def _tight_cols(m: SparseCols) -> SparseCols:
@@ -419,61 +416,66 @@ class _WordLowering:
     takes a basis word (a_1..a_k) of V indices to a sparse combination
     {word: coefficient} of basis words of length k-1, by the recursion of
     ``_lower_symbolic`` (the head term first, then the rest).  It reads
-    [[y_j, x_a], x_b] from a sparse table filled on first use.  ``value(jx,
-    word)`` is T_{jx[0]} o ... o T_{jx[-1]} applied to the word, a sparse
-    vector {index: coefficient} of V.  Lowerings and values are memoized for
-    words shorter than n only: a top-level word is visited once per scan.
+    [[y_j, x_a], x_b] from a table filled on first use straight from the
+    local [X, Y] pairs and the action columns.  ``value(jx, word)`` is
+    T_{jx[0]} o ... o T_{jx[-1]} applied to the word, a sparse vector
+    {index: coefficient} of V.  Every lowering is memoized, full-length words
+    included: a scan over all basis tuples asks for T_{jx[-1]} of the same
+    full-length word once per prefix jx[:-1].  Values are memoized for words
+    shorter than n only, since each (jx, full-length word) is read once.
+    Coefficients are ints while the arithmetic stays integral and Fractions
+    otherwise; a dense result leaving the kernel is converted with ``frac``.
     """
 
     def __init__(self, L: LocalAlgebra, n: int):
-        self.L = L
         self.n = n
-        self.acts: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-        self.lowered: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Fraction]] = {}
-        self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Fraction]] = {}
+        self.xy = L.xy_pairs
+        self.rho = L.triplet.rho.action_cols
+        self.acts: dict[tuple[int, int, int], dict[int, Exact]] = {}
+        self.lowered: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Exact]] = {}
+        self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Exact]] = {}
 
-    def act(self, j: int, a: int, b: int) -> dict[int, Fraction]:
-        """[[y_j, x_a], x_b] as {index: coefficient}."""
+    def act(self, j: int, a: int, b: int) -> dict[int, Exact]:
+        """[[y_j, x_a], x_b] as {index: coefficient}: [y_j, x_a] = -[x_a, y_j]
+        in g0, acting on x_b through column b of each action matrix."""
         key = (j, a, b)
         hit = self.acts.get(key)
         if hit is None:
-            L, dv = self.L, self.L.dim_v
-            u = L.bracket_yx(basis_vector(dv, j), basis_vector(dv, a))
-            hit = self.acts[key] = {c: v for c, v in enumerate(L.act_v(u, basis_vector(dv, b))) if v}
+            out: Sparse = defaultdict(int)
+            for k, c in self.xy[a][j]:
+                for i, v in self.rho[k].support[b]:
+                    out[i] -= c * v
+            hit = self.acts[key] = {i: tight(v) for i, v in out.items() if v}
         return hit
 
-    def lower(self, j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        if len(word) == self.n:
-            return self._lower(j, word)
+    def lower(self, j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Exact]:
         key = (j, word)
         hit = self.lowered.get(key)
         if hit is None:
             hit = self.lowered[key] = self._lower(j, word)
         return hit
 
-    def _lower(self, j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
+    def _lower(self, j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Exact]:
+        out: dict[tuple[int, ...], Exact] = defaultdict(int)
         head, rest = word[0], word[1:]
         if not rest[1:]:
             # [[y, x_a], x_b] + [x_a, [y, x_b]] = [[y, x_a], x_b] - [[y, x_b], x_a]
             (b,) = rest
             for c, v in self.act(j, head, b).items():
-                out[(c,)] = v
+                out[(c,)] += v
             for c, v in self.act(j, b, head).items():
-                out[(c,)] = out.get((c,), ZERO) - v
+                out[(c,)] -= v
         else:
             for k, r in enumerate(rest):
                 for c, v in self.act(j, head, r).items():
-                    w = rest[:k] + (c,) + rest[k + 1 :]
-                    out[w] = out.get(w, ZERO) + v
+                    out[rest[:k] + (c,) + rest[k + 1 :]] += v
             for w, v in self.lower(j, rest).items():
-                w = (head,) + w
-                out[w] = out.get(w, ZERO) + v
+                out[(head,) + w] += v
         return {w: v for w, v in out.items() if v}
 
-    def value(self, jx: tuple[int, ...], word: tuple[int, ...]) -> dict[int, Fraction]:
+    def value(self, jx: tuple[int, ...], word: tuple[int, ...]) -> dict[int, Exact]:
         if not jx:
-            return {word[0]: ONE}
+            return {word[0]: 1}
         if len(word) == self.n:
             return self._value(jx, word)
         key = (jx, word)
@@ -482,12 +484,12 @@ class _WordLowering:
             hit = self.values[key] = self._value(jx, word)
         return hit
 
-    def _value(self, jx: tuple[int, ...], word: tuple[int, ...]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def _value(self, jx: tuple[int, ...], word: tuple[int, ...]) -> dict[int, Exact]:
+        out: Sparse = defaultdict(int)
         rest = jx[:-1]
         for w, c in self.lower(jx[-1], word).items():
             for i, v in self.value(rest, w).items():
-                out[i] = out.get(i, ZERO) + c * v
+                out[i] += c * v
         return {i: v for i, v in out.items() if v}
 
 
@@ -503,15 +505,15 @@ def pn_evaluate(L: LocalAlgebra, ys: list[Vector], xs: list[Vector]) -> Vector:
     if len(ys) != len(xs) - 1:
         raise ValueError("the degree-n identity takes n-1 dual and n vector arguments")
     kernel = _WordLowering(L, len(xs))
-    words: dict[tuple[int, ...], Fraction] = {}
+    words: dict[tuple[int, ...], Exact] = {}
     for pairs in itertools.product(*(support(x) for x in xs)):
-        words[tuple(i for i, _ in pairs)] = prod((c for _, c in pairs), start=ONE)
+        words[tuple(i for i, _ in pairs)] = prod(c for _, c in pairs)
     for y in reversed(ys):
-        lowered: dict[tuple[int, ...], Fraction] = {}
+        lowered: dict[tuple[int, ...], Exact] = defaultdict(int)
         for j, yj in support(y):
             for word, c in words.items():
                 for w, v in kernel.lower(j, word).items():
-                    lowered[w] = lowered.get(w, ZERO) + yj * c * v
+                    lowered[w] += yj * c * v
         words = lowered
     return dense(((i, c) for (i,), c in words.items()), L.dim_v)
 
@@ -529,10 +531,11 @@ def pn_check(L: LocalAlgebra, n: int) -> PnResult:
 
     Multilinearity makes basis tuples sufficient.  Each tuple's value is
     T_{j_0} o ... o T_{j_{n-2}} applied to the word (x_i...), read off one
-    memoized lowering over basis words (``_WordLowering``), so a sub-word
-    shared by many tuples is lowered once.  Tuples are scanned in
+    memoized lowering over basis words (``_WordLowering``): each (dual index,
+    word) pair is lowered once, though the scan reads the lowering of a
+    full-length word once per prefix of dual indices.  Tuples are scanned in
     lexicographic order, dual indices outer; returns the first nonvanishing
-    one.
+    one, its value as a Fraction vector.
     """
     if not 2 <= n <= 5:
         raise Refusal("the identity check is supported for 2 <= n <= 5")
@@ -542,7 +545,7 @@ def pn_check(L: LocalAlgebra, n: int) -> PnResult:
         for ix in itertools.product(range(dv), repeat=n):
             val = kernel.value(jx, ix)
             if val:
-                return PnResult(n, False, (jx, ix), tuple(val.get(i, ZERO) for i in range(dv)))
+                return PnResult(n, False, (jx, ix), dense(val.items(), dv))
     return PnResult(n, True, None, None)
 
 

@@ -135,6 +135,14 @@ def test_pn_check_command():
     assert payload["witness"]["v_indices"] is not None
 
 
+@pytest.mark.parametrize("n", ["1", "6"])
+def test_pn_check_outside_its_degree_range_is_a_precondition_refusal(n):
+    proc = run_cli("pn-check", "-", "--n", n, stdin=gen_g2_spec())
+    assert proc.returncode == 3 and proc.stdout == ""
+    error = {"error": "the identity check is supported for 2 <= n <= 5", "kind": "precondition"}
+    assert json.loads(proc.stderr) == error
+
+
 def test_sl2_command_with_polynomial():
     gen = run_cli("gen", "sp", "--n", "2", "--p", "2", "--lambda", "2", "--form", "trace")
     proc = run_cli("sl2", "-", "--poly", "x0^2+x1^2", stdin=gen.stdout)

@@ -579,9 +579,10 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("make,n", ORACLE_CASES)
-def test_word_lowering_matches_the_symbolic_expansion_on_every_basis_tuple(make, n):
-    L = build_local(make())
+def assert_scan_matches_the_oracle(L, n):
+    """_WordLowering.value equals the symbolic expansion on every basis tuple,
+    and pn_check reports the first nonzero tuple in lexicographic order, its
+    value as Fractions."""
     dv = L.dim_v
     basis = [basis_vector(dv, i) for i in range(dv)]
     kernel = _WordLowering(L, n)
@@ -598,6 +599,37 @@ def test_word_lowering_matches_the_symbolic_expansion_on_every_basis_tuple(make,
     assert res.holds == (first is None)
     if first is not None:
         assert (res.witness, res.value) == first
+        assert all(type(x) is Fraction for x in res.value)
+
+
+@pytest.mark.parametrize("make,n", ORACLE_CASES)
+def test_word_lowering_matches_the_symbolic_expansion_on_every_basis_tuple(make, n):
+    assert_scan_matches_the_oracle(build_local(make()), n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_triplets(), st.sampled_from([2, 3]))
+def test_word_lowering_matches_the_symbolic_expansion_across_the_generator_families(t, n):
+    # rational scales in the draws give Fraction coefficients beside the ints
+    assume(t.dim_v <= 4)
+    assert_scan_matches_the_oracle(build_local(t), n)
+
+
+def test_pn_check_lowers_each_dual_index_and_top_word_once(monkeypatch):
+    # a count guard, no timing: sym-square-3 (gen sp --n 3 --p 2 --lambda 2) has dim V = 6, so the
+    # n = 3 scan reads 6^5 (dual indices, top word) tuples over 6 * 6^3 (last dual index, top word) pairs
+    L = build_local(gen_symplectic(3, 2, 2))
+    top = []
+    lower = _WordLowering._lower
+
+    def counted(self, j, word):
+        if len(word) == self.n:
+            top.append((j, word))
+        return lower(self, j, word)
+
+    monkeypatch.setattr(_WordLowering, "_lower", counted)
+    assert pn_check(L, 3).holds
+    assert len(top) == len(set(top)) == 6**4
 
 
 @settings(max_examples=40, deadline=None)
@@ -608,7 +640,9 @@ def test_pn_evaluate_matches_the_symbolic_expansion_on_random_vectors(seed, n, f
     L = build_local(t)
     ys = [random_rational_vector(rng, L.dim_v) for _ in range(n - 1)]
     xs = [random_rational_vector(rng, L.dim_v) for _ in range(n)]
-    assert pn_evaluate(L, ys, xs) == _oracle_value(L, n, ys, xs)
+    value = pn_evaluate(L, ys, xs)
+    assert value == _oracle_value(L, n, ys, xs)
+    assert all(type(x) is Fraction for x in value)
 
 
 def test_pn_evaluate_needs_one_dual_argument_fewer_than_vector_arguments():
