@@ -4,6 +4,13 @@ All bases are deterministic: gl(n) uses elementary matrices E_ab in row-major
 order, monomials of fixed degree are listed in descending lexicographic order
 of their exponent vectors, and the block family lists its grading element
 first, then the two traceless factors.
+
+The two matrix families are sub-triplets of gl(n)-type triplets, built by one
+restriction (``_restrict``): the block family of gl(n) + gl(n) acting on n x n
+matrices, the stabilizer family of gl(n) with its trace form and defining
+action.  The restriction reads each bracket of two basis vectors off the
+structure pairs, takes the form as M^T G M on the basis columns M, and the
+action as rho(v) for each basis vector v; no matrix commutator is formed.
 """
 
 from __future__ import annotations
@@ -12,24 +19,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import (
-    Matrix,
-    Vector,
-    ZERO,
-    dense,
-    frac,
-    kernel_basis,
-    rank,
-    span_matrix,
-    support,
-)
+from .exactla import ONE, ZERO, Matrix, Vector, dense, frac, kernel_basis, rank, span_matrix
 from .liecore import (
     FundamentalTriplet,
     LieAlgebraData,
     QuadraticForm,
     Refusal,
     Representation,
-    algebra_in_basis,
+    restrict_algebra,
 )
 from .sl2 import PolyInvariant, vector_field_apply
 
@@ -158,76 +155,45 @@ def gen_symplectic(n: int, p: int, lam, form="trace") -> FundamentalTriplet:
     return FundamentalTriplet(_gl_structure(n), QuadraticForm(gram), Representation(dim_v, tuple(action)))
 
 
-def _sl_basis_matrices(n: int) -> list[Matrix]:
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                out.append(
-                    Matrix.from_rows(
-                        [[1 if (i, j) == (a, b) else 0 for j in range(n)] for i in range(n)]
-                    )
-                )
-    for i in range(n - 1):
-        out.append(
-            Matrix.from_rows(
-                [
-                    [
-                        (1 if (r, c) == (i, i) else -1 if (r, c) == (i + 1, i + 1) else 0)
-                        for c in range(n)
-                    ]
-                    for r in range(n)
-                ]
-            )
-        )
-    return out
+def _restrict(g: LieAlgebraData, gram: Matrix, rho: Representation, basis: list[Vector]) -> FundamentalTriplet:
+    """The sub-triplet of (g, gram, rho) on the span of basis: the brackets
+    written in the basis, the Gram matrix M^T gram M of the basis columns M,
+    and rho(v) for each basis vector v."""
+    m = span_matrix(basis, g.dim)
+    sub = restrict_algebra(g, basis, "the basis does not span a subalgebra")
+    action = tuple(rho.matrix_of(v) for v in basis)
+    return FundamentalTriplet(sub, QuadraticForm(m.transpose() @ gram @ m), Representation(rho.dim_v, action))
 
 
 def gen_glblock(n: int, lam1, lam2) -> FundamentalTriplet:
     """Two gl(n) blocks with joint trace zero acting on n x n matrices by
-    (A,B).X = AX - XB, with the block-scaled trace form."""
+    (A,B).X = AX - XB, with the block-scaled trace form.
+
+    The sub-triplet of gl(n) + gl(n), with the form lam1 tr(AA') + lam2
+    tr(BB') and the action written by E_ab E_ij = delta_bi E_aj and E_ij E_ab
+    = delta_ja E_ib, on the basis (Id, -Id), then sl(n) in each block: E_ab
+    for a != b in row-major order, then E_ii - E_(i+1)(i+1).
+    """
     lam1, lam2 = frac(lam1), frac(lam2)
     if n < 1:
         raise Refusal("n must be at least 1")
     if lam1 == 0 or lam2 == 0 or lam1 + lam2 == 0:
         raise Refusal("the block form needs lam1, lam2 and lam1+lam2 nonzero")
-    ident = Matrix.identity(n)
-    zero = Matrix.zeros(n, n)
-    pairs: list[tuple[Matrix, Matrix]] = [(ident, -ident)]
-    pairs += [(m, zero) for m in _sl_basis_matrices(n)]
-    pairs += [(zero, m) for m in _sl_basis_matrices(n)]
-    dim = len(pairs)
-
-    def flatten(pair: tuple[Matrix, Matrix]) -> Vector:
-        a, b = pair
-        return tuple(a.entries[i][j] for i in range(n) for j in range(n)) + tuple(
-            b.entries[i][j] for i in range(n) for j in range(n)
-        )
-
-    basis_m = Matrix.from_cols([flatten(p) for p in pairs], nrows=2 * n * n)
-    brackets = [tuple(support(flatten((ap @ aq - aq @ ap, bp @ bq - bq @ bp)))) for ap, bp in pairs for aq, bq in pairs]
-    g0 = algebra_in_basis(basis_m, brackets, "bracket escaped the block subalgebra; internal error")
-
-    def tr(m: Matrix) -> Fraction:
-        return sum((m.entries[i][i] for i in range(n)), ZERO)
-
-    gram = Matrix.from_rows(
-        [
-            [lam1 * tr(pairs[p][0] @ pairs[q][0]) + lam2 * tr(pairs[p][1] @ pairs[q][1]) for q in range(dim)]
-            for p in range(dim)
-        ]
+    nn, r = n * n, range(n)
+    diag = [a * (n + 1) for a in r]
+    sl = [[(a * n + b, 1)] for a in r for b in r if a != b]
+    sl += [[(diag[i], 1), (diag[i + 1], -1)] for i in range(n - 1)]
+    basis = [[(k, 1) for k in diag] + [(nn + k, -1) for k in diag]] + sl + [[(nn + k, x) for k, x in v] for v in sl]
+    trace = symplectic_form_gram(n, "trace")
+    gram = QuadraticForm(trace.scale(lam1)).direct_sum(QuadraticForm(trace.scale(lam2))).gram
+    # X = E_ij sits at index i*n + j; each map is {(row, column): value}
+    left = [{(a * n + j, b * n + j): ONE for j in r} for a in r for b in r]
+    right = [{(i * n + b, i * n + a): -ONE for i in r} for a in r for b in r]
+    action = tuple(
+        Matrix(nn, nn, tuple(tuple(m.get((p, q), ZERO) for q in range(nn)) for p in range(nn))) for m in left + right
     )
-    dim_v = n * n
-    action = []
-    for ap, bp in pairs:
-        cols = []
-        for i in range(n):
-            for j in range(n):
-                x = Matrix.from_rows([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
-                res = ap @ x - x @ bp
-                cols.append(tuple(res.entries[r][c] for r in range(n) for c in range(n)))
-        action.append(Matrix.from_cols(cols, nrows=dim_v))
-    return FundamentalTriplet(g0, QuadraticForm(gram), Representation(dim_v, tuple(action)))
+    g = _gl_structure(n).direct_sum(_gl_structure(n))
+    return _restrict(g, gram, Representation(nn, action), [dense(v, 2 * nn) for v in basis])
 
 
 def find_symmetrizer(cartan: Matrix) -> Vector:
@@ -309,6 +275,8 @@ def stabilizer_of_poly(n: int, p: PolyInvariant) -> list[Vector]:
         raise Refusal("the zero polynomial has full stabilizer; supply a nonzero one")
     if p.nvars != n:
         raise Refusal("variable count does not match n")
+    if not p.is_homogeneous():
+        raise Refusal("the polynomial must be homogeneous (the stabilizer is read in its one degree)")
     target = monomial_basis(n, p.degree())
     index = {alpha: k for k, alpha in enumerate(target.exponents)}
     basis = _gl_basis_matrices(n)
@@ -321,37 +289,22 @@ def stabilizer_of_poly(n: int, p: PolyInvariant) -> list[Vector]:
 
 def gen_stabilizer_triplet(p: PolyInvariant, center_scale) -> FundamentalTriplet:
     """The scalars plus the stabilizer of a polynomial, acting on the variable
-    space itself, the identity rescaled to act by center_scale."""
+    space itself, the identity rescaled to act by center_scale.
+
+    The sub-triplet of gl(n), with its trace form and defining action, on the
+    identity followed by the stabilizer basis.
+    """
     center_scale = frac(center_scale)
     if center_scale == 0:
         raise Refusal("the center must act nontrivially")
     n = p.nvars
     stab = stabilizer_of_poly(n, p)
-    mats = [Matrix.identity(n)] + [
-        Matrix.from_rows([[v[a * n + b] for b in range(n)] for a in range(n)]) for v in stab
-    ]
-    dim = len(mats)
-
-    def flatten(m: Matrix) -> Vector:
-        return tuple(m.entries[i][j] for i in range(n) for j in range(n))
-
-    basis_m = span_matrix([flatten(m) for m in mats], n * n)
-    if rank(basis_m) != dim:
+    if p.degree() == 0:  # p is homogeneous, so Id.p = deg(p) p: the identity fixes only a constant
         raise Refusal("identity lies in the stabilizer; the family does not apply")
-    brackets = [tuple(support(flatten(a @ b - b @ a))) for a in mats for b in mats]
-    g0 = algebra_in_basis(basis_m, brackets, "the stabilizer is not closed under the bracket; internal error")
-    gram = Matrix.from_rows(
-        [
-            [
-                sum(((mats[q1] @ mats[q2]).entries[i][i] for i in range(n)), ZERO)
-                for q2 in range(dim)
-            ]
-            for q1 in range(dim)
-        ]
-    )
-    if rank(gram) != dim:
+    gl = gen_symplectic(n, 1, 1, "trace")
+    ident = dense(((a * (n + 1), 1) for a in range(n)), n * n)
+    t = _restrict(gl.g0, gl.b0.gram, gl.rho, [ident] + stab)
+    if rank(t.b0.gram) != t.dim_g0:
         raise Refusal("the trace form is degenerate on this stabilizer family")
-    action = [Matrix.identity(n).scale(center_scale)] + [
-        mats[q] for q in range(1, dim)
-    ]
-    return FundamentalTriplet(g0, QuadraticForm(gram), Representation(n, tuple(action)))
+    action = (t.rho.action[0].scale(center_scale),) + t.rho.action[1:]
+    return FundamentalTriplet(t.g0, t.b0, Representation(n, action))

@@ -22,7 +22,6 @@ from functools import cached_property
 from .exactla import (
     Exact,
     Matrix,
-    Pairs,
     SparseCols,
     Vector,
     ZERO,
@@ -115,22 +114,23 @@ class LieAlgebraData:
         return LieAlgebraData(n + m, tuple(rows))
 
 
-def algebra_in_basis(m: Matrix, brackets: list[Pairs], refusal: str) -> LieAlgebraData:
-    """The algebra on the columns of m whose [e_p, e_q] has the nonzero pairs
-    brackets[p * m.cols + q], written in those columns by one elimination;
-    refuses with ``refusal`` when a bracket leaves their span."""
-    coords = solve_pairs(m, brackets)
-    if None in coords:
-        raise Refusal(refusal)
-    dim = m.cols
-    return LieAlgebraData(dim, tuple(tuple(coords[p * dim : (p + 1) * dim]) for p in range(dim)))
-
-
 def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> LieAlgebraData:
     """Structure constants of a subalgebra in the given basis; refuses with
-    ``refusal`` when a bracket leaves its span."""
-    brackets = [tuple(support(g.bracket(p, q))) for p in basis for q in basis]
-    return algebra_in_basis(span_matrix(basis, g.dim), brackets, f"{refusal}; inconsistent data")
+    ``refusal`` when a bracket leaves its span.  Each [b_p, b_q] is read off
+    the supports of b_p and b_q through the structure pairs, and all of them
+    are written in the basis by one elimination."""
+    table = g.structure_pairs
+    sups = [support(v) for v in basis]
+    brackets = []
+    for p in sups:
+        for q in sups:
+            acc = bilinear(p, q, lambda i, j: table[i][j], defaultdict(int))
+            brackets.append(tuple((k, x) for k, x in acc.items() if x))
+    coords = solve_pairs(span_matrix(basis, g.dim), brackets)
+    if None in coords:
+        raise Refusal(f"{refusal}; inconsistent data")
+    dim = len(basis)
+    return LieAlgebraData(dim, tuple(tuple(coords[p * dim : (p + 1) * dim]) for p in range(dim)))
 
 
 def basis_vector(dim: int, i: int) -> Vector:

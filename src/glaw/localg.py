@@ -55,7 +55,6 @@ class LocalAlgebra:
     triplet: FundamentalTriplet
     dual_action: Representation
     xy_table: tuple[tuple[Vector, ...], ...]  # [i over V][j over V*] -> g0 vector
-    gram_inverse: Matrix
 
     @property
     def dim_g0(self) -> int:
@@ -75,7 +74,7 @@ class LocalAlgebra:
         """
         t, dv = self.triplet, self.dim_v
         table = tuple(tuple(vneg(self.xy_table[j][i]) for j in range(dv)) for i in range(dv))
-        return LocalAlgebra(FundamentalTriplet(t.g0, t.b0, self.dual_action), t.rho, table, self.gram_inverse)
+        return LocalAlgebra(FundamentalTriplet(t.g0, t.b0, self.dual_action), t.rho, table)
 
     def act_v(self, u: Vector, x: Vector) -> Vector:
         return self.triplet.rho.act(u, x)
@@ -123,17 +122,16 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     g = t.b0.gram
     if rank(g) != t.dim_g0:
         raise Refusal("the invariant form is degenerate; no local bracket exists")
-    g_inv = inverse(g)
     n, dv = t.dim_g0, t.dim_v
     # T = G^{-1} R with R[a][(i, j)] = rho_a[j][i]: add rho_a[j][i] G^{-1}[:, a] into T[i][j]
-    inv_cols = SparseCols.from_matrix(g_inv).support
+    inv_cols = SparseCols.from_matrix(inverse(g)).support
     table = [[[ZERO] * n for _ in range(dv)] for _ in range(dv)]
     for a, rho_a in enumerate(t.rho.action_cols):
         for i, col in enumerate(rho_a.support):
             for j, x in col:
                 for k, y in inv_cols[a]:
                     table[i][j][k] += x * y
-    local = LocalAlgebra(t, dual_rep(t.rho), tuple(tuple(map(tuple, row)) for row in table), g_inv)
+    local = LocalAlgebra(t, dual_rep(t.rho), tuple(tuple(map(tuple, row)) for row in table))
     c, xy = t.g0.structure_pairs, local.xy_pairs
     bracket, xy_entry = (lambda p, q: c[p][q]), (lambda r, s: xy[r][s])
     for a, (rho_a, dual_a) in enumerate(zip(t.rho.action_cols, local.dual_action.action_cols)):

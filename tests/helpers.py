@@ -46,6 +46,27 @@ def gl_standard_triplet(n: int) -> FundamentalTriplet:
     return gen_symplectic(n, 1, 1, "trace")
 
 
+def sl_basis_matrices(n: int) -> list[Matrix]:
+    """sl(n) as dense matrices: E_ab for a != b in row-major order, then E_ii - E_(i+1)(i+1)."""
+    def unit(entries: dict) -> Matrix:
+        return Matrix.from_rows([[entries.get((i, j), 0) for j in range(n)] for i in range(n)])
+
+    off = [unit({(a, b): 1}) for a in range(n) for b in range(n) if a != b]
+    return off + [unit({(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
+
+
+def glblock_pairs(n: int) -> list[tuple[Matrix, Matrix]]:
+    """The basis of the glblock algebra as dense block pairs (A, B): (Id, -Id),
+    then (sl(n), 0), then (0, sl(n)); a model independent of the generator."""
+    ident = Matrix.identity(n)
+    zero = Matrix.zeros(n, n)
+    return (
+        [(ident, ident.scale(-1))]
+        + [(m, zero) for m in sl_basis_matrices(n)]
+        + [(zero, m) for m in sl_basis_matrices(n)]
+    )
+
+
 def random_rational_vector(rng: random.Random, dim: int, span: int = 4) -> tuple:
     return tuple(F(rng.randint(-span, span)) for _ in range(dim))
 

@@ -1,7 +1,13 @@
+import hashlib
+import io
+import json
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from glaw import (
     Matrix,
@@ -16,10 +22,13 @@ from glaw import (
     stabilizer_of_poly,
     validate,
 )
+from glaw.cli import canonical_json, emit_triplet_spec, main
 from glaw.exactla import subspace_equal, support, vis_zero
 from glaw.generators import _gl_structure, find_symmetrizer, symplectic_form_gram
 from glaw.liecore import basis_vector
 from glaw.sl2 import PolyInvariant
+
+from helpers import glblock_pairs, small_rationals
 
 F = Fraction
 
@@ -227,6 +236,41 @@ def test_stabilizer_triplet_center_scaling():
     assert grading_element(t) == basis_vector(t.dim_g0, 0)
 
 
+def test_stabilizer_refuses_a_non_homogeneous_polynomial():
+    # the lower-degree terms have no place in the top degree's monomial basis
+    p = PolyInvariant.from_string("x0^2+x1", 2)
+    with pytest.raises(Refusal, match="must be homogeneous"):
+        stabilizer_of_poly(2, p)
+    with pytest.raises(Refusal, match="must be homogeneous"):
+        gen_stabilizer_triplet(p, 2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3), small_rationals.filter(bool), small_rationals.filter(bool))
+def test_glblock_matches_the_dense_block_model(n, l1, l2):
+    # brackets, form and action against dense products of the basis pairs (A, B)
+    assume(l1 + l2 != 0)
+    t = gen_glblock(n, l1, l2)
+    pairs = glblock_pairs(n)
+
+    def flat(*mats):
+        return [m.entries[i][j] for m in mats for i in range(n) for j in range(n)]
+
+    def tr(m):
+        return sum(m.entries[i][i] for i in range(n))
+
+    r = range(n)
+    units = [Matrix.from_rows([[int((a, b) == (i, j)) for b in r] for a in r]) for i in r for j in r]
+    for p, (ap, bp) in enumerate(pairs):
+        for q, (aq, bq) in enumerate(pairs):
+            got = [F(0)] * (2 * n * n)
+            for k, c in t.g0.structure_pairs[p][q]:
+                got = [x + c * y for x, y in zip(got, flat(*pairs[k]))]
+            assert got == flat(ap @ aq - aq @ ap, bp @ bq - bq @ bp)
+            assert t.b0.gram.entries[p][q] == l1 * tr(ap @ aq) + l2 * tr(bp @ bq)
+        assert [list(col) for col in zip(*t.rho.action[p].entries)] == [flat(ap @ x - x @ bp) for x in units]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gl_structure_matches_matrix_commutators(n):
     # reference: [E_p, E_q] = E_p E_q - E_q E_p on elementary matrices, flattened row-major
@@ -240,3 +284,33 @@ def test_gl_structure_matches_matrix_commutators(n):
         tuple(tuple(support(flat(unit(p) @ unit(q) - unit(q) @ unit(p)))) for q in range(n * n)) for p in range(n * n)
     )
     assert _gl_structure(n).structure_pairs == reference
+
+
+GLBLOCK_LAMBDAS = (("1", "2"), ("1/2", "-3/4"), ("5", "1/3"))
+
+
+def emitted_specs() -> dict[str, str]:
+    """Key -> emitted spec text: `glaw gen glblock` for n = 1..5 and three
+    lambda pairs, and the stabilizer triplets of the quadrics in 2..5
+    variables with the center acting by 2 and by 1/3."""
+    out = {}
+    for n in range(1, 6):
+        for l1, l2 in GLBLOCK_LAMBDAS:
+            argv = ["gen", "glblock", "--n", str(n), "--lambda1", l1, f"--lambda2={l2}"]
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert main(argv) == 0
+            out[" ".join(argv)] = buf.getvalue()
+    for n in range(2, 6):
+        quad = "+".join(f"x{i}^2" for i in range(n))
+        for s in ("2", "1/3"):
+            name = f"stabilizer({quad},{s})"
+            t = gen_stabilizer_triplet(PolyInvariant.from_string(quad, n), F(s))
+            out[name] = canonical_json(emit_triplet_spec(t, name))
+    return out
+
+
+def test_generated_specs_match_the_recorded_digests():
+    recorded = json.loads((Path(__file__).parent / "golden" / "gen_specs.json").read_text(encoding="utf-8"))
+    got = {k: hashlib.sha256(text.encode()).hexdigest() for k, text in emitted_specs().items()}
+    assert got == recorded

@@ -25,7 +25,6 @@ from glaw import (
 )
 from glaw.exactla import inverse, solve, vis_zero, vneg
 from glaw.generators import (
-    _sl_basis_matrices,
     gen_glblock,
     gen_principal,
     gen_stabilizer_triplet,
@@ -38,7 +37,7 @@ from glaw.localg import IsoRefusal, LocalForm, LocalIsomorphism, local_iso_check
 from glaw.sl2 import PolyInvariant
 from glaw.tower import centralizer_graded, grow_both
 
-from helpers import E6_CARTAN, generator_triplets, gl_standard_triplet, sl2_triplet, small_rationals
+from helpers import E6_CARTAN, generator_triplets, gl_standard_triplet, glblock_pairs, sl2_triplet, small_rationals
 
 F = Fraction
 
@@ -111,16 +110,6 @@ def test_degree_two_bracket_matches_symmetric_matrix_model():
                     psi = psi.scale(2)
                 expected = phi @ psi
                 assert as_matrix(L.xy_table[a][b], n).entries == expected.entries
-
-
-def glblock_pairs(n):
-    ident = Matrix.identity(n)
-    zero = Matrix.zeros(n, n)
-    return (
-        [(ident, ident.scale(-1))]
-        + [(m, zero) for m in _sl_basis_matrices(n)]
-        + [(zero, m) for m in _sl_basis_matrices(n)]
-    )
 
 
 def glblock_vec_to_pair(vec, n):
@@ -201,7 +190,6 @@ def test_swapped_local_algebra_equals_the_rebuilt_one(family):
     assert L.swapped.triplet == ref.triplet
     assert L.swapped.dual_action == ref.dual_action
     assert L.swapped.xy_table == ref.xy_table
-    assert L.swapped.gram_inverse == ref.gram_inverse
 
 
 def test_build_local_refuses_a_triplet_breaking_mixed_jacobi():
