@@ -4,8 +4,9 @@ Scalars are ``fractions.Fraction`` at the API (already canonical: reduced,
 positive denominator, str() gives "p/q" or "p").  Vectors are tuples of
 Fractions; ``Matrix`` is an immutable dense row-major grid and ``SparseCols``
 an immutable matrix stored by columns, each column the tuple of its nonzero
-(row, value) pairs.  Inside sparse supports an integral value is kept as a
-Python ``int`` (``tight``) and any other as a ``Fraction``: both compare,
+(row, value) pairs.  In the sparse data glaw computes with (the exact views
+of liecore, the local table, the tower's maps, the reduced rows) an integral
+value is an ``int`` (``tight``) and any other a ``Fraction``: both compare,
 hash, print and expose numerator and denominator alike, and int
 multiply-adds are far cheaper.  Every dense result (``Matrix``, the dense
 views of ``SparseCols`` and ``ImageBasis``, kernels, solutions) holds only
@@ -54,6 +55,11 @@ def frac(x) -> Fraction:
 def tight(x: Exact) -> Exact:
     """x as an int when it is integral; any other value is returned as is."""
     return x.numerator if x.denominator == 1 else x
+
+
+def tight_pairs(pairs: Pairs) -> tuple[tuple[int, Exact], ...]:
+    """(index, value) pairs with each integral value as an int."""
+    return tuple((k, tight(x)) for k, x in pairs)
 
 
 @lru_cache(maxsize=4096)

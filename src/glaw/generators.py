@@ -57,7 +57,7 @@ def monomial_basis(n: int, p: int) -> MonomialBasis:
             for rest in compositions(total - head, parts - 1):
                 yield (head,) + rest
 
-    exps = tuple(compositions(p, n))
+    exps = tuple(compositions(p, n)) if n else ((),) if p == 0 else ()
     return MonomialBasis(n, p, exps)
 
 
@@ -275,6 +275,8 @@ def stabilizer_of_poly(n: int, p: PolyInvariant) -> list[Vector]:
         raise Refusal("the zero polynomial has full stabilizer; supply a nonzero one")
     if p.nvars != n:
         raise Refusal("variable count does not match n")
+    if n < 1:
+        raise Refusal("the polynomial needs at least one variable")
     if not p.is_homogeneous():
         raise Refusal("the polynomial must be homogeneous (the stabilizer is read in its one degree)")
     target = monomial_basis(n, p.degree())

@@ -9,7 +9,9 @@ dense dim^3 table; ``structure`` is a lazy view of it for readers outside
 glaw.  Validation is exhaustive on basis tuples, summing over nonzero entries
 only; Jacobi runs over i<j<k, which suffices once the separately checked
 antisymmetry holds.  The representation is stored dense, as its spec gives
-it, with the sparse view ``action_cols``.
+it, with the sparse view ``action_cols``.  Both hold Fractions; the cached
+views ``exact_pairs`` and ``exact_cols`` keep each integral value as a
+``tight`` int, and every multiply-add inside glaw reads those.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .exactla import (
     span_matrix,
     sparse_kernel,
     support,
-    tight,
+    tight_pairs,
 )
 
 
@@ -92,6 +94,11 @@ class LieAlgebraData:
     @staticmethod
     def abelian(dim: int) -> "LieAlgebraData":
         return LieAlgebraData(dim, (((),) * dim,) * dim)
+
+    @cached_property
+    def exact_pairs(self) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
+        """structure_pairs with each integral value as an int."""
+        return tuple(tuple(tight_pairs(p) for p in row) for row in self.structure_pairs)
 
     @cached_property
     def structure(self) -> tuple[tuple[Vector, ...], ...]:
@@ -169,6 +176,11 @@ class Representation:
         """The action matrices stored by columns."""
         return tuple(SparseCols.from_matrix(a) for a in self.action)
 
+    @cached_property
+    def exact_cols(self) -> tuple[SparseCols, ...]:
+        """action_cols with each integral value as an int."""
+        return tuple(SparseCols(m.rows, m.cols, tuple(map(tight_pairs, m.support))) for m in self.action_cols)
+
     def act(self, u: Vector, x: Vector) -> Vector:
         if len(u) != len(self.action):
             raise StructureError("coefficient vector does not match the algebra dimension")
@@ -224,12 +236,12 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
 
     Checks antisymmetry and Jacobi for the bracket, symmetry / nondegeneracy /
     invariance for the form, and the homomorphism property of the
-    representation, all on basis tuples.
+    representation, all on basis tuples, reading the exact views.
     """
     rep = ValidationReport()
     g, b0, rho = t.g0, t.b0, t.rho
     n = g.dim
-    c = g.structure_pairs
+    c = g.exact_pairs
     for i in range(n):
         for j in range(i, n):
             if c[i][j] != tuple((k, -x) for k, x in c[j][i]):
@@ -251,8 +263,8 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
         rep.add("form is degenerate")
     # B([e_i,e_j], e_k) = (G^T c_ij)[k] and B(e_i, [e_j,e_k]) = (G c_jk)[i], c_ij = [e_i,e_j];
     # both are zero unless (i,j,k) is in the support of one of the two products
-    g_rows = [support(r) for r in b0.gram.entries]
-    g_cols = SparseCols.from_matrix(b0.gram).support
+    g_rows = [tight_pairs(support(r)) for r in b0.gram.entries]
+    g_cols = [tight_pairs(col) for col in SparseCols.from_matrix(b0.gram).support]
     left, right = {}, {}
     for i in range(n):
         for j in range(n):
@@ -264,7 +276,7 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
     for i, j, k in sorted(suspects):
         if left.get((i, j), {}).get(k, 0) != right.get((j, k), {}).get(i, 0):
             rep.add(f"form invariance fails at basis triple ({i},{j},{k})")
-    cols = [m.support for m in rho.action_cols]
+    cols = [m.support for m in rho.exact_cols]
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(rho.dim_v):
@@ -311,10 +323,10 @@ def center(g: LieAlgebraData) -> list[Vector]:
     """Canonical basis of the center: the x with sum_i x_i c[i][j][k] = 0.
 
     Row (j, k) of that system holds c[i][j][k] at column i; the rows are
-    gathered from ``structure_pairs``, so only nonzero constants are read.
+    gathered from ``exact_pairs``, so only nonzero constants are read.
     """
-    rows: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
-    for i, row in enumerate(g.structure_pairs):
+    rows: dict[tuple[int, int], dict[int, Exact]] = defaultdict(dict)
+    for i, row in enumerate(g.exact_pairs):
         for j, pairs in enumerate(row):
             for k, x in pairs:
                 rows[j, k][i] = x
@@ -323,8 +335,8 @@ def center(g: LieAlgebraData) -> list[Vector]:
 
 def rep_kernel(r: Representation, g: LieAlgebraData) -> list[Vector]:
     """Canonical basis of the kernel of rho: row (p, q) holds rho_i[p][q] at column i."""
-    rows: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
-    for i, a in enumerate(r.action_cols):
+    rows: dict[tuple[int, int], dict[int, Exact]] = defaultdict(dict)
+    for i, a in enumerate(r.exact_cols):
         for q, col in enumerate(a.support):
             for p, x in col:
                 rows[p, q][i] = x
@@ -364,10 +376,10 @@ def killing_form(g: LieAlgebraData) -> Matrix:
     """
     n = g.dim
     at: dict[tuple[int, int], list[tuple[int, Exact]]] = defaultdict(list)
-    for i, row in enumerate(g.structure_pairs):
+    for i, row in enumerate(g.exact_pairs):
         for b, pairs in enumerate(row):
             for a, x in pairs:
-                at[a, b].append((i, tight(x)))
+                at[a, b].append((i, x))
     acc: dict[tuple[int, int], Exact] = defaultdict(int)
     for (a, b), left in at.items():
         right = at.get((b, a), ())

@@ -2,8 +2,10 @@
 
 The degree-(1,-1) bracket [X,Y] is the unique g0 element with
 B0([X,Y],U) = Y(rho(U)X); the table of these is one G^{-1} R product over the
-nonzeros of rho.  Sign conventions, fixed once: [Y,X] = -[X,Y]; the table
-always stores [X,Y] with the V side first; [U,Y] is the contragredient action.
+nonzeros of rho, built and checked on ints (see ``build_local``) and stored as
+``xy_pairs``; ``xy_table`` is its dense Fraction view.  Sign conventions,
+fixed once: [Y,X] = -[X,Y]; the table always stores [X,Y] with the V side
+first; [U,Y] is the contragredient action.
 """
 
 from __future__ import annotations
@@ -12,13 +14,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .exactla import (
+    Exact,
     Matrix,
     SparseCols,
     Vector,
     ZERO,
     bilinear,
+    dense,
     hstack,
     image_basis,
     inverse,
@@ -54,7 +59,8 @@ from .liecore import (
 class LocalAlgebra:
     triplet: FundamentalTriplet
     dual_action: Representation
-    xy_table: tuple[tuple[Vector, ...], ...]  # [i over V][j over V*] -> g0 vector
+    # [i over V][j over V*] -> [X_i, Y_j] as its nonzero (k, value) pairs, integral values as ints
+    xy_pairs: tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]
 
     @property
     def dim_g0(self) -> int:
@@ -72,8 +78,8 @@ class LocalAlgebra:
         = -[X_j, Y_i].  Its mixed Jacobi identity is this one's with i and j
         exchanged and both sides negated, so nothing is re-checked.
         """
-        t, dv = self.triplet, self.dim_v
-        table = tuple(tuple(vneg(self.xy_table[j][i]) for j in range(dv)) for i in range(dv))
+        t, dv, xy = self.triplet, self.dim_v, self.xy_pairs
+        table = tuple(tuple(tuple((k, -x) for k, x in xy[j][i]) for j in range(dv)) for i in range(dv))
         return LocalAlgebra(FundamentalTriplet(t.g0, t.b0, self.dual_action), t.rho, table)
 
     def act_v(self, u: Vector, x: Vector) -> Vector:
@@ -88,9 +94,9 @@ class LocalAlgebra:
         return transitivity_check(self)
 
     @cached_property
-    def xy_pairs(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """xy_table[i][j] as its nonzero (k, coefficient) pairs."""
-        return tuple(tuple(tuple(support(v)) for v in row) for row in self.xy_table)
+    def xy_table(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense view: xy_table[i][j] is [X_i, Y_j] as a g0 vector of Fractions."""
+        return tuple(tuple(dense(p, self.dim_g0) for p in row) for row in self.xy_pairs)
 
     def bracket_xy(self, x: Vector, y: Vector) -> Vector:
         table = self.xy_pairs
@@ -112,40 +118,57 @@ class LocalAlgebra:
         return self.bracket_xy(va, vb) if da == 1 else self.bracket_yx(va, vb)
 
 
+def _integral(pairs, s: int) -> tuple[tuple[int, int], ...]:
+    """s times the (index, value) pairs, as ints: s is a multiple of every denominator."""
+    return tuple((k, x.numerator * (s // x.denominator)) for k, x in pairs)
+
+
 def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     """Construct the local algebra; refuses a degenerate form.
 
-    The mixed Jacobi identity [U,[X,Y]] = [[U,X],Y] + [X,[U,Y]] is re-verified
-    as a post-check: ad(e_a) T = T (rho_a (x) 1 + 1 (x) rho_a^*) for the table
-    T: V (x) V* -> g0, on all (a, i, j); failure means the triplet was invalid.
+    G^{-1} comes from one elimination of [G | Id].  With d the lcm of its
+    denominators, e that of rho and rho' = e rho, the table T = G^{-1} R
+    (R[a][(i, j)] = rho_a[j][i]) is built as the integral T' = de T.  The
+    mixed Jacobi identity ad(e_a) T = T (rho_a (x) 1 + 1 (x) rho_a^*) is
+    re-verified on all (a, i, j) times de^2, as
+    e ad(e_a) T' = T' (rho'_a (x) 1 + 1 (x) rho'^*_a): every term is linear
+    in T, so it fails exactly where the plain identity does, which means the
+    triplet was invalid.  T' is divided by de once, into ``xy_pairs``.
     """
-    g = t.b0.gram
-    if rank(g) != t.dim_g0:
-        raise Refusal("the invariant form is degenerate; no local bracket exists")
     n, dv = t.dim_g0, t.dim_v
-    # T = G^{-1} R with R[a][(i, j)] = rho_a[j][i]: add rho_a[j][i] G^{-1}[:, a] into T[i][j]
-    inv_cols = SparseCols.from_matrix(inverse(g)).support
-    table = [[[ZERO] * n for _ in range(dv)] for _ in range(dv)]
-    for a, rho_a in enumerate(t.rho.action_cols):
-        for i, col in enumerate(rho_a.support):
+    inv = solve_pairs(t.b0.gram, [((a, 1),) for a in range(n)])
+    if None in inv:
+        raise Refusal("the invariant form is degenerate; no local bracket exists")
+    d = lcm(*(x.denominator for col in inv for _, x in col))
+    e = lcm(*(x.denominator for m in t.rho.action_cols for col in m.support for _, x in col))
+    inv = [_integral(col, d) for col in inv]
+    dual_action = dual_rep(t.rho)
+    rho, dual = ([[_integral(col, e) for col in m.support] for m in r.action_cols] for r in (t.rho, dual_action))
+    # T'[i][j] gets rho'_a[j][i] (d G^{-1})[:, a] for each nonzero rho'_a[j][i]
+    cells = [[defaultdict(int) for _ in range(dv)] for _ in range(dv)]
+    for a, cols in enumerate(rho):
+        for i, col in enumerate(cols):
             for j, x in col:
-                for k, y in inv_cols[a]:
-                    table[i][j][k] += x * y
-    local = LocalAlgebra(t, dual_rep(t.rho), tuple(tuple(map(tuple, row)) for row in table))
-    c, xy = t.g0.structure_pairs, local.xy_pairs
+                cell = cells[i][j]
+                for k, y in inv[a]:
+                    cell[k] += x * y
+    xy = [[tuple(sorted((k, v) for k, v in cell.items() if v)) for cell in row] for row in cells]
+    c = t.g0.exact_pairs
     bracket, xy_entry = (lambda p, q: c[p][q]), (lambda r, s: xy[r][s])
-    for a, (rho_a, dual_a) in enumerate(zip(t.rho.action_cols, local.dual_action.action_cols)):
+    for a in range(n):
         for i in range(dv):
             for j in range(dv):
-                acc = bilinear(((a, 1),), xy[i][j], bracket, defaultdict(int))
-                bilinear(rho_a.support[i], ((j, -1),), xy_entry, acc)
-                bilinear(((i, -1),), dual_a.support[j], xy_entry, acc)
+                acc = bilinear(((a, e),), xy[i][j], bracket, defaultdict(int))
+                bilinear(rho[a][i], ((j, -1),), xy_entry, acc)
+                bilinear(((i, -1),), dual[a][j], xy_entry, acc)
                 if any(acc.values()):
                     raise Refusal(
                         f"mixed Jacobi identity fails at (g0={a}, V={i}, V*={j}); "
                         "the input triplet does not satisfy the construction hypotheses"
                     )
-    return local
+    de = d * e
+    xy = [tuple(tuple((k, v // de if v % de == 0 else Fraction(v, de)) for k, v in p) for p in row) for row in xy]
+    return LocalAlgebra(t, dual_action, tuple(xy))
 
 
 @dataclass(frozen=True)

@@ -118,18 +118,9 @@ def _unit(i: int) -> tuple[tuple[int, int]]:
     return ((i, 1),)
 
 
-def _tight(pairs) -> tuple[tuple[int, Exact], ...]:
-    """(index, value) pairs with integral values as ints."""
-    return tuple((k, tight(x)) for k, x in pairs)
-
-
 def _pairs(v: Sparse) -> tuple[tuple[int, Exact], ...]:
     """The nonzero entries of a sparse vector in increasing index order, integral ones as ints."""
     return tuple((k, x if type(x) is int else tight(x)) for k, x in sorted(v.items()) if x)
-
-
-def _tight_cols(m: SparseCols) -> SparseCols:
-    return SparseCols(m.rows, m.cols, tuple(map(_tight, m.support)))
 
 
 class _Graded:
@@ -139,8 +130,7 @@ class _Graded:
     bound from ``pos`` (degrees 1, 2, ...), ``neg`` (-1, -2, ...) and ``add``;
     an unbound degree is zero.  Arguments are given by their nonzero (index,
     coefficient) pairs; each method adds its value into ``out`` (a dense list,
-    or a new sparse vector when omitted) and returns it.  The g0 structure
-    pairs are read with integral values as ints, like the stored maps.
+    or a new sparse vector when omitted) and returns it.
     """
 
     def __init__(self, g0: LieAlgebraData, pos=(), neg=()):
@@ -153,15 +143,11 @@ class _Graded:
         self.comps[d] = comp
         self.dims[d] = comp.dim
 
-    @cached_property
-    def g0_pairs(self) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
-        return tuple(tuple(map(_tight, row)) for row in self.g0.structure_pairs)
-
     def act0(self, d: int, u, w, out: Sparse | list | None = None) -> Sparse | list:
         """[u, w] for u in g0 and w of degree d."""
         out = defaultdict(int) if out is None else out
         if d == 0:
-            table = self.g0_pairs
+            table = self.g0.exact_pairs
             return bilinear(u, w, lambda a, b: table[a][b], out)
         mats = self.comps[d].act0
         return bilinear(u, w, lambda a, l: mats[a].support[l], out)
@@ -231,11 +217,10 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
     dv, n0 = t.dim_v, t.dim_g0
     table = growth.xy_pairs
     lower1 = tuple(
-        SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in _tight(table[i][j])) for i in range(dv)))
-        for j in range(dv)
+        SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in table[i][j]) for i in range(dv))) for j in range(dv)
     )
     gr = _Graded(t.g0)
-    gr.add(1, GradedComponent(sign, dv, lower1, (), None, lambda: tuple(map(_tight_cols, t.rho.action_cols))))
+    gr.add(1, GradedComponent(sign, dv, lower1, (), None, lambda: t.rho.exact_cols))
     phis: list[SparseCols] = []
     while (n := len(gr.comps)) < max_degree and gr.dims[n]:
         cur_dim = gr.dims[n]
@@ -430,7 +415,7 @@ class _WordLowering:
     def __init__(self, L: LocalAlgebra, n: int):
         self.n = n
         self.xy = L.xy_pairs
-        self.rho = L.triplet.rho.action_cols
+        self.rho = L.triplet.rho.exact_cols
         self.acts: dict[tuple[int, int, int], dict[int, Exact]] = {}
         self.lowered: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Exact]] = {}
         self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Exact]] = {}
@@ -578,7 +563,7 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
         blocks[d] = (len(labels), asm.dims[d])
         labels.extend([d] * asm.dims[d])
     total = len(labels)
-    pairs = [[()] * total for _ in range(total)]
+    exact = [[()] * total for _ in range(total)]
     for n, da in enumerate(degrees):
         oa, na = blocks[da]
         for db in degrees[n:]:
@@ -590,9 +575,11 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
                 i = oa + sa
                 for sb in range(sa + 1 if da == db else 0, nb):
                     v = asm.bracket_basis(da, sa, db, sb)
-                    pairs[i][ob + sb] = tuple((o + k, frac(x)) for k, x in v)
-                    pairs[ob + sb][i] = tuple((o + k, frac(-x)) for k, x in v)
-    algebra = LieAlgebraData(total, tuple(map(tuple, pairs)))
+                    exact[i][ob + sb] = tuple((o + k, x) for k, x in v)
+                    exact[ob + sb][i] = tuple((o + k, -x) for k, x in v)
+    pairs = tuple(tuple(tuple((k, frac(x)) for k, x in p) if p else () for p in row) for row in exact)
+    algebra = LieAlgebraData(total, pairs)
+    algebra.__dict__["exact_pairs"] = tuple(map(tuple, exact))  # the cached_property's slot
     return AssembledAlgebra(algebra, tuple(labels), blocks)
 
 

@@ -205,10 +205,10 @@ def generator_triplets(draw, min_n=1):
     return gen_with_trivial_summand(t, draw(st.integers(0, 1)))
 
 
-def dense_kernel(rows, ncols: int) -> list[tuple]:
-    """Canonical null-space basis (free variables set to 1, increasing) by
-    textbook Gauss-Jordan on dense Fraction rows; an oracle independent of
-    glaw's elimination."""
+def dense_rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of dense rows and its pivot columns, by
+    textbook Gauss-Jordan on Fractions; an oracle independent of glaw's
+    elimination."""
     m = [[F(x) for x in row] for row in rows]
     pivots: list[int] = []
     for c in range(ncols):
@@ -223,6 +223,13 @@ def dense_kernel(rows, ncols: int) -> list[tuple]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
+    return m, pivots
+
+
+def dense_kernel(rows, ncols: int) -> list[tuple]:
+    """Canonical null-space basis (free variables set to 1, increasing) read
+    off ``dense_rref``."""
+    m, pivots = dense_rref(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         v = [F(0)] * ncols
@@ -231,3 +238,40 @@ def dense_kernel(rows, ncols: int) -> list[tuple]:
             v[pc] = -m[k][free]
         basis.append(tuple(v))
     return basis
+
+
+def dense_inverse(g: Matrix) -> list[list[Fraction]] | None:
+    """The inverse of a square matrix from ``dense_rref`` of [g | Id], None when singular."""
+    n = g.rows
+    m, pivots = dense_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g.entries)], 2 * n)
+    return [row[n:] for row in m] if pivots[:n] == list(range(n)) else None
+
+
+def dense_xy_table(t: FundamentalTriplet) -> tuple:
+    """The local table T = G^{-1} R on dense Fractions: T[i][j] is the sum over
+    a of rho_a[j][i] times column a of G^{-1}."""
+    inv, n, dv = dense_inverse(t.b0.gram), t.dim_g0, t.dim_v
+    rho = [m.entries for m in t.rho.action]
+    return tuple(
+        tuple(tuple(sum((inv[k][a] * rho[a][j][i] for a in range(n)), F(0)) for k in range(n)) for j in range(dv))
+        for i in range(dv)
+    )
+
+
+def mixed_jacobi_failure(t: FundamentalTriplet) -> tuple[int, int, int] | None:
+    """The first (a, i, j) in lexicographic order where the unscaled identity
+    [e_a, T_ij] = T(rho_a X_i, Y_j) + T(X_i, rho_a^* Y_j) fails, on dense
+    Fractions, or None when it holds everywhere.  rho_a^* = -rho_a^T."""
+    table, n, dv = dense_xy_table(t), t.dim_g0, t.dim_v
+    c, rho = t.g0.structure, [m.entries for m in t.rho.action]
+    for a in range(n):
+        for i in range(dv):
+            for j in range(dv):
+                lhs = [sum((table[i][j][k] * c[a][k][p] for k in range(n)), F(0)) for p in range(n)]
+                rhs = [
+                    sum((rho[a][m][i] * table[m][j][p] - rho[a][j][m] * table[i][m][p] for m in range(dv)), F(0))
+                    for p in range(n)
+                ]
+                if lhs != rhs:
+                    return a, i, j
+    return None

@@ -68,6 +68,13 @@ def test_monomial_basis_order_and_size():
     assert all(a > b for a, b in zip(mono.exponents, mono.exponents[1:]))
 
 
+def test_monomial_basis_in_no_variables():
+    # the constants are the one monomial of degree 0; no monomial has a higher degree
+    assert monomial_basis(0, 0).exponents == ((),)
+    for p in (1, 2, 3):
+        assert monomial_basis(0, p).exponents == ()
+
+
 def test_degree_one_family_is_the_standard_action():
     t = gen_symplectic(3, 1, 1, "trace")
     for a in range(3):
@@ -242,6 +249,14 @@ def test_stabilizer_refuses_a_non_homogeneous_polynomial():
     with pytest.raises(Refusal, match="must be homogeneous"):
         stabilizer_of_poly(2, p)
     with pytest.raises(Refusal, match="must be homogeneous"):
+        gen_stabilizer_triplet(p, 2)
+
+
+def test_stabilizer_refuses_a_polynomial_in_no_variables():
+    p = PolyInvariant.from_dict(0, {(): 3})
+    with pytest.raises(Refusal, match="at least one variable"):
+        stabilizer_of_poly(0, p)
+    with pytest.raises(Refusal, match="at least one variable"):
         gen_stabilizer_triplet(p, 2)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from glaw import (
     FundamentalTriplet,
@@ -23,7 +23,7 @@ from glaw import (
     triplet_iso_extend,
     validate,
 )
-from glaw.exactla import inverse, solve, vis_zero, vneg
+from glaw.exactla import inverse, solve, support, tight_pairs, vis_zero, vneg
 from glaw.generators import (
     gen_glblock,
     gen_principal,
@@ -37,7 +37,16 @@ from glaw.localg import IsoRefusal, LocalForm, LocalIsomorphism, local_iso_check
 from glaw.sl2 import PolyInvariant
 from glaw.tower import centralizer_graded, grow_both
 
-from helpers import E6_CARTAN, generator_triplets, gl_standard_triplet, glblock_pairs, sl2_triplet, small_rationals
+from helpers import (
+    E6_CARTAN,
+    dense_xy_table,
+    generator_triplets,
+    gl_standard_triplet,
+    glblock_pairs,
+    mixed_jacobi_failure,
+    sl2_triplet,
+    small_rationals,
+)
 
 F = Fraction
 
@@ -50,11 +59,74 @@ def as_vec(m, n):
     return tuple(m.entries[i][j] for i in range(n) for j in range(n))
 
 
+DEGENERATE = "the invariant form is degenerate; no local bracket exists"
+
+
 def test_build_local_refuses_degenerate_form():
     t = gl_standard_triplet(2)
     broken = FundamentalTriplet(t.g0, QuadraticForm(Matrix.zeros(4, 4)), t.rho)
-    with pytest.raises(Refusal):
+    with pytest.raises(Refusal, match=DEGENERATE):
         build_local(broken)
+
+
+def test_build_local_refuses_a_nonzero_form_with_two_equal_rows():
+    # rank 3: eliminating [G | Id] leaves a row pivoted in the identity block
+    t = gl_standard_triplet(2)
+    gram = Matrix.from_rows([[1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 1]])
+    with pytest.raises(Refusal) as err:
+        build_local(FundamentalTriplet(t.g0, QuadraticForm(gram), t.rho))
+    assert str(err.value) == DEGENERATE
+
+
+# G^{-1} has thirds under the g2 form (d = 3); rho has thirds on gl(3) cubics (e = 3)
+G2_FORM = gen_symplectic(2, 3, 1, "g2")
+RHO_THIRDS = gen_symplectic(3, 3, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_triplets())
+@example(G2_FORM)
+@example(RHO_THIRDS)
+def test_local_table_matches_a_fraction_oracle(t):
+    L = build_local(t)
+    assert L.xy_table == dense_xy_table(t)
+    assert L.xy_pairs == tuple(tuple(tight_pairs(support(v)) for v in row) for row in L.xy_table)
+
+
+def perturbed(t: FundamentalTriplet, on_rho: bool, seed: int) -> FundamentalTriplet:
+    """t with one entry of one rho_a, or one structure constant, moved by a nonzero rational."""
+    rng = random.Random(seed)
+    delta = F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+    n, dv = t.dim_g0, t.dim_v
+    if on_rho:
+        a, r, c = rng.randrange(n), rng.randrange(dv), rng.randrange(dv)
+        rows = [list(row) for row in t.rho.action[a].entries]
+        rows[r][c] += delta
+        action = t.rho.action[:a] + (Matrix.from_rows(rows),) + t.rho.action[a + 1 :]
+        return FundamentalTriplet(t.g0, t.b0, Representation(dv, action))
+    i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    table = [[list(v) for v in row] for row in t.g0.structure]
+    table[i][j][k] += delta
+    return FundamentalTriplet(LieAlgebraData.from_table(table), t.b0, t.rho)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_triplets(), st.booleans(), st.integers(0, 2**16))
+@example(G2_FORM, True, 0)
+@example(G2_FORM, False, 1)
+@example(RHO_THIRDS, True, 2)
+@example(RHO_THIRDS, False, 3)
+def test_mixed_jacobi_refusal_matches_a_fraction_scan(t, on_rho, seed):
+    # the check runs scaled by de^2 on ints; it must refuse at the first (a, i, j) of the plain scan
+    u = perturbed(t, on_rho, seed)
+    failure = mixed_jacobi_failure(u)
+    if failure is None:
+        assert build_local(u).xy_table == dense_xy_table(u)
+        return
+    a, i, j = failure
+    with pytest.raises(Refusal) as err:
+        build_local(u)
+    assert str(err.value).startswith(f"mixed Jacobi identity fails at (g0={a}, V={i}, V*={j}); ")
 
 
 def test_zero_action_vector_brackets_to_zero():
