@@ -4,11 +4,11 @@ Scalars are ``fractions.Fraction`` at the API (already canonical: reduced,
 positive denominator, str() gives "p/q" or "p").  Vectors are tuples of
 Fractions; ``Matrix`` is an immutable dense row-major grid and ``SparseCols``
 an immutable matrix stored by columns, each column the tuple of its nonzero
-(row, value) pairs.  In the sparse data glaw computes with (the exact views
-of liecore, the local table, the tower's maps, the reduced rows) an integral
-value is an ``int`` (``tight``) and any other a ``Fraction``: both compare,
-hash, print and expose numerator and denominator alike, and int
-multiply-adds are far cheaper.  Every dense result (``Matrix``, the dense
+(row, value) pairs.  In every sparse store of glaw (liecore's structure
+pairs and action columns, the local table, the tower's maps, reduced rows)
+an integral value is an ``int`` (``tight``) and any other a ``Fraction``:
+both compare, hash, print and expose numerator and denominator alike, and
+int multiply-adds are far cheaper.  Every dense result (``Matrix``, the dense
 views of ``SparseCols`` and ``ImageBasis``, kernels, solutions) holds only
 Fractions, converted by ``frac`` where it is built.  Elimination runs on
 sparse integer rows ({column: int}, denominators cleared, each row divided
@@ -255,7 +255,8 @@ class SparseCols(NamedTuple):
 
     @staticmethod
     def from_matrix(m: Matrix) -> "SparseCols":
-        return SparseCols(m.rows, m.cols, tuple(tuple(support(m.col(j))) for j in range(m.cols)))
+        """The columns of a dense matrix, each integral value as an int."""
+        return SparseCols(m.rows, m.cols, tuple(tight_pairs(support(m.col(j))) for j in range(m.cols)))
 
     def col(self, j: int) -> Vector:
         return dense(self.support[j], self.rows)

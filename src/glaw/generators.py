@@ -80,7 +80,7 @@ def _gl_structure(n: int) -> LieAlgebraData:
             terms[a * n + d] = 1
         if d == a:
             terms[c * n + b] = terms.get(c * n + b, 0) - 1
-        return tuple((k, Fraction(x)) for k, x in sorted(terms.items()) if x)
+        return tuple((k, x) for k, x in sorted(terms.items()) if x)
 
     r = range(n)
     return LieAlgebraData(n * n, tuple(tuple(bracket(a, b, c, d) for c in r for d in r) for a in r for b in r))

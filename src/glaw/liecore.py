@@ -9,9 +9,9 @@ dense dim^3 table; ``structure`` is a lazy view of it for readers outside
 glaw.  Validation is exhaustive on basis tuples, summing over nonzero entries
 only; Jacobi runs over i<j<k, which suffices once the separately checked
 antisymmetry holds.  The representation is stored dense, as its spec gives
-it, with the sparse view ``action_cols``.  Both hold Fractions; the cached
-views ``exact_pairs`` and ``exact_cols`` keep each integral value as a
-``tight`` int, and every multiply-add inside glaw reads those.
+it, with the sparse view ``action_cols``.  Both sparse stores hold an int
+exactly where a value is integral and a Fraction elsewhere, and every
+multiply-add inside glaw reads them; every dense view holds Fractions.
 """
 
 from __future__ import annotations
@@ -65,23 +65,33 @@ class NoTriple(Refusal):
 @dataclass(frozen=True)
 class LieAlgebraData:
     """A Lie algebra on basis e_0..e_{dim-1}; structure_pairs[i][j] is
-    [e_i, e_j] as its nonzero (k, coefficient) pairs in increasing k, and
-    every zero bracket is the empty tuple."""
+    [e_i, e_j] as its nonzero (k, coefficient) pairs in increasing k, each
+    coefficient given as an int or a Fraction and stored as an int exactly
+    when it is integral; every zero bracket is the empty tuple."""
 
     dim: int
-    structure_pairs: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+    structure_pairs: tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]
 
     def __post_init__(self):
         n = self.dim
         if len(self.structure_pairs) != n or any(len(row) != n for row in self.structure_pairs):
             raise StructureError("structure table has wrong shape")
+        rows = []
         for row in self.structure_pairs:
+            out = []
             for pairs in row:
-                last = -1
+                last, ints = -1, True
                 for k, x in pairs:
+                    if type(x) is not int:
+                        if not isinstance(x, Fraction):
+                            raise StructureError(f"structure constant {x!r} is not an int or a Fraction")
+                        ints = False
                     if not (last < k < n and x):
                         raise StructureError("structure pairs must be nonzero at increasing indices below dim")
                     last = k
+                out.append(pairs if ints else tight_pairs(pairs))
+            rows.append(tuple(out))
+        object.__setattr__(self, "structure_pairs", tuple(rows))  # the dataclass is frozen
 
     @staticmethod
     def from_table(table) -> "LieAlgebraData":
@@ -94,11 +104,6 @@ class LieAlgebraData:
     @staticmethod
     def abelian(dim: int) -> "LieAlgebraData":
         return LieAlgebraData(dim, (((),) * dim,) * dim)
-
-    @cached_property
-    def exact_pairs(self) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
-        """structure_pairs with each integral value as an int."""
-        return tuple(tuple(tight_pairs(p) for p in row) for row in self.structure_pairs)
 
     @cached_property
     def structure(self) -> tuple[tuple[Vector, ...], ...]:
@@ -173,13 +178,8 @@ class Representation:
 
     @cached_property
     def action_cols(self) -> tuple[SparseCols, ...]:
-        """The action matrices stored by columns."""
+        """The action matrices stored by columns, integral values as ints."""
         return tuple(SparseCols.from_matrix(a) for a in self.action)
-
-    @cached_property
-    def exact_cols(self) -> tuple[SparseCols, ...]:
-        """action_cols with each integral value as an int."""
-        return tuple(SparseCols(m.rows, m.cols, tuple(map(tight_pairs, m.support))) for m in self.action_cols)
 
     def act(self, u: Vector, x: Vector) -> Vector:
         if len(u) != len(self.action):
@@ -236,12 +236,12 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
 
     Checks antisymmetry and Jacobi for the bracket, symmetry / nondegeneracy /
     invariance for the form, and the homomorphism property of the
-    representation, all on basis tuples, reading the exact views.
+    representation, all on basis tuples, reading the sparse stores.
     """
     rep = ValidationReport()
     g, b0, rho = t.g0, t.b0, t.rho
     n = g.dim
-    c = g.exact_pairs
+    c = g.structure_pairs
     for i in range(n):
         for j in range(i, n):
             if c[i][j] != tuple((k, -x) for k, x in c[j][i]):
@@ -264,7 +264,7 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
     # B([e_i,e_j], e_k) = (G^T c_ij)[k] and B(e_i, [e_j,e_k]) = (G c_jk)[i], c_ij = [e_i,e_j];
     # both are zero unless (i,j,k) is in the support of one of the two products
     g_rows = [tight_pairs(support(r)) for r in b0.gram.entries]
-    g_cols = [tight_pairs(col) for col in SparseCols.from_matrix(b0.gram).support]
+    g_cols = SparseCols.from_matrix(b0.gram).support
     left, right = {}, {}
     for i in range(n):
         for j in range(n):
@@ -276,7 +276,7 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
     for i, j, k in sorted(suspects):
         if left.get((i, j), {}).get(k, 0) != right.get((j, k), {}).get(i, 0):
             rep.add(f"form invariance fails at basis triple ({i},{j},{k})")
-    cols = [m.support for m in rho.exact_cols]
+    cols = [m.support for m in rho.action_cols]
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(rho.dim_v):
@@ -295,17 +295,17 @@ def dual_rep(r: Representation) -> Representation:
 
     Built from the nonzeros of ``action_cols``: column l of rho_a is row l of
     -rho_a^T, and row i of rho_a is column i of -rho_a^T, which also gives the
-    dual's own ``action_cols``.
+    dual's own ``action_cols``; the dense matrices get ``frac`` of each value.
     """
     n = r.dim_v
     mats, dual_cols = [], []
     for a in r.action_cols:
         rows = [[ZERO] * n for _ in range(n)]
-        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        cols: list[list[tuple[int, Exact]]] = [[] for _ in range(n)]
         for l, col in enumerate(a.support):
             for i, x in col:
-                rows[l][i] = y = -x
-                cols[i].append((l, y))
+                rows[l][i] = frac(-x)
+                cols[i].append((l, -x))
         mats.append(Matrix(n, n, tuple(map(tuple, rows))))
         dual_cols.append(SparseCols(n, n, tuple(map(tuple, cols))))
     d = Representation(n, tuple(mats))
@@ -323,10 +323,10 @@ def center(g: LieAlgebraData) -> list[Vector]:
     """Canonical basis of the center: the x with sum_i x_i c[i][j][k] = 0.
 
     Row (j, k) of that system holds c[i][j][k] at column i; the rows are
-    gathered from ``exact_pairs``, so only nonzero constants are read.
+    gathered from ``structure_pairs``, so only nonzero constants are read.
     """
     rows: dict[tuple[int, int], dict[int, Exact]] = defaultdict(dict)
-    for i, row in enumerate(g.exact_pairs):
+    for i, row in enumerate(g.structure_pairs):
         for j, pairs in enumerate(row):
             for k, x in pairs:
                 rows[j, k][i] = x
@@ -336,7 +336,7 @@ def center(g: LieAlgebraData) -> list[Vector]:
 def rep_kernel(r: Representation, g: LieAlgebraData) -> list[Vector]:
     """Canonical basis of the kernel of rho: row (p, q) holds rho_i[p][q] at column i."""
     rows: dict[tuple[int, int], dict[int, Exact]] = defaultdict(dict)
-    for i, a in enumerate(r.exact_cols):
+    for i, a in enumerate(r.action_cols):
         for q, col in enumerate(a.support):
             for p, x in col:
                 rows[p, q][i] = x
@@ -376,7 +376,7 @@ def killing_form(g: LieAlgebraData) -> Matrix:
     """
     n = g.dim
     at: dict[tuple[int, int], list[tuple[int, Exact]]] = defaultdict(list)
-    for i, row in enumerate(g.exact_pairs):
+    for i, row in enumerate(g.structure_pairs):
         for b, pairs in enumerate(row):
             for a, x in pairs:
                 at[a, b].append((i, x))

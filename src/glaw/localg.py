@@ -153,7 +153,7 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
                 for k, y in inv[a]:
                     cell[k] += x * y
     xy = [[tuple(sorted((k, v) for k, v in cell.items() if v)) for cell in row] for row in cells]
-    c = t.g0.exact_pairs
+    c = t.g0.structure_pairs
     bracket, xy_entry = (lambda p, q: c[p][q]), (lambda r, s: xy[r][s])
     for a in range(n):
         for i in range(dv):

@@ -30,7 +30,6 @@ from .exactla import (
     ZERO,
     bilinear,
     dense,
-    frac,
     image_basis,
     rank,
     solve_pairs,
@@ -147,7 +146,7 @@ class _Graded:
         """[u, w] for u in g0 and w of degree d."""
         out = defaultdict(int) if out is None else out
         if d == 0:
-            table = self.g0.exact_pairs
+            table = self.g0.structure_pairs
             return bilinear(u, w, lambda a, b: table[a][b], out)
         mats = self.comps[d].act0
         return bilinear(u, w, lambda a, l: mats[a].support[l], out)
@@ -220,7 +219,7 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
         SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in table[i][j]) for i in range(dv))) for j in range(dv)
     )
     gr = _Graded(t.g0)
-    gr.add(1, GradedComponent(sign, dv, lower1, (), None, lambda: t.rho.exact_cols))
+    gr.add(1, GradedComponent(sign, dv, lower1, (), None, lambda: t.rho.action_cols))
     phis: list[SparseCols] = []
     while (n := len(gr.comps)) < max_degree and gr.dims[n]:
         cur_dim = gr.dims[n]
@@ -415,7 +414,7 @@ class _WordLowering:
     def __init__(self, L: LocalAlgebra, n: int):
         self.n = n
         self.xy = L.xy_pairs
-        self.rho = L.triplet.rho.exact_cols
+        self.rho = L.triplet.rho.action_cols
         self.acts: dict[tuple[int, int, int], dict[int, Exact]] = {}
         self.lowered: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Exact]] = {}
         self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Exact]] = {}
@@ -577,10 +576,7 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
                     v = asm.bracket_basis(da, sa, db, sb)
                     exact[i][ob + sb] = tuple((o + k, x) for k, x in v)
                     exact[ob + sb][i] = tuple((o + k, -x) for k, x in v)
-    pairs = tuple(tuple(tuple((k, frac(x)) for k, x in p) if p else () for p in row) for row in exact)
-    algebra = LieAlgebraData(total, pairs)
-    algebra.__dict__["exact_pairs"] = tuple(map(tuple, exact))  # the cached_property's slot
-    return AssembledAlgebra(algebra, tuple(labels), blocks)
+    return AssembledAlgebra(LieAlgebraData(total, tuple(map(tuple, exact))), tuple(labels), blocks)
 
 
 def assemble_nontransitive(t: FundamentalTriplet, max_degree: int) -> AssembledAlgebra:

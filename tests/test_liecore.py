@@ -23,7 +23,7 @@ from glaw import (
     rep_kernel,
     validate,
 )
-from glaw.exactla import SparseCols, format_scalar, in_span, kernel_basis, rank, tight_pairs
+from glaw.exactla import SparseCols, format_scalar, in_span, kernel_basis, rank
 from glaw.generators import gen_glblock
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
 from glaw.generators import gen_principal, gen_symplectic
@@ -323,20 +323,21 @@ def test_every_killing_form_entry_is_a_fraction_zeros_included():
     assert {type(x) for row in skewed.structure_pairs for p in row for _, x in p} == {F}
 
 
-def test_exact_views_hold_ints_and_the_public_stores_hold_fractions():
+def test_the_sparse_stores_hold_ints_and_the_dense_views_fractions():
     # gl(n), glblock with integral lambdas and principal E6 have integral constants and actions
     for t in (gl_standard_triplet(3), gen_glblock(2, 1, 2), gen_glblock(3, 2, -1), gen_principal(E6_CARTAN)):
-        exact = [x for row in t.g0.exact_pairs for p in row for _, x in p]
-        exact += [x for m in t.rho.exact_cols for col in m.support for _, x in col]
-        public = [x for row in t.g0.structure_pairs for p in row for _, x in p]
-        public += [x for m in t.rho.action_cols for col in m.support for _, x in col]
-        assert {type(x) for x in exact} == {int} and {type(x) for x in public} == {F}
-        assert exact == public
-    # assemble seeds the view with the ints it holds; it is what the Fraction pairs would give
+        stored = [x for row in t.g0.structure_pairs for p in row for _, x in p]
+        stored += [x for m in t.rho.action_cols for col in m.support for _, x in col]
+        dense = [x for row in t.g0.structure for v in row for x in v]
+        dense += [x for m in t.rho.action for row in m.entries for x in row]
+        assert {type(x) for x in stored} == {int} and {type(x) for x in dense} == {F}
+    # assemble stores the ints it computes; the same constants given as Fractions are stored alike
     local = build_local(gen_principal(E6_CARTAN))
     g = assemble(*grow_both(local, 12), local).algebra
-    assert {type(x) for row in g.exact_pairs for p in row for _, x in p} == {int}
-    assert g.exact_pairs == tuple(tuple(tight_pairs(p) for p in row) for row in g.structure_pairs)
+    assert {type(x) for row in g.structure_pairs for p in row for _, x in p} == {int}
+    fractions = tuple(tuple(tuple((k, F(x)) for k, x in p) for p in row) for row in g.structure_pairs)
+    again = LieAlgebraData(g.dim, fractions).structure_pairs
+    assert again == g.structure_pairs and {type(x) for row in again for p in row for _, x in p} == {int}
 
 
 @settings(max_examples=40, deadline=None)

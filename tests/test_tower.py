@@ -300,13 +300,14 @@ def stored_values(tower):
     yield from (x for m in tower.phis for col in m.support for _, x in col)
 
 
-def test_principal_e6_maps_hold_only_ints_and_assemble_to_fractions():
-    # the assemble-deep job: every multiply-add of growth and assembly runs on ints
+def test_principal_e6_maps_and_assembled_constants_hold_only_ints():
+    # the assemble-deep job: every multiply-add of growth and assembly runs on ints, and the
+    # assembled algebra stores them as they are
     local = build_local(gen_principal(E6_CARTAN))
     tp, tn = grow_both(local, 12)
     assert {type(x) for t in (tp, tn) for x in stored_values(t)} == {int}
     pairs = assemble(tp, tn, local).algebra.structure_pairs
-    assert {type(x) for row in pairs for p in row for _, x in p} == {F}
+    assert {type(x) for row in pairs for p in row for _, x in p} == {int}
 
 
 def test_principal_e6_assembly_computes_each_unordered_pair_once(monkeypatch):
@@ -886,7 +887,8 @@ def test_a_terminating_tower_assembles_to_a_valid_algebra_matching_its_finitenes
     tp, tn = grow_both(local, budget)
     asm = assemble(tp, tn, local)
     g = asm.algebra
-    assert {type(x) for row in g.structure_pairs for p in row for _, x in p} <= {F}
+    values = [x for row in g.structure_pairs for p in row for _, x in p]
+    assert all(type(x) is (int if x.denominator == 1 else F) for x in values)
     ad = Representation(g.dim, tuple(g.ad_matrix(basis_vector(g.dim, i)) for i in range(g.dim)))
     assert validate(FundamentalTriplet(g, extended_form(asm, tp, tn, local), ad)).violations == []
     assert rep.terminated
