@@ -111,6 +111,7 @@ class LieAlgebraData:
         return tuple(tuple(SparseCols(self.dim, self.dim, row).columns()) for row in self.structure_pairs)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
+        _check_lengths(self.dim, x, y)
         table = self.structure_pairs
         return tuple(bilinear(support(x), support(y), lambda i, j: table[i][j], [ZERO] * self.dim))
 
@@ -145,6 +146,13 @@ def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> Li
     return LieAlgebraData(dim, tuple(tuple(coords[p * dim : (p + 1) * dim]) for p in range(dim)))
 
 
+def _check_lengths(n: int, *vectors: Vector):
+    """Refuse a dense vector whose length is not n, which would read as zero-padded or overrun."""
+    for v in vectors:
+        if len(v) != n:
+            raise StructureError(f"a vector of length {len(v)} where the space has dimension {n}")
+
+
 def basis_vector(dim: int, i: int) -> Vector:
     return tuple(Fraction(1) if k == i else ZERO for k in range(dim))
 
@@ -154,6 +162,7 @@ class QuadraticForm:
     gram: Matrix
 
     def value(self, u: Vector, v: Vector) -> Fraction:
+        _check_lengths(self.gram.rows, u, v)
         return sum(
             (ui * self.gram.entries[i][j] * vj for i, ui in enumerate(u) if ui for j, vj in enumerate(v) if vj),
             ZERO,
@@ -182,13 +191,14 @@ class Representation:
         return tuple(SparseCols.from_matrix(a) for a in self.action)
 
     def act(self, u: Vector, x: Vector) -> Vector:
-        if len(u) != len(self.action):
-            raise StructureError("coefficient vector does not match the algebra dimension")
+        _check_lengths(len(self.action), u)
+        _check_lengths(self.dim_v, x)
         cols = self.action_cols
         return tuple(bilinear(support(u), support(x), lambda a, l: cols[a].support[l], [ZERO] * self.dim_v))
 
     def matrix_of(self, u: Vector) -> Matrix:
         """rho(u) = sum of u_a rho(e_a), accumulated in one pass over the nonzero entries."""
+        _check_lengths(len(self.action), u)
         n = self.dim_v
         rows = [[ZERO] * n for _ in range(n)]
         for a, ua in support(u):

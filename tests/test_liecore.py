@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glaw import (
     AmbiguousGrading,
@@ -27,8 +27,9 @@ from glaw.exactla import SparseCols, format_scalar, in_span, kernel_basis, rank
 from glaw.generators import gen_glblock
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
 from glaw.generators import gen_principal, gen_symplectic
-from glaw.localg import build_local
-from glaw.tower import assemble, grow_both
+from glaw.cli import emit_triplet_spec, parse_triplet_spec
+from glaw.localg import build_local, reduce_triplet
+from glaw.tower import POSITIVE, assemble, grow, grow_both
 
 from helpers import (
     E6_CARTAN,
@@ -117,6 +118,25 @@ def test_structure_errors_are_distinct_from_invariant_violations():
         Representation(2, (Matrix.identity(3),))
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("method", ["bracket", "act", "matrix_of", "value"])
+def test_dense_entry_points_refuse_a_vector_of_the_wrong_length(method, extra):
+    # gl(2) on V = Q^2: a short vector used to read as zero-padded, a long one raised IndexError
+    t = gl_standard_triplet(2)
+
+    def ones(n):
+        return (F(1),) * n
+
+    call = {
+        "bracket": lambda: t.g0.bracket(ones(4 + extra), ones(4)),
+        "act": lambda: t.rho.act(ones(4), ones(2 + extra)),
+        "matrix_of": lambda: t.rho.matrix_of(ones(4 + extra)),
+        "value": lambda: t.b0.value(ones(4), ones(4 + extra)),
+    }[method]
+    with pytest.raises(StructureError):
+        call()
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -127,6 +147,9 @@ def test_structure_errors_are_distinct_from_invariant_violations():
         pytest.param(lambda: LieAlgebraData(2, (((), ((0, F(1)), (0, F(1)))), ((), ()))), id="repeated-index"),
         pytest.param(lambda: LieAlgebraData(2, (((), ((0, F(0)),)), ((), ()))), id="zero-coefficient"),
         pytest.param(lambda: LieAlgebraData.from_table([[(0, 0), (0,)], [(0, 0), (0, 0)]]), id="dense-short-vector"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((1, 0.5),)), (((1, -0.5),), ()))), id="float-coefficient"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((1, "1/2"),)), ((), ()))), id="str-coefficient"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((1, True),)), ((), ()))), id="bool-coefficient"),
     ],
 )
 def test_malformed_structure_pairs_are_structure_errors(make):
@@ -338,6 +361,45 @@ def test_the_sparse_stores_hold_ints_and_the_dense_views_fractions():
     fractions = tuple(tuple(tuple((k, F(x)) for k, x in p) for p in row) for row in g.structure_pairs)
     again = LieAlgebraData(g.dim, fractions).structure_pairs
     assert again == g.structure_pairs and {type(x) for row in again for p in row for _, x in p} == {int}
+
+
+def one_rule(values) -> bool:
+    """Each value is an int exactly when it is integral, and a Fraction otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else F) for x in values)
+
+
+def pair_values(table) -> list:
+    return [x for row in table for p in row for _, x in p]
+
+
+def column_values(maps) -> list:
+    return [x for m in maps for col in m.support for _, x in col]
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_triplets(), st.just(6))
+@example(gen_principal(E6_CARTAN), 12)
+def test_every_sparse_store_keeps_the_one_rule_and_every_dense_view_fractions(t, budget):
+    g, rho, dual, local = t.g0, t.rho, dual_rep(t.rho), build_local(t)
+    assert one_rule(pair_values(g.structure_pairs)) and one_rule(pair_values(local.xy_pairs))
+    assert one_rule(column_values(rho.action_cols)) and one_rule(column_values(dual.action_cols))
+    views = [x for table in (g.structure, local.xy_table) for row in table for v in row for x in v]
+    matrices = (*rho.action, *dual.action, *(m.to_matrix() for m in rho.action_cols), killing_form(g))
+    views += [x for m in matrices for row in m.entries for x in row]
+    assert {type(x) for x in views} == {F}
+    parsed = parse_triplet_spec(emit_triplet_spec(t, "t"))[0].g0.structure_pairs
+    assert parsed == g.structure_pairs and one_rule(pair_values(parsed))
+    # the assembled algebra, when the transitive part terminates within the budget at a small size
+    part = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    for b in range(2, budget + 1):
+        tp = grow(part, POSITIVE, b)
+        if tp.terminated or max(tp.dims()) > 40:
+            break
+    tp, tn = grow_both(part, b)
+    if tp.terminated and tn.terminated:
+        assembled = assemble(tp, tn, part).algebra
+        assert one_rule(pair_values(assembled.structure_pairs))
+        assert {type(x) for row in killing_form(assembled).entries for x in row} == {F}
 
 
 @settings(max_examples=40, deadline=None)
