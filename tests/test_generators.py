@@ -25,7 +25,7 @@ from glaw import (
 from glaw.cli import canonical_json, emit_triplet_spec, main
 from glaw.exactla import subspace_equal, support, vis_zero
 from glaw.generators import _gl_structure, find_symmetrizer, symplectic_form_gram
-from glaw.liecore import basis_vector
+from glaw.liecore import LieAlgebraData, QuadraticForm, basis_vector, direct_sum_with_zero_factor
 from glaw.sl2 import PolyInvariant
 
 from helpers import glblock_pairs, small_rationals
@@ -302,30 +302,64 @@ def test_gl_structure_matches_matrix_commutators(n):
 
 
 GLBLOCK_LAMBDAS = (("1", "2"), ("1/2", "-3/4"), ("5", "1/3"))
+E6_ROWS = "2,-1,0,0,0,0;-1,2,-1,0,0,0;0,-1,2,-1,0,-1;0,0,-1,2,-1,0;0,0,0,-1,2,0;0,0,-1,0,0,2"
+GEN_ARGVS = (
+    ["gen", "sp", "--n", "2", "--p", "3", "--lambda", "1", "--form", "trace"],
+    ["gen", "sp", "--n", "2", "--p", "3", "--lambda", "1", "--form", "sl-shifted"],
+    ["gen", "sp", "--n", "2", "--p", "3", "--lambda", "1", "--form", "g2"],
+    ["gen", "sp", "--n", "3", "--p", "2", "--lambda", "1/2"],
+    ["gen", "cartan", "--matrix", E6_ROWS],
+    ["gen", "cartan", "--matrix", "2,-1;-3,2"],
+    ["gen", "cartan", "--matrix", "2,-3;-3,2"],
+    ["gen", "cartan", "--matrix", "2,-1;-3,2", "--symmetrizer", "1/2,3/2"],
+)
 
 
-def emitted_specs() -> dict[str, str]:
+def _cli_output(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+def emitted_specs(tmp: Path) -> dict[str, str]:
     """Key -> emitted spec text: `glaw gen glblock` for n = 1..5 and three
-    lambda pairs, and the stabilizer triplets of the quadrics in 2..5
-    variables with the center acting by 2 and by 1/3."""
+    lambda pairs, the stabilizer triplets of the quadrics in 2..5 variables
+    with the center acting by 2 and by 1/3, `gen sp` in every named form and
+    at a non-integral shift, `gen cartan` (E6, G2, a hyperbolic matrix, an
+    explicit symmetrizer), `gen trivial-summand` on the g2 cubic, and the
+    transitive part `reduce` reports for that summand and for G2 with a
+    zero-acting ideal and a trivial summand."""
     out = {}
     for n in range(1, 6):
         for l1, l2 in GLBLOCK_LAMBDAS:
             argv = ["gen", "glblock", "--n", str(n), "--lambda1", l1, f"--lambda2={l2}"]
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                assert main(argv) == 0
-            out[" ".join(argv)] = buf.getvalue()
+            out[" ".join(argv)] = _cli_output(argv)
     for n in range(2, 6):
         quad = "+".join(f"x{i}^2" for i in range(n))
         for s in ("2", "1/3"):
             name = f"stabilizer({quad},{s})"
             t = gen_stabilizer_triplet(PolyInvariant.from_string(quad, n), F(s))
             out[name] = canonical_json(emit_triplet_spec(t, name))
+    for argv in GEN_ARGVS:
+        out[" ".join(argv)] = _cli_output(argv)
+    cubic = tmp / "g2-cubic.json"
+    cubic.write_text(out[" ".join(GEN_ARGVS[2])], encoding="utf-8")
+    argv = ["gen", "trivial-summand", str(cubic), "--k", "2"]
+    out["gen trivial-summand {g2-cubic} --k 2"] = text = _cli_output(argv)
+    (tmp / "cubic-trivial.json").write_text(text, encoding="utf-8")
+    kernel = gen_with_trivial_summand(
+        direct_sum_with_zero_factor(gen_principal(G2_CARTAN), LieAlgebraData.abelian(1), QuadraticForm(Matrix.identity(1))),
+        1,
+    )
+    (tmp / "g2-kernel.json").write_text(canonical_json(emit_triplet_spec(kernel, "g2-kernel")), encoding="utf-8")
+    for spec in ("cubic-trivial", "g2-kernel"):
+        report = json.loads(_cli_output(["reduce", str(tmp / f"{spec}.json")]))
+        out[f"reduce {{{spec}}} transitive_part"] = canonical_json(report["transitive_part"])
     return out
 
 
-def test_generated_specs_match_the_recorded_digests():
+def test_generated_specs_match_the_recorded_digests(tmp_path):
     recorded = json.loads((Path(__file__).parent / "golden" / "gen_specs.json").read_text(encoding="utf-8"))
-    got = {k: hashlib.sha256(text.encode()).hexdigest() for k, text in emitted_specs().items()}
+    got = {k: hashlib.sha256(text.encode()).hexdigest() for k, text in emitted_specs(tmp_path).items()}
     assert got == recorded
