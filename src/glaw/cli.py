@@ -157,7 +157,7 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
         pairs[j][i] = tuple((k, -x) for k, x in pairs[i][j])
     g0 = LieAlgebraData(dim_g0, tuple(map(tuple, pairs)))
     try:
-        triplet = FundamentalTriplet(g0, QuadraticForm(gram), Representation(dim_v, mats))
+        triplet = FundamentalTriplet(g0, QuadraticForm(gram), Representation.from_matrices(dim_v, mats))
     except StructureError as exc:
         raise SpecError(str(exc)) from exc
     meta = obj.get("meta", {})

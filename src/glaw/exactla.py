@@ -265,7 +265,14 @@ class SparseCols(NamedTuple):
         return [self.col(j) for j in range(self.cols)]
 
     def to_matrix(self) -> Matrix:
-        return Matrix.from_cols(self.columns(), nrows=self.rows)
+        return Matrix(self.cols, self.rows, tuple(self.columns())).transpose()
+
+    def transpose(self) -> "SparseCols":
+        rows: list[list[tuple[int, Exact]]] = [[] for _ in range(self.rows)]
+        for j, col in enumerate(self.support):
+            for i, x in col:
+                rows[i].append((j, x))
+        return SparseCols(self.cols, self.rows, tuple(map(tuple, rows)))
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import ONE, ZERO, Matrix, Vector, dense, frac, kernel_basis, rank, span_matrix
+from .exactla import ZERO, Matrix, SparseCols, Vector, dense, frac, kernel_basis, rank, span_matrix, vscale
 from .liecore import (
     FundamentalTriplet,
     LieAlgebraData,
@@ -134,16 +134,13 @@ def gen_symplectic(n: int, p: int, lam, form="trace") -> FundamentalTriplet:
         for b in range(n):
             cols = []
             for alpha in mono.exponents:
-                col = [ZERO] * dim_v
-                if alpha[b] > 0:
-                    beta = list(alpha)
-                    beta[b] -= 1
-                    beta[a] += 1
-                    col[index[tuple(beta)]] += Fraction(alpha[b])
-                if a == b:
-                    col[index[alpha]] += shift
-                cols.append(tuple(col))
-            action.append(Matrix.from_cols(cols, nrows=dim_v))
+                # x_a d/dx_b takes x^alpha to alpha_b x^beta; for a == b, beta is alpha and the shift adds
+                beta = list(alpha)
+                beta[b] -= 1
+                beta[a] += 1
+                x = alpha[b] + (shift if a == b else 0)
+                cols.append(((index[tuple(beta)], x),) if x else ())
+            action.append(SparseCols(dim_v, dim_v, tuple(cols)))
     if isinstance(form, Matrix):
         gram = form
         if not gram.is_symmetric() or gram.rows != n * n:
@@ -161,7 +158,7 @@ def _restrict(g: LieAlgebraData, gram: Matrix, rho: Representation, basis: list[
     and rho(v) for each basis vector v."""
     m = span_matrix(basis, g.dim)
     sub = restrict_algebra(g, basis, "the basis does not span a subalgebra")
-    action = tuple(rho.matrix_of(v) for v in basis)
+    action = tuple(rho.cols_of(v) for v in basis)
     return FundamentalTriplet(sub, QuadraticForm(m.transpose() @ gram @ m), Representation(rho.dim_v, action))
 
 
@@ -186,12 +183,10 @@ def gen_glblock(n: int, lam1, lam2) -> FundamentalTriplet:
     basis = [[(k, 1) for k in diag] + [(nn + k, -1) for k in diag]] + sl + [[(nn + k, x) for k, x in v] for v in sl]
     trace = symplectic_form_gram(n, "trace")
     gram = QuadraticForm(trace.scale(lam1)).direct_sum(QuadraticForm(trace.scale(lam2))).gram
-    # X = E_ij sits at index i*n + j; each map is {(row, column): value}
-    left = [{(a * n + j, b * n + j): ONE for j in r} for a in r for b in r]
-    right = [{(i * n + b, i * n + a): -ONE for i in r} for a in r for b in r]
-    action = tuple(
-        Matrix(nn, nn, tuple(tuple(m.get((p, q), ZERO) for q in range(nn)) for p in range(nn))) for m in left + right
-    )
+    # X = E_ij sits at index i*n + j; each map is {column: (row, value)}, one entry per column at most
+    left = [{b * n + j: (a * n + j, 1) for j in r} for a in r for b in r]
+    right = [{i * n + a: (i * n + b, -1) for i in r} for a in r for b in r]
+    action = tuple(SparseCols(nn, nn, tuple((m[q],) if q in m else () for q in range(nn))) for m in left + right)
     g = _gl_structure(n).direct_sum(_gl_structure(n))
     return _restrict(g, gram, Representation(nn, action), [dense(v, 2 * nn) for v in basis])
 
@@ -247,10 +242,7 @@ def gen_principal(cartan, symmetrizer=None) -> FundamentalTriplet:
     if rank(a) != n:
         raise Refusal("the matrix must be invertible for the Cartan factor to suffice")
     g0 = LieAlgebraData.abelian(n)
-    action = tuple(
-        Matrix.from_rows([[a.entries[i][j] if j == k else 0 for k in range(n)] for j in range(n)])
-        for i in range(n)
-    )
+    action = tuple(SparseCols(n, n, tuple(((j, x),) if x else () for j, x in enumerate(row))) for row in a.entries)
     return FundamentalTriplet(g0, QuadraticForm(gram), Representation(n, action))
 
 
@@ -261,12 +253,8 @@ def gen_with_trivial_summand(base: FundamentalTriplet, k: int) -> FundamentalTri
     if k == 0:
         return base
     dv = base.dim_v + k
-    action = []
-    for m in base.rho.action:
-        rows = [list(m.entries[i]) + [ZERO] * k for i in range(base.dim_v)]
-        rows += [[ZERO] * dv for _ in range(k)]
-        action.append(Matrix.from_rows(rows))
-    return FundamentalTriplet(base.g0, base.b0, Representation(dv, tuple(action)))
+    action = tuple(SparseCols(dv, dv, m.support + ((),) * k) for m in base.rho.action_cols)
+    return FundamentalTriplet(base.g0, base.b0, Representation(dv, action))
 
 
 def stabilizer_of_poly(n: int, p: PolyInvariant) -> list[Vector]:
@@ -308,5 +296,5 @@ def gen_stabilizer_triplet(p: PolyInvariant, center_scale) -> FundamentalTriplet
     t = _restrict(gl.g0, gl.b0.gram, gl.rho, [ident] + stab)
     if rank(t.b0.gram) != t.dim_g0:
         raise Refusal("the trace form is degenerate on this stabilizer family")
-    action = (t.rho.action[0].scale(center_scale),) + t.rho.action[1:]
+    action = (gl.rho.cols_of(vscale(center_scale, ident)),) + t.rho.action_cols[1:]
     return FundamentalTriplet(t.g0, t.b0, Representation(n, action))

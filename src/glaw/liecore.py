@@ -8,9 +8,9 @@ pairs, so its size is bounded by its nonzero constants.  No module builds the
 dense dim^3 table; ``structure`` is a lazy view of it for readers outside
 glaw.  Validation is exhaustive on basis tuples, summing over nonzero entries
 only; Jacobi runs over i<j<k, which suffices once the separately checked
-antisymmetry holds.  The representation is stored dense, as its spec gives
-it, with the sparse view ``action_cols``.  Both sparse stores hold an int
-exactly where a value is integral and a Fraction elsewhere, and every
+antisymmetry holds.  A representation is stored as its sparse columns
+``action_cols``, with the lazy dense view ``action``.  Both stores hold an
+int exactly where a value is integral and a Fraction elsewhere, and every
 multiply-add inside glaw reads them; every dense view holds Fractions.
 """
 
@@ -62,6 +62,32 @@ class NoTriple(Refusal):
     """The nil-positive candidate admits no completed sl2-triple."""
 
 
+def _tight_grid(grid, n: int, refusals: tuple[str, str, str]) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
+    """The rows of grid, n sparse vectors each, with every integral value as an int.  Refuses with
+    StructureError, ``(shape, noun, order) = refusals``: ``shape`` for a row of another length, "<noun> <x>
+    is not an int or a Fraction" for a value x of another type (bool included), ``order`` for a zero value
+    or an index that is not an int (bool included), not increasing or not below n."""
+    shape, noun, order = refusals
+    rows = []
+    for row in grid:
+        if len(row) != n:
+            raise StructureError(shape)
+        out = []
+        for pairs in row:
+            last, tight = -1, True
+            for k, x in pairs:
+                if type(x) is not int:
+                    if not isinstance(x, Fraction):
+                        raise StructureError(f"{noun} {x!r} is not an int or a Fraction")
+                    tight &= x.denominator != 1
+                if not (type(k) is int and last < k < n and x):
+                    raise StructureError(order)
+                last = k
+            out.append(pairs if tight else tight_pairs(pairs))
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class LieAlgebraData:
     """A Lie algebra on basis e_0..e_{dim-1}; structure_pairs[i][j] is
@@ -73,25 +99,12 @@ class LieAlgebraData:
     structure_pairs: tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]
 
     def __post_init__(self):
-        n = self.dim
-        if len(self.structure_pairs) != n or any(len(row) != n for row in self.structure_pairs):
-            raise StructureError("structure table has wrong shape")
-        rows = []
-        for row in self.structure_pairs:
-            out = []
-            for pairs in row:
-                last, ints = -1, True
-                for k, x in pairs:
-                    if type(x) is not int:
-                        if not isinstance(x, Fraction):
-                            raise StructureError(f"structure constant {x!r} is not an int or a Fraction")
-                        ints = False
-                    if not (last < k < n and x):
-                        raise StructureError("structure pairs must be nonzero at increasing indices below dim")
-                    last = k
-                out.append(pairs if ints else tight_pairs(pairs))
-            rows.append(tuple(out))
-        object.__setattr__(self, "structure_pairs", tuple(rows))  # the dataclass is frozen
+        shape = "structure table has wrong shape"
+        if len(self.structure_pairs) != self.dim:
+            raise StructureError(shape)
+        order = "structure pairs must be nonzero at increasing indices below dim"
+        pairs = _tight_grid(self.structure_pairs, self.dim, (shape, "structure constant", order))
+        object.__setattr__(self, "structure_pairs", pairs)  # the dataclass is frozen
 
     @staticmethod
     def from_table(table) -> "LieAlgebraData":
@@ -177,35 +190,48 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class Representation:
+    """rho on V = Q^dim_v: action_cols[a] is rho(e_a) by columns, stored with each integral value as an int."""
+
     dim_v: int
-    action: tuple[Matrix, ...]
+    action_cols: tuple[SparseCols, ...]
 
     def __post_init__(self):
-        for a in self.action:
-            if a.rows != self.dim_v or a.cols != self.dim_v:
-                raise StructureError("representation matrices must be dim_v x dim_v")
+        n, shape = self.dim_v, "representation matrices must be dim_v x dim_v"
+        if any(m.rows != n or m.cols != n for m in self.action_cols):
+            raise StructureError(shape)
+        order = "action columns must be nonzero at increasing rows below dim_v"
+        grid = _tight_grid([m.support for m in self.action_cols], n, (shape, "action value", order))
+        object.__setattr__(self, "action_cols", tuple(SparseCols(n, n, cols) for cols in grid))
+
+    @staticmethod
+    def from_matrices(dim_v: int, mats) -> "Representation":
+        """The representation with rho(e_a) = mats[a], dense dim_v x dim_v matrices."""
+        return Representation(dim_v, tuple(SparseCols.from_matrix(m) for m in mats))
 
     @cached_property
-    def action_cols(self) -> tuple[SparseCols, ...]:
-        """The action matrices stored by columns, integral values as ints."""
-        return tuple(SparseCols.from_matrix(a) for a in self.action)
+    def action(self) -> tuple[Matrix, ...]:
+        """The dense matrices rho(e_a), built on first read."""
+        return tuple(m.to_matrix() for m in self.action_cols)
 
     def act(self, u: Vector, x: Vector) -> Vector:
-        _check_lengths(len(self.action), u)
+        _check_lengths(len(self.action_cols), u)
         _check_lengths(self.dim_v, x)
         cols = self.action_cols
         return tuple(bilinear(support(u), support(x), lambda a, l: cols[a].support[l], [ZERO] * self.dim_v))
 
+    def cols_of(self, u: Vector) -> SparseCols:
+        """rho(u) = sum of u_a rho(e_a) by columns, read off the nonzero entries of u."""
+        _check_lengths(len(self.action_cols), u)
+        n, us, cols = self.dim_v, support(u), [m.support for m in self.action_cols]
+        out = []
+        for l in range(n):
+            acc = bilinear(us, ((l, 1),), lambda a, m: cols[a][m], defaultdict(int))
+            out.append(tight_pairs(sorted((r, x) for r, x in acc.items() if x)))
+        return SparseCols(n, n, tuple(out))
+
     def matrix_of(self, u: Vector) -> Matrix:
-        """rho(u) = sum of u_a rho(e_a), accumulated in one pass over the nonzero entries."""
-        _check_lengths(len(self.action), u)
-        n = self.dim_v
-        rows = [[ZERO] * n for _ in range(n)]
-        for a, ua in support(u):
-            for l, col in enumerate(self.action_cols[a].support):
-                for r, x in col:
-                    rows[r][l] += ua * x
-        return Matrix(n, n, tuple(map(tuple, rows)))
+        """rho(u) as a dense matrix."""
+        return self.cols_of(u).to_matrix()
 
 
 @dataclass(frozen=True)
@@ -217,7 +243,7 @@ class FundamentalTriplet:
     def __post_init__(self):
         if self.b0.gram.rows != self.g0.dim or self.b0.gram.cols != self.g0.dim:
             raise StructureError("form Gram matrix must be dim_g0 x dim_g0")
-        if len(self.rho.action) != self.g0.dim:
+        if len(self.rho.action_cols) != self.g0.dim:
             raise StructureError("one representation matrix per g0 basis element is required")
 
     @property
@@ -301,26 +327,10 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
 
 
 def dual_rep(r: Representation) -> Representation:
-    """Contragredient action: each generator goes to minus its transpose.
-
-    Built from the nonzeros of ``action_cols``: column l of rho_a is row l of
-    -rho_a^T, and row i of rho_a is column i of -rho_a^T, which also gives the
-    dual's own ``action_cols``; the dense matrices get ``frac`` of each value.
-    """
+    """Contragredient action: each generator goes to minus its transpose."""
     n = r.dim_v
-    mats, dual_cols = [], []
-    for a in r.action_cols:
-        rows = [[ZERO] * n for _ in range(n)]
-        cols: list[list[tuple[int, Exact]]] = [[] for _ in range(n)]
-        for l, col in enumerate(a.support):
-            for i, x in col:
-                rows[l][i] = frac(-x)
-                cols[i].append((l, -x))
-        mats.append(Matrix(n, n, tuple(map(tuple, rows))))
-        dual_cols.append(SparseCols(n, n, tuple(map(tuple, cols))))
-    d = Representation(n, tuple(mats))
-    d.__dict__["action_cols"] = tuple(dual_cols)  # the cached_property's slot; the dataclass is frozen
-    return d
+    dual = (tuple(tuple((l, -x) for l, x in col) for col in a.transpose().support) for a in r.action_cols)
+    return Representation(n, tuple(SparseCols(n, n, cols) for cols in dual))
 
 
 def derived_subalgebra(g: LieAlgebraData) -> list[Vector]:
@@ -409,6 +419,5 @@ def direct_sum_with_zero_factor(
     """Adjoin an orthogonal ideal that acts by zero on V (a representation kernel)."""
     g = t.g0.direct_sum(extra)
     b = t.b0.direct_sum(extra_form)
-    zero = Matrix.zeros(t.dim_v, t.dim_v)
-    action = tuple(t.rho.action) + tuple(zero for _ in range(extra.dim))
-    return FundamentalTriplet(g, b, Representation(t.dim_v, action))
+    zero = SparseCols(t.dim_v, t.dim_v, ((),) * t.dim_v)
+    return FundamentalTriplet(g, b, Representation(t.dim_v, t.rho.action_cols + (zero,) * extra.dim))

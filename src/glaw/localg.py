@@ -35,9 +35,11 @@ from .exactla import (
     span_matrix,
     sparse_kernel,
     support,
+    vadd,
     vdot,
     vis_zero,
     vneg,
+    vscale,
 )
 from .liecore import (
     FundamentalTriplet,
@@ -212,11 +214,9 @@ def transitivity_check(L: LocalAlgebra) -> TransitivityReport:
         h0 = None
     if h0 is not None:
         return TransitivityReport(faithful, faithful, True, True, True)
-    dv = t.dim_v
-    cols_v = [t.rho.action[a].col(x) for a in range(t.dim_g0) for x in range(dv)]
-    cols_w = [L.dual_action.action[a].col(x) for a in range(t.dim_g0) for x in range(dv)]
-    spans_v = rank(span_matrix(cols_v, dv)) == dv
-    spans_w = rank(span_matrix(cols_w, dv)) == dv
+    # g0.V spans V exactly when no nonzero covector is g0-invariant, and g0.V* spans V* likewise
+    spans_v = not _trivial_component(L.dual_action)
+    spans_w = not _trivial_component(t.rho)
     return TransitivityReport(faithful and spans_v and spans_w, faithful, spans_v, spans_w, False)
 
 
@@ -315,11 +315,10 @@ def box_rescale_rep(
     m_inv = inverse(m)
     k = len(z_basis)
     z_m = span_matrix(z_basis, n)
-    new_action = []
-    for a in range(n):
-        z_part = z_m.matvec(m_inv.col(a)[:k])
-        new_action.append(t.rho.matrix_of(basis_vector(n, a)) + t.rho.matrix_of(z_part).scale(gamma - 1))
-    out = FundamentalTriplet(t.g0, t.b0, Representation(t.dim_v, tuple(new_action)))
+    # e_a acts as e_a + (gamma - 1) z_a, z_a its component in Z
+    shifts = [vscale(gamma - 1, z_m.matvec(m_inv.col(a)[:k])) for a in range(n)]
+    new_action = tuple(t.rho.cols_of(vadd(basis_vector(n, a), z)) for a, z in enumerate(shifts))
+    out = FundamentalTriplet(t.g0, t.b0, Representation(t.dim_v, new_action))
     old_local = build_local(t)
     new_local = build_local(out)
     for i in range(t.dim_v):
@@ -490,9 +489,8 @@ def reduce_triplet(t: FundamentalTriplet, assert_completely_reducible: bool) -> 
         raise Refusal("the orthogonal complement of the kernel does not complement it")
     if not _is_ideal(t.g0, f_basis):
         raise Refusal("the orthogonal complement of the kernel is not an ideal")
-    v0 = _trivial_component(t)
-    img_cols = [t.rho.action[a].col(x) for a in range(n) for x in range(dv)]
-    v1 = list(image_basis(span_matrix(img_cols, dv)).basis)
+    v0 = _trivial_component(t.rho)
+    v1 = list(image_basis(SparseCols(dv, n * dv, tuple(c for m in t.rho.action_cols for c in m.support))).basis)
     if len(v0) + len(v1) != dv or rank(span_matrix(v0 + v1, dv)) != dv:
         raise Refusal("reducibility check failed: the trivial part does not complement the span of g0.V")
     if not k_basis and not v0:
@@ -504,19 +502,17 @@ def reduce_triplet(t: FundamentalTriplet, assert_completely_reducible: bool) -> 
     if rank(gram_f) != nf:
         raise Refusal("B0 restricted to the faithful ideal is degenerate")
     nv1 = len(v1)
-    coords = solve_many(span_matrix(v1, dv), [t.rho.act(f, v) for f in f_basis for v in v1])
+    coords = solve_pairs(span_matrix(v1, dv), [support(t.rho.act(f, v)) for f in f_basis for v in v1])
     if None in coords:
         raise Refusal("the span of g0.V is not rho-stable; inconsistent data")
-    action = [Matrix.from_cols(coords[p * nv1 : (p + 1) * nv1], nrows=nv1) for p in range(nf)]
-    part = FundamentalTriplet(g0f, QuadraticForm(gram_f), Representation(nv1, tuple(action)))
+    action = tuple(SparseCols(nv1, nv1, tuple(coords[p * nv1 : (p + 1) * nv1])) for p in range(nf))
+    part = FundamentalTriplet(g0f, QuadraticForm(gram_f), Representation(nv1, action))
     return ReductionResult(part, tuple(v0), tuple(v1), tuple(k_basis), tuple(f_basis))
 
 
-def _trivial_component(t: FundamentalTriplet) -> list[Vector]:
-    rows = []
-    for a in range(t.dim_g0):
-        rows.extend(t.rho.action[a].entries)
-    return kernel_basis(Matrix.from_rows(rows))
+def _trivial_component(r: Representation) -> list[Vector]:
+    """Canonical basis of the vectors every rho(e_a) kills, from the rows of every rho(e_a)."""
+    return sparse_kernel((dict(row) for m in r.action_cols for row in m.transpose().support), r.dim_v)
 
 
 def _intersect_spans(a: list[Vector], b: list[Vector], dim: int) -> list[Vector]:

@@ -38,7 +38,7 @@ def sl2_triplet() -> FundamentalTriplet:
     h = Matrix.from_rows([[1, 0], [0, -1]])
     e = Matrix.from_rows([[0, 1], [0, 0]])
     f = Matrix.from_rows([[0, 0], [1, 0]])
-    return FundamentalTriplet(g, QuadraticForm(gram), Representation(2, (h, e, f)))
+    return FundamentalTriplet(g, QuadraticForm(gram), Representation.from_matrices(2, (h, e, f)))
 
 
 def gl_standard_triplet(n: int) -> FundamentalTriplet:

@@ -60,7 +60,7 @@ def test_validate_reports_degenerate_form():
 def test_validate_abelian_with_any_symmetric_invertible_form():
     g = LieAlgebraData.abelian(2)
     gram = Matrix.from_rows([[2, 1], [1, 1]])
-    rho = Representation(1, (Matrix.from_rows([[1]]), Matrix.from_rows([[3]])))
+    rho = Representation.from_matrices(1, (Matrix.from_rows([[1]]), Matrix.from_rows([[3]])))
     assert validate(FundamentalTriplet(g, QuadraticForm(gram), rho)).ok
 
 
@@ -77,7 +77,7 @@ def test_validate_catches_each_invariant():
 
     mats = list(t.rho.action)
     mats[1] = mats[1].scale(2)
-    rep = validate(FundamentalTriplet(t.g0, t.b0, Representation(2, tuple(mats))))
+    rep = validate(FundamentalTriplet(t.g0, t.b0, Representation.from_matrices(2, tuple(mats))))
     assert any("homomorphism" in v for v in rep.violations)
 
     table = [[list(v) for v in row] for row in t.g0.structure]
@@ -115,7 +115,7 @@ def test_structure_errors_are_distinct_from_invariant_violations():
     with pytest.raises(StructureError):
         FundamentalTriplet(t.g0, QuadraticForm(Matrix.identity(3)), t.rho)
     with pytest.raises(StructureError):
-        Representation(2, (Matrix.identity(3),))
+        Representation.from_matrices(2, (Matrix.identity(3),))
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
@@ -158,7 +158,7 @@ def test_malformed_structure_pairs_are_structure_errors(make):
 
 
 def test_dual_rep_cases():
-    r = Representation(2, (Matrix.identity(2), Matrix.from_rows([[1, 0], [0, 2]])))
+    r = Representation.from_matrices(2, (Matrix.identity(2), Matrix.from_rows([[1, 0], [0, 2]])))
     d = dual_rep(r)
     assert d.action[0].entries == Matrix.identity(2).scale(-1).entries
     assert d.action[1].entries == Matrix.from_rows([[-1, 0], [0, -2]]).entries
@@ -174,7 +174,7 @@ def test_dual_rep_cases():
 def test_dual_rep_is_minus_the_transpose_with_matching_columns(n, data):
     # dual_rep fills the dual's sparse columns itself; they must be those of its matrices
     square = st.lists(st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
-    r = Representation(n, tuple(Matrix.from_rows(m) for m in data.draw(st.lists(square, max_size=3))))
+    r = Representation.from_matrices(n, tuple(Matrix.from_rows(m) for m in data.draw(st.lists(square, max_size=3))))
     d = dual_rep(r)
     assert d.action == tuple(-a.transpose() for a in r.action)
     assert d.action_cols == tuple(SparseCols.from_matrix(m) for m in d.action)
@@ -255,7 +255,7 @@ def test_subalgebra_closure_properties():
 def test_rep_kernel_cases():
     t = gl_standard_triplet(2)
     assert rep_kernel(t.rho, t.g0) == []
-    zero_rho = Representation(2, tuple(Matrix.zeros(2, 2) for _ in range(4)))
+    zero_rho = Representation.from_matrices(2, tuple(Matrix.zeros(2, 2) for _ in range(4)))
     assert len(rep_kernel(zero_rho, t.g0)) == 4
     glued = direct_sum_with_zero_factor(t, gl_standard_triplet(2).g0, t.b0)
     k = rep_kernel(glued.rho, glued.g0)
@@ -268,7 +268,7 @@ def test_rep_kernel_cases():
 
 def test_rep_kernel_matches_the_dense_kernel_of_the_action_entries():
     t = gl_standard_triplet(2)
-    zero_rho = Representation(2, tuple(Matrix.zeros(2, 2) for _ in range(4)))
+    zero_rho = Representation.from_matrices(2, tuple(Matrix.zeros(2, 2) for _ in range(4)))
     glued = direct_sum_with_zero_factor(t, sl2_algebra(), QuadraticForm(Matrix.identity(3)))
     for r, g in ((t.rho, t.g0), (zero_rho, t.g0), (glued.rho, glued.g0), (dual_rep(glued.rho), glued.g0)):
         assert rep_kernel(r, g) == dense_kernel(rep_kernel_rows(r, g.dim), g.dim)

@@ -103,7 +103,7 @@ def perturbed(t: FundamentalTriplet, on_rho: bool, seed: int) -> FundamentalTrip
         rows = [list(row) for row in t.rho.action[a].entries]
         rows[r][c] += delta
         action = t.rho.action[:a] + (Matrix.from_rows(rows),) + t.rho.action[a + 1 :]
-        return FundamentalTriplet(t.g0, t.b0, Representation(dv, action))
+        return FundamentalTriplet(t.g0, t.b0, Representation.from_matrices(dv, action))
     i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
     table = [[list(v) for v in row] for row in t.g0.structure]
     table[i][j][k] += delta
@@ -266,7 +266,7 @@ def test_swapped_local_algebra_equals_the_rebuilt_one(family):
 
 def test_build_local_refuses_a_triplet_breaking_mixed_jacobi():
     t = sl2_triplet()
-    doubled_h = Representation(2, (t.rho.action[0].scale(2),) + t.rho.action[1:])
+    doubled_h = Representation.from_matrices(2, (t.rho.action[0].scale(2),) + t.rho.action[1:])
     with pytest.raises(Refusal, match=r"mixed Jacobi identity fails at \(g0=0, V=0, V\*=1\)"):
         build_local(FundamentalTriplet(t.g0, t.b0, doubled_h))
 
@@ -291,7 +291,7 @@ def perturbed_triplets():
             if seed != 1:
                 mats = [[list(r) for r in m.entries] for m in t.rho.action]
                 mats[rng.randrange(n)][rng.randrange(dv)][rng.randrange(dv)] += rng.choice([-2, -1, 1, 2])
-                rho = Representation(dv, tuple(Matrix.from_rows(m) for m in mats))
+                rho = Representation.from_matrices(dv, tuple(Matrix.from_rows(m) for m in mats))
             if seed != 0:
                 table = [[list(v) for v in row] for row in t.g0.structure]
                 i, j = rng.sample(range(n), 2)
@@ -348,7 +348,7 @@ def test_a_rho_breaking_only_the_homomorphism_fails_both_checks(t, data):
         != rho[i] @ rho[j] - rho[j] @ rho[i]
     ]
     assume(broken)
-    bad = FundamentalTriplet(t.g0, t.b0, Representation(dv, tuple(rho)))
+    bad = FundamentalTriplet(t.g0, t.b0, Representation.from_matrices(dv, tuple(rho)))
     assert validate(bad).violations == [f"representation homomorphism fails at basis pair ({i},{j})" for i, j in broken]
     with pytest.raises(Refusal, match="mixed Jacobi identity fails"):
         build_local(bad)
@@ -441,7 +441,7 @@ def test_transitivity_reports():
     rep = transitivity_check(build_local(gen_with_trivial_summand(gl_standard_triplet(2), 1)))
     assert not rep.transitive and rep.faithful and not rep.spans_v
     t = gl_standard_triplet(2)
-    zero_rho = Representation(2, tuple(Matrix.zeros(2, 2) for _ in range(4)))
+    zero_rho = Representation.from_matrices(2, tuple(Matrix.zeros(2, 2) for _ in range(4)))
     rep = transitivity_check(build_local(FundamentalTriplet(t.g0, t.b0, zero_rho)))
     assert not rep.transitive and not rep.faithful
 
@@ -625,7 +625,7 @@ def test_reduce_zero_brackets_of_split_pieces():
 def test_reduce_refuses_non_reducible_action():
     # one nilpotent generator: the trivial part does not complement the image
     g = LieAlgebraData.abelian(1)
-    rho = Representation(2, (Matrix.from_rows([[0, 1], [0, 0]]),))
+    rho = Representation.from_matrices(2, (Matrix.from_rows([[0, 1], [0, 0]]),))
     t = FundamentalTriplet(g, QuadraticForm(Matrix.identity(1)), rho)
     with pytest.raises(Refusal):
         reduce_triplet(t, assert_completely_reducible=True)

@@ -81,14 +81,16 @@ def test_assumption_h_failures():
     rep = assumption_h_check(sl2_triplet())
     assert not rep.ok and any("center has dimension 0" in f for f in rep.failures)
     trivial_center = FundamentalTriplet(
-        LieAlgebraData.abelian(1), QuadraticForm(Matrix.identity(1)), Representation(1, (Matrix.zeros(1, 1),))
+        LieAlgebraData.abelian(1),
+        QuadraticForm(Matrix.identity(1)),
+        Representation.from_matrices(1, (Matrix.zeros(1, 1),)),
     )
     rep = assumption_h_check(trivial_center)
     assert not rep.ok and any("trivially" in f for f in rep.failures)
     non_scalar = FundamentalTriplet(
         LieAlgebraData.abelian(1),
         QuadraticForm(Matrix.identity(1)),
-        Representation(2, (Matrix.from_rows([[1, 0], [0, 2]]),)),
+        Representation.from_matrices(2, (Matrix.from_rows([[1, 0], [0, 2]]),)),
     )
     rep = assumption_h_check(non_scalar)
     assert not rep.ok and any("scalar" in f for f in rep.failures)

@@ -849,7 +849,7 @@ def test_finiteness_report_cases():
     )
     from glaw import FundamentalTriplet, Representation
 
-    t2 = FundamentalTriplet(t.g0, t.b0, Representation(2 * t.dim_v, doubled_action))
+    t2 = FundamentalTriplet(t.g0, t.b0, Representation.from_matrices(2 * t.dim_v, doubled_action))
     rep = finiteness_report(build_local(t2), 2, completely_reducible=True, irreducible_components=2)
     assert not rep.terminated
     assert "infinite" in rep.advisory
@@ -889,7 +889,7 @@ def test_a_terminating_tower_assembles_to_a_valid_algebra_matching_its_finitenes
     g = asm.algebra
     values = [x for row in g.structure_pairs for p in row for _, x in p]
     assert all(type(x) is (int if x.denominator == 1 else F) for x in values)
-    ad = Representation(g.dim, tuple(g.ad_matrix(basis_vector(g.dim, i)) for i in range(g.dim)))
+    ad = Representation.from_matrices(g.dim, tuple(g.ad_matrix(basis_vector(g.dim, i)) for i in range(g.dim)))
     assert validate(FundamentalTriplet(g, extended_form(asm, tp, tn, local), ad)).violations == []
     assert rep.terminated
     assert rep.killing_nondegenerate == (rank(killing_form(g)) == g.dim)
