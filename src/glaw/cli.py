@@ -28,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactla import ONE, Matrix, dense, format_scalar, parse_scalar, rank
+from .exactla import ONE, Matrix, SparseCols, dense, format_scalar, parse_scalar, rank
 from .generators import (
     gen_glblock,
     gen_principal,
@@ -166,6 +166,15 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
     return triplet, name, meta
 
 
+def _rows_text(m: SparseCols) -> list[list[str]]:
+    """The rows of a sparse matrix as rational strings, every zero as "0"."""
+    rows = [["0"] * m.cols for _ in range(m.rows)]
+    for q, col in enumerate(m.support):
+        for p, x in col:
+            rows[p][q] = format_scalar(x)
+    return rows
+
+
 def emit_triplet_spec(t: FundamentalTriplet, name: str, meta: dict | None = None) -> dict:
     sc = []
     for i, row in enumerate(t.g0.structure_pairs):
@@ -178,7 +187,7 @@ def emit_triplet_spec(t: FundamentalTriplet, name: str, meta: dict | None = None
         "dim_V": t.dim_v,
         "structure_constants": sc,
         "B0": [[format_scalar(x) for x in row] for row in t.b0.gram.entries],
-        "rho": [[[format_scalar(x) for x in row] for row in m.entries] for m in t.rho.action],
+        "rho": [_rows_text(m) for m in t.rho.action_cols],
     }
     if meta:
         out["meta"] = meta

@@ -394,11 +394,11 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return sparse_kernel((dict(support(r)) for r in m.entries), m.cols)
 
 
-def solve_pairs(a: Matrix, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Fraction], ...] | None]:
+def solve_pairs(a: Matrix, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Exact], ...] | None]:
     """One exact solution of a x = b for each b (free variables 0), None
     for each inconsistent b, from one elimination of [a | b_0 | b_1 | ...].
     Each b and each solution is given by its nonzero (index, value) pairs,
-    a solution's in increasing index.
+    a solution's in increasing index with an int where a value is integral.
 
     A reduced row whose pivot lies in the b block is zero on a's columns, so
     it is a left null vector of a: it vanishes on every consistent b and
@@ -411,13 +411,13 @@ def solve_pairs(a: Matrix, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Fractio
         for i, x in b:
             rows[i][n + k] = x
     reduced, pivots = _sparse_rref(rows, n + len(bs))
-    out: list[list[tuple[int, Fraction]]] = [[] for _ in bs]
+    out: list[list[tuple[int, Exact]]] = [[] for _ in bs]
     inconsistent = set()
     for row, pc in zip(reduced, pivots):
         for j, x in row.items():
             if j >= n:
                 if pc < n:
-                    out[j - n].append((pc, frac(x)))
+                    out[j - n].append((pc, x))
                 else:
                     inconsistent.add(j - n)
     return [None if k in inconsistent else tuple(x) for k, x in enumerate(out)]

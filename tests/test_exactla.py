@@ -374,14 +374,16 @@ def only_fractions(*vectors) -> bool:
 @settings(max_examples=100, deadline=None)
 @given(mostly_zero_matrices(8, 10))
 def test_every_dense_result_holds_only_fractions(m):
-    # the integral copy makes the elimination return ints; each public result converts them
+    # the integral copy makes the elimination return ints; each dense result converts them, and
+    # solve_pairs, a sparse result, keeps an int exactly where a value is integral
     integral = Matrix.from_rows([[x.numerator for x in row] for row in m.entries])
     for a in (m, integral):
         cols = [a.col(j) for j in range(a.cols)]
         assert only_fractions(*rref(a)[0].entries)
         assert only_fractions(*kernel_basis(a))
         assert only_fractions(*sparse_kernel((dict(support(r)) for r in a.entries), a.cols))
-        assert only_fractions(*([x for _, x in sol] for sol in solve_pairs(a, [support(c) for c in cols])))
+        values = [x for sol in solve_pairs(a, [support(c) for c in cols]) for _, x in sol]
+        assert all(type(x) is (int if x.denominator == 1 else F) for x in values)
         assert only_fractions(*solve_many(a, cols), solve(a, cols[0]))
         ib = image_basis(a)
         assert only_fractions(*ib.basis, *ib.coords)

@@ -24,11 +24,12 @@ from glaw import (
     validate,
 )
 from glaw.exactla import SparseCols, format_scalar, in_span, kernel_basis, rank
-from glaw.generators import gen_glblock
+from glaw.generators import gen_glblock, gen_stabilizer_triplet
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
 from glaw.generators import gen_principal, gen_symplectic
 from glaw.cli import emit_triplet_spec, parse_triplet_spec
-from glaw.localg import build_local, reduce_triplet
+from glaw.localg import build_local, reduce_triplet, transitivity_check
+from glaw.sl2 import PolyInvariant
 from glaw.tower import POSITIVE, assemble, grow, grow_both
 
 from helpers import (
@@ -150,11 +151,34 @@ def test_dense_entry_points_refuse_a_vector_of_the_wrong_length(method, extra):
         pytest.param(lambda: LieAlgebraData(2, (((), ((1, 0.5),)), (((1, -0.5),), ()))), id="float-coefficient"),
         pytest.param(lambda: LieAlgebraData(2, (((), ((1, "1/2"),)), ((), ()))), id="str-coefficient"),
         pytest.param(lambda: LieAlgebraData(2, (((), ((1, True),)), ((), ()))), id="bool-coefficient"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((1.0, F(1)),)), (((1.0, F(-1)),), ()))), id="float-index"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((True, F(1)),)), (((True, F(-1)),), ()))), id="bool-index"),
     ],
 )
 def test_malformed_structure_pairs_are_structure_errors(make):
     with pytest.raises(StructureError):
         make()
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        pytest.param(SparseCols(3, 3, ((),) * 3), id="wrong-shape"),
+        pytest.param(SparseCols(2, 2, ((),) * 3), id="wrong-column-count"),
+        pytest.param(SparseCols(2, 2, (((0, 1), (0, 2)), ())), id="repeated-row"),
+        pytest.param(SparseCols(2, 2, (((1, 1), (0, 2)), ())), id="decreasing-rows"),
+        pytest.param(SparseCols(2, 2, (((2, 1),), ())), id="row-out-of-range"),
+        pytest.param(SparseCols(2, 2, (((0, F(0)),), ())), id="zero-value"),
+        pytest.param(SparseCols(2, 2, (((0, 0.5),), ())), id="float-value"),
+        pytest.param(SparseCols(2, 2, (((0, "1/2"),), ())), id="str-value"),
+        pytest.param(SparseCols(2, 2, (((0, True),), ())), id="bool-value"),
+        pytest.param(SparseCols(2, 2, (((0.0, 1),), ())), id="float-index"),
+        pytest.param(SparseCols(2, 2, (((True, 1),), ())), id="bool-index"),
+    ],
+)
+def test_malformed_action_columns_are_structure_errors(cols):
+    with pytest.raises(StructureError):
+        Representation(2, (SparseCols(2, 2, ((), ())), cols))
 
 
 def test_dual_rep_cases():
@@ -172,9 +196,11 @@ def test_dual_rep_cases():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_dual_rep_is_minus_the_transpose_with_matching_columns(n, data):
-    # dual_rep fills the dual's sparse columns itself; they must be those of its matrices
+    # dual_rep writes the dual's sparse columns itself; they must be those of its matrices
     square = st.lists(st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
-    r = Representation.from_matrices(n, tuple(Matrix.from_rows(m) for m in data.draw(st.lists(square, max_size=3))))
+    mats = tuple(Matrix.from_rows(m) for m in data.draw(st.lists(square, max_size=3)))
+    r = Representation.from_matrices(n, mats)
+    assert r.action == mats and r.action_cols == tuple(SparseCols.from_matrix(m) for m in mats)
     d = dual_rep(r)
     assert d.action == tuple(-a.transpose() for a in r.action)
     assert d.action_cols == tuple(SparseCols.from_matrix(m) for m in d.action)
@@ -374,6 +400,26 @@ def pair_values(table) -> list:
 
 def column_values(maps) -> list:
     return [x for m in maps for col in m.support for _, x in col]
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_triplets())
+def test_no_library_layer_builds_the_dense_action(t):
+    # action is a lazy view for readers outside glaw; every layer reads action_cols
+    L = build_local(t)
+    validate(t)
+    transitivity_check(L)
+    if L.transitivity.transitive:
+        grow_both(L, 2)
+    part = reduce_triplet(t, assert_completely_reducible=True).transitive_part
+    assert all("action" not in r.__dict__ for r in (t.rho, L.dual_action, part.rho))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_restricted_generators_build_no_dense_action(n):
+    quadric = PolyInvariant.from_string("+".join(f"x{i}^2" for i in range(n + 1)), n + 1)
+    for t in (gen_glblock(n, 1, F(-1, 2)), gen_stabilizer_triplet(quadric, 2)):
+        assert "action" not in t.rho.__dict__
 
 
 @settings(max_examples=30, deadline=None)
