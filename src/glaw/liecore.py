@@ -63,10 +63,12 @@ class NoTriple(Refusal):
 
 
 def _tight_grid(grid, n: int, refusals: tuple[str, str, str]) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
-    """The rows of grid, n sparse vectors each, with every integral value as an int.  Refuses with
-    StructureError, ``(shape, noun, order) = refusals``: ``shape`` for a row of another length, "<noun> <x>
-    is not an int or a Fraction" for a value x of another type (bool included), ``order`` for a zero value
-    or an index that is not an int (bool included), not increasing or not below n."""
+    """The rows of grid, n sparse vectors each, with every integral value as
+    an int.  Refuses with StructureError, ``(shape, noun, order) =
+    refusals``: ``shape`` for a row of another length, "<noun> <x> is not an
+    int or a Fraction" for a value x of another type (a bool included), and
+    ``order`` for a zero value or for an index that is not an int (a bool
+    included), does not increase or is not below n."""
     shape, noun, order = refusals
     rows = []
     for row in grid:
