@@ -302,6 +302,7 @@ def test_gl_structure_matches_matrix_commutators(n):
 
 
 GLBLOCK_LAMBDAS = (("1", "2"), ("1/2", "-3/4"), ("5", "1/3"))
+STABILIZER_POLYS = (("x0*x3-x1*x2", 4), ("x0*x1*x2", 3), ("x0^2*x1", 2), ("x0^2+x1^2-x2^2", 3))
 E6_ROWS = "2,-1,0,0,0,0;-1,2,-1,0,0,0;0,-1,2,-1,0,-1;0,0,-1,2,-1,0;0,0,0,-1,2,0;0,0,-1,0,0,2"
 GEN_ARGVS = (
     ["gen", "sp", "--n", "2", "--p", "3", "--lambda", "1", "--form", "trace"],
@@ -325,11 +326,13 @@ def _cli_output(argv) -> str:
 def emitted_specs(tmp: Path) -> dict[str, str]:
     """Key -> emitted spec text: `glaw gen glblock` for n = 1..5 and three
     lambda pairs, the stabilizer triplets of the quadrics in 2..5 variables
-    with the center acting by 2 and by 1/3, `gen sp` in every named form and
-    at a non-integral shift, `gen cartan` (E6, G2, a hyperbolic matrix, an
-    explicit symmetrizer), `gen trivial-summand` on the g2 cubic, and the
-    transitive part `reduce` reports for that summand and for G2 with a
-    zero-acting ideal and a trivial summand."""
+    with the center acting by 2 and by 1/3 and of STABILIZER_POLYS (a
+    determinant, two monomials, an indefinite quadric) with the center acting
+    by 2, `gen sp` in every named form and at a non-integral shift, `gen
+    cartan` (E6, G2, a hyperbolic matrix, an explicit symmetrizer), `gen
+    trivial-summand` on the g2 cubic, and the transitive part `reduce`
+    reports for that summand and for G2 with a zero-acting ideal and a
+    trivial summand."""
     out = {}
     for n in range(1, 6):
         for l1, l2 in GLBLOCK_LAMBDAS:
@@ -341,6 +344,10 @@ def emitted_specs(tmp: Path) -> dict[str, str]:
             name = f"stabilizer({quad},{s})"
             t = gen_stabilizer_triplet(PolyInvariant.from_string(quad, n), F(s))
             out[name] = canonical_json(emit_triplet_spec(t, name))
+    for poly, n in STABILIZER_POLYS:
+        name = f"stabilizer({poly},2)"
+        t = gen_stabilizer_triplet(PolyInvariant.from_string(poly, n), 2)
+        out[name] = canonical_json(emit_triplet_spec(t, name))
     for argv in GEN_ARGVS:
         out[" ".join(argv)] = _cli_output(argv)
     cubic = tmp / "g2-cubic.json"
