@@ -74,7 +74,6 @@ from .sl2 import (
     gradlog_triple,
     property_p_test,
     relative_invariant_check,
-    vector_field_apply,
 )
 from .generators import (
     MonomialBasis,

@@ -28,7 +28,7 @@ from .liecore import (
     Representation,
     restrict_algebra,
 )
-from .sl2 import PolyInvariant, vector_field_apply
+from .sl2 import PolyInvariant, directional_derivative
 
 FORMS = ("trace", "sl-shifted", "g2")
 
@@ -59,16 +59,6 @@ def monomial_basis(n: int, p: int) -> MonomialBasis:
 
     exps = tuple(compositions(p, n)) if n else ((),) if p == 0 else ()
     return MonomialBasis(n, p, exps)
-
-
-def _gl_basis_matrices(n: int) -> list[Matrix]:
-    out = []
-    for a in range(n):
-        for b in range(n):
-            out.append(
-                Matrix.from_rows([[1 if (i, j) == (a, b) else 0 for j in range(n)] for i in range(n)])
-            )
-    return out
 
 
 def _gl_structure(n: int) -> LieAlgebraData:
@@ -269,11 +259,13 @@ def stabilizer_of_poly(n: int, p: PolyInvariant) -> list[Vector]:
         raise Refusal("the polynomial must be homogeneous (the stabilizer is read in its one degree)")
     target = monomial_basis(n, p.degree())
     index = {alpha: k for k, alpha in enumerate(target.exponents)}
-    basis = _gl_basis_matrices(n)
     cols = []
-    for u in basis:
-        res = vector_field_apply(p, u)
-        cols.append(dense(((index[e], c) for e, c in res.terms), len(target.exponents)))
+    for a in range(n):
+        for b in range(n):
+            # E_ab acts as x_a d/dx_b, the flow of E_ba: its one entry is row b of column a
+            e_ba = SparseCols(n, n, tuple(((b, 1),) if i == a else () for i in range(n)))
+            res = directional_derivative(p, e_ba)
+            cols.append(dense(((index[e], c) for e, c in res.terms), len(target.exponents)))
     return kernel_basis(Matrix.from_cols(cols, nrows=len(target.exponents)))
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .exactla import (
     Matrix,
+    SparseCols,
     Vector,
     ZERO,
     frac,
@@ -101,30 +102,6 @@ class PolyInvariant:
         degs = {sum(e) for e, _ in self.terms}
         return len(degs) <= 1
 
-    def __add__(self, other: "PolyInvariant") -> "PolyInvariant":
-        data = dict(self.terms)
-        for e, c in other.terms:
-            data[e] = data.get(e, ZERO) + c
-        return PolyInvariant.from_dict(self.nvars, data)
-
-    def __neg__(self) -> "PolyInvariant":
-        return PolyInvariant(self.nvars, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "PolyInvariant") -> "PolyInvariant":
-        return self + (-other)
-
-    def scale(self, c) -> "PolyInvariant":
-        c = frac(c)
-        return PolyInvariant.from_dict(self.nvars, {e: c * x for e, x in self.terms})
-
-    def __mul__(self, other: "PolyInvariant") -> "PolyInvariant":
-        data: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                data[key] = data.get(key, ZERO) + c1 * c2
-        return PolyInvariant.from_dict(self.nvars, data)
-
     def diff(self, j: int) -> "PolyInvariant":
         data: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms:
@@ -168,13 +145,6 @@ class PolyInvariant:
                 return None
         return ratio
 
-    def serializable(self) -> list:
-        return [[list(e), str(c)] for e, c in self.terms]
-
-    @staticmethod
-    def from_pairs(nvars: int, pairs) -> "PolyInvariant":
-        return PolyInvariant.from_dict(nvars, {tuple(int(x) for x in e): frac(str(c)) for e, c in pairs})
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -194,28 +164,21 @@ class PolyInvariant:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def directional_derivative(p: PolyInvariant, m: Matrix) -> PolyInvariant:
-    """dP(x) . (M x): the derivative of P along the linear flow of M."""
-    out = PolyInvariant.from_dict(p.nvars, {})
-    for j in range(p.nvars):
-        dj = p.diff(j)
-        if dj.is_zero():
-            continue
-        linear = PolyInvariant.from_dict(
-            p.nvars,
-            {
-                tuple(1 if k == i else 0 for k in range(p.nvars)): m.entries[j][i]
-                for i in range(p.nvars)
-                if m.entries[j][i] != 0
-            },
-        )
-        out = out + dj * linear
-    return out
-
-
-def vector_field_apply(p: PolyInvariant, u: Matrix) -> PolyInvariant:
-    """The action sum_{i,j} u_ij x_i dP/dx_j of a gl-element on polynomials."""
-    return directional_derivative(p, u.transpose())
+def directional_derivative(p: PolyInvariant, m: SparseCols) -> PolyInvariant:
+    """dP(x) . (M x): the derivative of P along the linear flow of M, read off
+    the columns of M.  Each term c x^e and each nonzero M[j][i] with e_j > 0
+    add c e_j M[j][i] to the coefficient of x^(e - 1_j + 1_i)."""
+    data: dict[tuple[int, ...], Fraction] = {}
+    for e, c in p.terms:
+        for i, col in enumerate(m.support):
+            for j, x in col:
+                if e[j]:
+                    exps = list(e)
+                    exps[j] -= 1
+                    exps[i] += 1
+                    key = tuple(exps)
+                    data[key] = data.get(key, ZERO) + c * e[j] * x
+    return PolyInvariant.from_dict(p.nvars, data)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +280,18 @@ class RelativeInvariantResult:
     failing_index: int | None
 
 
-def relative_invariant_check(
-    t: FundamentalTriplet, r: PolyInvariant, action: tuple[Matrix, ...] | None = None
-) -> RelativeInvariantResult:
+def relative_invariant_check(t: FundamentalTriplet, r: PolyInvariant) -> RelativeInvariantResult:
     """Check dR(x).(A x) = dchi(A) R(x) for every basis element A.
 
     The module must carry the polynomial's variables (dim V = number of
-    variables), or an explicit matrix action on those variables is supplied.
+    variables); each A is read as its sparse columns rho(A).
     """
     if r.is_zero():
         raise Refusal("the zero polynomial is not a relative invariant")
-    acts = tuple(action) if action is not None else t.rho.action
-    if acts[0].rows != r.nvars:
+    if t.dim_v != r.nvars:
         raise Refusal("the action does not match the polynomial's variable count")
     dchi = []
-    for a, m in enumerate(acts):
+    for a, m in enumerate(t.rho.action_cols):
         derived = directional_derivative(r, m)
         c = derived.scalar_multiple_of(r)
         if c is None:

@@ -295,13 +295,6 @@ def test_degree_cap_env_var(tmp_path):
     assert len(payload["dims"]["pos"]) == 2
 
 
-def test_poly_serialization_round_trip():
-    from glaw.sl2 import PolyInvariant
-
-    p = PolyInvariant.from_string("x0^2 - 1/3*x0*x1", 2)
-    assert PolyInvariant.from_pairs(2, p.serializable()) == p
-
-
 def test_out_of_range_indices_exit_two(tmp_path):
     obj = json.loads(gen_g2_spec())
     obj["structure_constants"][0][0] = 99

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glaw import (
     FundamentalTriplet,
@@ -22,11 +24,11 @@ from glaw import (
     relative_invariant_check,
     theta_swap,
 )
-from glaw.exactla import solve, vis_zero
+from glaw.exactla import SparseCols, solve, vis_zero
 from glaw.liecore import LieAlgebraData, derived_subalgebra
-from glaw.sl2 import PolyInvariant, directional_derivative, vector_field_apply
+from glaw.sl2 import PolyInvariant, directional_derivative
 
-from helpers import gl_standard_triplet, random_rational_vector, sl2_triplet, sum_of_powers_vector
+from helpers import gl_standard_triplet, random_rational_vector, sl2_triplet, small_rationals, sum_of_powers_vector
 
 F = Fraction
 
@@ -47,22 +49,47 @@ def test_poly_calculus():
     assert p.degree() == 2 and p.is_homogeneous()
     assert p.diff(0) == PolyInvariant.from_string("2*x0", 2)
     assert p.gradient_at((1, 0)) == (F(2), F(0))
-    prod = p * PolyInvariant.from_string("x0", 2)
-    assert prod == PolyInvariant.from_string("x0^3+x0*x1^2", 2)
-    assert p.scalar_multiple_of(p.scale(3)) == F(1, 3)
+    assert p.scalar_multiple_of(PolyInvariant.from_string("3*x0^2+3*x1^2", 2)) == F(1, 3)
     assert p.scalar_multiple_of(PolyInvariant.from_string("x0^2", 2)) is None
-    assert p.serializable() == [[[0, 2], "1"], [[2, 0], "1"]]
 
 
 def test_vector_field_action_matches_euler():
     p = PolyInvariant.from_string("x0^3+x0*x1^2", 2)
-    assert vector_field_apply(p, Matrix.identity(2)) == p.scale(3)
-    # x0 d/dx1 sends x1^2 to 2 x0 x1
+    ident = SparseCols.from_matrix(Matrix.identity(2))
+    assert directional_derivative(p, ident) == PolyInvariant.from_string("3*x0^3+3*x0*x1^2", 2)
+    # E_01 acts as x0 d/dx1, the flow of its transpose, and sends x1^2 to 2 x0 x1
     e01 = Matrix.from_rows([[0, 1], [0, 0]])
-    assert vector_field_apply(PolyInvariant.from_string("x1^2", 2), e01) == PolyInvariant.from_string(
-        "2*x0*x1", 2
-    )
-    assert directional_derivative(p, Matrix.identity(2)) == p.scale(3)
+    got = directional_derivative(PolyInvariant.from_string("x1^2", 2), SparseCols.from_matrix(e01.transpose()))
+    assert got == PolyInvariant.from_string("2*x0*x1", 2)
+
+
+@st.composite
+def polys_and_maps(draw):
+    """A polynomial in 1..4 variables with up to six terms, each exponent at
+    most 3, and an n x n matrix of small rationals, about half of them zero."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exps, small_rationals.filter(bool), max_size=6))
+    cell = st.one_of(st.just(F(0)), small_rationals)
+    grid = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    return PolyInvariant.from_dict(n, terms), Matrix.from_rows(grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys_and_maps())
+def test_directional_derivative_matches_sympy(case):
+    """The sparse kernel against sympy's sum_j dP/dx_j (Mx)_j, term by term
+    (sympy is a test-only tool)."""
+    from sympy import Poly, Rational, diff, symbols
+
+    p, m = case
+    n = p.nvars
+    xs = symbols(f"x0:{n}")
+    poly = sum(Rational(c.numerator, c.denominator) * math.prod(x**k for x, k in zip(xs, e)) for e, c in p.terms)
+    mx = [sum(Rational(x.numerator, x.denominator) * xs[i] for i, x in enumerate(m.entries[j])) for j in range(n)]
+    expected = Poly(sum(diff(poly, xs[j]) * mx[j] for j in range(n)), *xs).as_dict()
+    got = directional_derivative(p, SparseCols.from_matrix(m))
+    assert dict(got.terms) == {e: F(int(c.p), int(c.q)) for e, c in expected.items()}
 
 
 # ---------------------------------------------------------------------------
