@@ -28,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactla import ONE, Matrix, SparseCols, dense, format_scalar, parse_scalar, rank
+from .exactla import ONE, SparseCols, dense, format_scalar, parse_scalar, rank, tight
 from .generators import (
     gen_glblock,
     gen_principal,
@@ -91,11 +91,19 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _rational_matrix(rows) -> Matrix:
+def _rows_cols(rows, n: int) -> SparseCols:
+    """Rows of n rational strings as a sparse matrix, each integral value as
+    an int; the mirror of ``_rows_text``."""
+    cols = [[] for _ in range(n)]
     try:
-        return Matrix.from_rows([[parse_scalar(str(x)) for x in row] for row in rows])
+        for p, row in enumerate(rows):
+            for q, text in enumerate(row):
+                x = parse_scalar(str(text))
+                if x:
+                    cols[q].append((p, tight(x)))
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
+    return SparseCols(len(rows), n, tuple(map(tuple, cols)))
 
 
 def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
@@ -124,8 +132,8 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
         square = isinstance(m, list) and len(m) == dim_v
         if not square or not all(isinstance(r, list) and len(r) == dim_v for r in m):
             raise SpecError("a rho matrix has the wrong shape")
-    gram = _rational_matrix(gram_rows)
-    mats = tuple(_rational_matrix(m) for m in rho_list)
+    gram = _rows_cols(gram_rows, dim_g0).to_matrix()
+    action = tuple(_rows_cols(m, dim_v) for m in rho_list)
     entries = obj.get("structure_constants", [])
     if not isinstance(entries, list):
         raise SpecError("structure_constants must be a list of [i, j, terms] entries")
@@ -157,7 +165,7 @@ def parse_triplet_spec(obj: dict) -> tuple[FundamentalTriplet, str, dict]:
         pairs[j][i] = tuple((k, -x) for k, x in pairs[i][j])
     g0 = LieAlgebraData(dim_g0, tuple(map(tuple, pairs)))
     try:
-        triplet = FundamentalTriplet(g0, QuadraticForm(gram), Representation.from_matrices(dim_v, mats))
+        triplet = FundamentalTriplet(g0, QuadraticForm(gram), Representation(dim_v, action))
     except StructureError as exc:
         raise SpecError(str(exc)) from exc
     meta = obj.get("meta", {})
@@ -175,17 +183,23 @@ def _rows_text(m: SparseCols) -> list[list[str]]:
     return rows
 
 
+def _structure_text(g: LieAlgebraData) -> list:
+    """[i, j, [[k, "c"], ...]] for each nonzero [e_i, e_j] with i < j."""
+    pairs = g.structure_pairs
+    return [
+        [i, j, [[k, format_scalar(c)] for k, c in pairs[i][j]]]
+        for i in range(g.dim)
+        for j in range(i + 1, g.dim)
+        if pairs[i][j]
+    ]
+
+
 def emit_triplet_spec(t: FundamentalTriplet, name: str, meta: dict | None = None) -> dict:
-    sc = []
-    for i, row in enumerate(t.g0.structure_pairs):
-        for j in range(i + 1, t.dim_g0):
-            if row[j]:
-                sc.append([i, j, [[k, format_scalar(c)] for k, c in row[j]]])
     out = {
         "name": name,
         "dim_g0": t.dim_g0,
         "dim_V": t.dim_v,
-        "structure_constants": sc,
+        "structure_constants": _structure_text(t.g0),
         "B0": [[format_scalar(x) for x in row] for row in t.b0.gram.entries],
         "rho": [_rows_text(m) for m in t.rho.action_cols],
     }
@@ -331,13 +345,7 @@ def cmd_assemble(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[di
         "center_dim": len(center(asm.algebra)),
     }
     if args.full:
-        pairs = asm.algebra.structure_pairs
-        fields["structure_constants"] = [
-            [i, j, [[k, format_scalar(c)] for k, c in pairs[i][j]]]
-            for i in range(asm.algebra.dim)
-            for j in range(i + 1, asm.algebra.dim)
-            if pairs[i][j]
-        ]
+        fields["structure_constants"] = _structure_text(asm.algebra)
     return fields, 0
 
 

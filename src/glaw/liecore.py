@@ -65,10 +65,11 @@ class NoTriple(Refusal):
 def _tight_grid(grid, n: int, refusals: tuple[str, str, str]) -> tuple[tuple[tuple[tuple[int, Exact], ...], ...], ...]:
     """The rows of grid, n sparse vectors each, with every integral value as
     an int.  Refuses with StructureError, ``(shape, noun, order) =
-    refusals``: ``shape`` for a row of another length, "<noun> <x> is not an
-    int or a Fraction" for a value x of another type (a bool included), and
-    ``order`` for a zero value or for an index that is not an int (a bool
-    included), does not increase or is not below n."""
+    refusals``: ``shape`` for a row of another length, "<noun>s must be
+    given as (index, value) pairs" for an entry that is not a pair, "<noun>
+    <x> is not an int or a Fraction" for a value x of another type (a bool
+    included), and ``order`` for a zero value or for an index that is not an
+    int (a bool included), does not increase or is not below n."""
     shape, noun, order = refusals
     rows = []
     for row in grid:
@@ -77,14 +78,17 @@ def _tight_grid(grid, n: int, refusals: tuple[str, str, str]) -> tuple[tuple[tup
         out = []
         for pairs in row:
             last, tight = -1, True
-            for k, x in pairs:
-                if type(x) is not int:
-                    if not isinstance(x, Fraction):
-                        raise StructureError(f"{noun} {x!r} is not an int or a Fraction")
-                    tight &= x.denominator != 1
-                if not (type(k) is int and last < k < n and x):
-                    raise StructureError(order)
-                last = k
+            try:
+                for k, x in pairs:
+                    if type(x) is not int:
+                        if not isinstance(x, Fraction):
+                            raise StructureError(f"{noun} {x!r} is not an int or a Fraction")
+                        tight &= x.denominator != 1
+                    if not (type(k) is int and last < k < n and x):
+                        raise StructureError(order)
+                    last = k
+            except (TypeError, ValueError):  # an entry that does not unpack to two values
+                raise StructureError(f"{noun}s must be given as (index, value) pairs") from None
             out.append(pairs if tight else tight_pairs(pairs))
         rows.append(tuple(out))
     return tuple(rows)
@@ -199,6 +203,8 @@ class Representation:
 
     def __post_init__(self):
         n, shape = self.dim_v, "representation matrices must be dim_v x dim_v"
+        if not all(isinstance(m, SparseCols) for m in self.action_cols):
+            raise StructureError("representation matrices must be given as SparseCols")
         if any(m.rows != n or m.cols != n for m in self.action_cols):
             raise StructureError(shape)
         order = "action columns must be nonzero at increasing rows below dim_v"

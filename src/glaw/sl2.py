@@ -4,7 +4,9 @@ The criterion is linear: X belongs to a triple (Y, H0, X) exactly when X lies
 outside the span of the derived algebra acting on X.  Completion solves one
 covector system; the gradlog route differentiates an explicit relative
 invariant instead.  Certificates carry their three residual vectors and are
-only produced when those vanish exactly.
+only produced when those vanish exactly.  A linear map acts on a polynomial
+through one sparse kernel, ``directional_derivative``, which reads the map's
+columns; the relative-invariant check and the stabilizer generator share it.
 """
 
 from __future__ import annotations

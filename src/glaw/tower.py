@@ -70,7 +70,6 @@ class GradedComponent:
     the tensor (i, m).
     """
 
-    degree: int
     dim: int
     lower: tuple[SparseCols, ...]
     provenance: tuple[tuple[int, int], ...]
@@ -211,7 +210,6 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
             "reduce the triplet first"
         )
     growth = L if side == POSITIVE else L.swapped
-    sign = 1 if side == POSITIVE else -1
     t = growth.triplet
     dv, n0 = t.dim_v, t.dim_g0
     table = growth.xy_pairs
@@ -219,7 +217,7 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
         SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in table[i][j]) for i in range(dv))) for j in range(dv)
     )
     gr = _Graded(t.g0)
-    gr.add(1, GradedComponent(sign, dv, lower1, (), None, lambda: t.rho.action_cols))
+    gr.add(1, GradedComponent(dv, lower1, (), None, lambda: t.rho.action_cols))
     phis: list[SparseCols] = []
     while (n := len(gr.comps)) < max_degree and gr.dims[n]:
         cur_dim = gr.dims[n]
@@ -228,7 +226,7 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
         ib = image_basis(phi)
         new_dim = len(ib.pivots)
         if new_dim == 0:
-            gr.add(n + 1, GradedComponent(sign * (n + 1), 0, (), (), None, tuple))
+            gr.add(n + 1, GradedComponent(0, (), (), None, tuple))
             break
         provenance = tuple((p // cur_dim, p % cur_dim) for p in ib.pivots)
         # lower[j] column k is block j of the k-th pivot column: [y_j, e_k] in degree n
@@ -239,7 +237,7 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
                 blocks[j][k].append((m, x))
         lower = tuple(SparseCols(cur_dim, new_dim, tuple(map(tuple, b))) for b in blocks)
         lift = partial(_lifted_action, gr, n + 1)
-        gr.add(n + 1, GradedComponent(sign * (n + 1), new_dim, lower, provenance, ib.coord_cols, lift))
+        gr.add(n + 1, GradedComponent(new_dim, lower, provenance, ib.coord_cols, lift))
     comps = tuple(gr.comps.values())
     return Tower(L, side, comps, tuple(phis), comps[-1].dim == 0)
 

@@ -153,6 +153,8 @@ def test_dense_entry_points_refuse_a_vector_of_the_wrong_length(method, extra):
         pytest.param(lambda: LieAlgebraData(2, (((), ((1, True),)), ((), ()))), id="bool-coefficient"),
         pytest.param(lambda: LieAlgebraData(2, (((), ((1.0, F(1)),)), (((1.0, F(-1)),), ()))), id="float-index"),
         pytest.param(lambda: LieAlgebraData(2, (((), ((True, F(1)),)), (((True, F(-1)),), ()))), id="bool-index"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((1,),)), ((), ()))), id="one-entry-pair"),
+        pytest.param(lambda: LieAlgebraData(2, (((), ((1, F(1), 0),)), ((), ()))), id="three-entry-pair"),
     ],
 )
 def test_malformed_structure_pairs_are_structure_errors(make):
@@ -174,6 +176,8 @@ def test_malformed_structure_pairs_are_structure_errors(make):
         pytest.param(SparseCols(2, 2, (((0, True),), ())), id="bool-value"),
         pytest.param(SparseCols(2, 2, (((0.0, 1),), ())), id="float-index"),
         pytest.param(SparseCols(2, 2, (((True, 1),), ())), id="bool-index"),
+        pytest.param(SparseCols(2, 2, (((0,),), ())), id="one-entry-pair"),
+        pytest.param((2, 2, ((), ())), id="not-sparse-cols"),
     ],
 )
 def test_malformed_action_columns_are_structure_errors(cols):
