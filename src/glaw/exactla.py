@@ -124,6 +124,30 @@ def dense(x: Pairs, n: int) -> Vector:
     return tuple(out)
 
 
+def numerators(cols: Iterable[Pairs]) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """The lcm d of the denominators of (index, value) columns, and the columns times d, as ints."""
+    cols = list(cols)
+    d = lcm(*(x.denominator for col in cols for _, x in col))
+    return d, cols if d == 1 else [tuple((k, x.numerator * (d // x.denominator)) for k, x in col) for col in cols]
+
+
+def combine(terms: Iterable[tuple[int, Pairs, Sequence[Pairs]]], s: int = 1) -> tuple[tuple[int, Exact], ...]:
+    """The sum over terms (m, coefs, cols) of m c cols[k] for each (k, c) in coefs, divided by s: its nonzero
+    entries in index order.  On int coefficients and columns it accumulates ints and divides each entry once."""
+    acc: dict[int, int] = {}
+    for m, coefs, cols in terms:
+        for k, c in coefs:
+            c *= m
+            for r, x in cols[k]:
+                acc[r] = acc.get(r, 0) + c * x
+    return divided(sorted(acc.items()), s)
+
+
+def divided(pairs: Iterable[tuple[int, int]], s: int) -> tuple[tuple[int, Exact], ...]:
+    """The nonzero (index, x / s) of int pairs, each an int where s divides x, else a Fraction."""
+    return tuple((k, x // s if x % s == 0 else Fraction(x, s)) for k, x in pairs if x)
+
+
 def bilinear(x: Pairs, y: Pairs, entry: Callable[[int, int], Pairs], out):
     """Add the sum of x_i y_j entry(i, j) into out and return it.
 

@@ -29,9 +29,11 @@ from .exactla import (
     ZERO,
     as_vector,
     bilinear,
+    combine,
     frac,
     image_basis,
     kernel_basis,
+    numerators,
     rank,
     solve,
     solve_pairs,
@@ -290,16 +292,16 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
         for j in range(i, n):
             if c[i][j] != tuple((k, -x) for k, x in c[j][i]):
                 rep.add(f"antisymmetry fails at basis pair ({i},{j})")
+    # Jacobi and the homomorphism property on ints: f clears the denominators of the brackets, e those of rho
+    f, table = numerators(p for row in c for p in row)
+    sc = [table[i * n : (i + 1) * n] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                # [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]
+                # f^2 ([e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]])
                 if not (c[j][k] or c[k][i] or c[i][j]):
                     continue
-                acc = defaultdict(int)
-                for p, inner in ((i, c[j][k]), (j, c[k][i]), (k, c[i][j])):
-                    bilinear(((p, 1),), inner, lambda a, b: c[a][b], acc)
-                if any(acc.values()):
+                if combine(((1, sc[j][k], sc[i]), (1, sc[k][i], sc[j]), (1, sc[i][j], sc[k]))):
                     rep.add(f"Jacobi identity fails at basis triple ({i},{j},{k})")
     if not b0.gram.is_symmetric():
         rep.add("form is not symmetric")
@@ -320,15 +322,14 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
     for i, j, k in sorted(suspects):
         if left.get((i, j), {}).get(k, 0) != right.get((j, k), {}).get(i, 0):
             rep.add(f"form invariance fails at basis triple ({i},{j},{k})")
-    cols = [m.support for m in rho.action_cols]
+    e, cols = numerators(col for m in rho.action_cols for col in m.support)
+    dv = rho.dim_v
+    maps, by_l = [cols[a * dv : (a + 1) * dv] for a in range(n)], [cols[l::dv] for l in range(dv)]
     for i in range(n):
         for j in range(i + 1, n):
-            for l in range(rho.dim_v):
-                # column l of rho([e_i,e_j]) - rho_i rho_j + rho_j rho_i
-                acc = bilinear(c[i][j], ((l, 1),), lambda a, m: cols[a][m], defaultdict(int))
-                bilinear(((i, -1),), cols[j][l], lambda a, m: cols[a][m], acc)
-                bilinear(((j, 1),), cols[i][l], lambda a, m: cols[a][m], acc)
-                if any(acc.values()):
+            for l in range(dv):
+                # column l of f e^2 (rho([e_i,e_j]) - rho_i rho_j + rho_j rho_i)
+                if combine(((e, sc[i][j], by_l[l]), (-f, maps[j][l], maps[i]), (f, maps[i][l], maps[j]))):
                     rep.add(f"representation homomorphism fails at basis pair ({i},{j})")
                     break
     return rep

@@ -14,7 +14,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .exactla import (
     Exact,
@@ -24,10 +23,12 @@ from .exactla import (
     ZERO,
     bilinear,
     dense,
+    divided,
     hstack,
     image_basis,
     inverse,
     kernel_basis,
+    numerators,
     rank,
     solve,
     solve_many,
@@ -120,16 +121,11 @@ class LocalAlgebra:
         return self.bracket_xy(va, vb) if da == 1 else self.bracket_yx(va, vb)
 
 
-def _integral(pairs, s: int) -> tuple[tuple[int, int], ...]:
-    """s times the (index, value) pairs, as ints: s is a multiple of every denominator."""
-    return tuple((k, x.numerator * (s // x.denominator)) for k, x in pairs)
-
-
 def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     """Construct the local algebra; refuses a degenerate form.
 
     G^{-1} comes from one elimination of [G | Id].  With d the lcm of its
-    denominators, e that of rho and rho' = e rho, the table T = G^{-1} R
+    denominators, e that of rho (and of rho^*) and rho' = e rho, the table T = G^{-1} R
     (R[a][(i, j)] = rho_a[j][i]) is built as the integral T' = de T.  The
     mixed Jacobi identity ad(e_a) T = T (rho_a (x) 1 + 1 (x) rho_a^*) is
     re-verified on all (a, i, j) times de^2, as
@@ -141,19 +137,17 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     inv = solve_pairs(t.b0.gram, [((a, 1),) for a in range(n)])
     if None in inv:
         raise Refusal("the invariant form is degenerate; no local bracket exists")
-    d = lcm(*(x.denominator for col in inv for _, x in col))
-    e = lcm(*(x.denominator for m in t.rho.action_cols for col in m.support for _, x in col))
-    inv = [_integral(col, d) for col in inv]
+    d, inv = numerators(inv)
     dual_action = dual_rep(t.rho)
-    rho, dual = ([[_integral(col, e) for col in m.support] for m in r.action_cols] for r in (t.rho, dual_action))
+    (e, rho), (_, dual) = (numerators(col for m in r.action_cols for col in m.support) for r in (t.rho, dual_action))
     # T'[i][j] gets rho'_a[j][i] (d G^{-1})[:, a] for each nonzero rho'_a[j][i]
     cells = [[defaultdict(int) for _ in range(dv)] for _ in range(dv)]
-    for a, cols in enumerate(rho):
-        for i, col in enumerate(cols):
-            for j, x in col:
-                cell = cells[i][j]
-                for k, y in inv[a]:
-                    cell[k] += x * y
+    for ai, col in enumerate(rho):
+        a, i = divmod(ai, dv)
+        for j, x in col:
+            cell = cells[i][j]
+            for k, y in inv[a]:
+                cell[k] += x * y
     xy = [[tuple(sorted((k, v) for k, v in cell.items() if v)) for cell in row] for row in cells]
     c = t.g0.structure_pairs
     bracket, xy_entry = (lambda p, q: c[p][q]), (lambda r, s: xy[r][s])
@@ -161,15 +155,15 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
         for i in range(dv):
             for j in range(dv):
                 acc = bilinear(((a, e),), xy[i][j], bracket, defaultdict(int))
-                bilinear(rho[a][i], ((j, -1),), xy_entry, acc)
-                bilinear(((i, -1),), dual[a][j], xy_entry, acc)
+                bilinear(rho[a * dv + i], ((j, -1),), xy_entry, acc)
+                bilinear(((i, -1),), dual[a * dv + j], xy_entry, acc)
                 if any(acc.values()):
                     raise Refusal(
                         f"mixed Jacobi identity fails at (g0={a}, V={i}, V*={j}); "
                         "the input triplet does not satisfy the construction hypotheses"
                     )
     de = d * e
-    xy = [tuple(tuple((k, v // de if v % de == 0 else Fraction(v, de)) for k, v in p) for p in row) for row in xy]
+    xy = [tuple(divided(p, de) for p in row) for row in xy]
     return LocalAlgebra(t, dual_action, tuple(xy))
 
 

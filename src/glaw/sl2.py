@@ -142,8 +142,9 @@ class PolyInvariant:
                 ratio = r
             elif ratio != r:
                 return None
+        sdict = dict(self.terms)
         for e, c in other.terms:
-            if dict(self.terms).get(e, ZERO) != ratio * c:
+            if sdict.get(e, ZERO) != ratio * c:
                 return None
         return ratio
 

@@ -5,12 +5,13 @@ Phi(x (x) u)(y) = [[y,x],u] + [x,[y,u]] from V (x) g_n into Hom(V*, g_n):
 minimality makes [g_1, g_n] span g_{n+1} and transitivity makes the kernel of
 lowering exactly the excess, so no free-algebra scaffolding is needed.  The
 negative side is the positive side of the swapped triplet, grown over the
-local algebra read off ``L.swapped`` (the swap fixes all elements).  Every
-bracket with a degree +-1 generator, in growth and in assembly alike, goes
-through one mechanism over the stored raise, lower and g0-action maps; a
-degree's g0 action is lifted on its first read.  Bases of each new degree are
-pivot columns under the deterministic elimination of exactla, so reruns are
-bit-identical.
+local algebra read off ``L.swapped`` (the swap fixes all elements).  Each
+growth map, and each degree's g0 action (lifted on its first read), runs on
+integer numerators: every stored map it reads is scaled once by the lcm of its
+denominators, ints accumulate, and each entry is divided once by the common
+scale (``exactla.combine``).  Assembly brackets through one mechanism over the
+same maps (``_Graded``).  Bases of each new degree are pivot columns under the
+deterministic elimination of exactla, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from math import prod
+from math import lcm, prod
 
 from .exactla import (
     Exact,
@@ -29,8 +30,10 @@ from .exactla import (
     Vector,
     ZERO,
     bilinear,
+    combine,
     dense,
     image_basis,
+    numerators,
     rank,
     solve_pairs,
     span_matrix,
@@ -59,8 +62,8 @@ class GradedComponent:
 
     Every map is stored by sparse columns (``SparseCols``; ``.to_matrix()``
     gives the dense Fraction matrix) that keep each integral value as an int
-    and any other as a Fraction, so growth and assembly multiply ints where
-    they can.  ``act0[a]`` is the action of the a-th g0 basis element, a
+    and any other as a Fraction; growth and the lift read them as integer
+    numerators (``exactla.numerators``).  ``act0[a]`` is the action of the a-th g0 basis element, a
     (dim x dim) map, computed on first read by ``_lift``.
     ``lower[j]`` is ad of the j-th degree-(-1) generator, a (prev_dim x dim)
     map (prev_dim is dim g0 at degree 1).
@@ -248,30 +251,47 @@ def grow_both(L: LocalAlgebra, max_degree: int) -> tuple[Tower, Tower]:
 
 
 def _growth_map(gr: _Graded, n: int) -> SparseCols:
-    """Columns Phi(x_i (x) u_l), one block per y_j: [[y_j, x_i], u_l] + [x_i, [y_j, u_l]]."""
+    """Columns Phi(x_i (x) u_l), one block per y_j: [[y_j, x_i], u_l] + [x_i, [y_j, u_l]], on ints.
+
+    Block j is sum_a [y_j, x_i]_a act0_n[a][:, l] + sum_m lower_n[j][m, l] [x_i, e_m], [x_i, e_m] read off
+    degree n's tensor coordinates; at n = 1 the second term is -sum_a [y_j, x_l]_a rho_a[:, i]."""
     dv, dim = gr.dims[1], gr.dims[n]
-    yx, lower = gr.comps[1].lower, gr.comps[n].lower
+    e, yx = numerators(col for m in gr.comps[1].lower for col in m.support)
+    f, act = numerators(col for m in gr.comps[n].act0 for col in m.support)
+    acts = [act[l::dim] for l in range(dim)]
+    (h, low), (t, raised), sign = (e, yx), (f, acts), -1  # at n = 1, [x_i, a] = -rho_a[:, i]
+    if n > 1:
+        h, low = numerators(col for m in gr.comps[n].lower for col in m.support)
+        t, tc = numerators(gr.comps[n].tensor_coords.support)
+        prev, sign = gr.dims[n - 1], 1
+        raised = [tc[i * prev : (i + 1) * prev] for i in range(dv)]
+    s = lcm(e * f, h * t)
+    m1, m2 = s // (e * f), sign * s // (h * t)
     cols = []
     for i in range(dv):
         for l in range(dim):
             col = []
             for j in range(dv):
-                block = gr.act0(n, yx[j].support[i], _unit(l))
-                gr.gen_bracket(1, _unit(i), n - 1, lower[j].support[l], block)
-                col.extend((j * dim + k, x) for k, x in _pairs(block))
+                block = combine(((m1, yx[j * dv + i], acts[l]), (m2, low[j * dim + l], raised[i])), s)
+                col.extend((j * dim + k, x) for k, x in block)
             cols.append(tuple(col))
     return SparseCols(dv * dim, dv * dim, tuple(cols))
 
 
 def _lifted_action(gr: _Graded, d: int) -> tuple[SparseCols, ...]:
-    """The g0 action on degree d: [a, [x, u]] = [[a, x], u] + [x, [a, u]]."""
-    comp, rho, prev = gr.comps[d], gr.comps[1].act0, gr.comps[d - 1].act0
+    """The g0 action on degree d: [a, [x_i, u_l]] = [[a, x_i], u_l] + [x_i, [a, u_l]], on ints: both terms
+    raise through degree d's tensor coordinates, rho_a[:, i] on (i', l) and act0_{d-1}[a][:, l] on (i, m)."""
+    comp, dv, prev = gr.comps[d], gr.dims[1], gr.dims[d - 1]
+    e, rho = numerators(col for m in gr.comps[1].act0 for col in m.support)
+    f, act = numerators(col for m in gr.comps[d - 1].act0 for col in m.support)
+    t, tc = numerators(comp.tensor_coords.support)
+    g = lcm(e, f)
+    by_l, by_i = [tc[l::prev] for l in range(prev)], [tc[i * prev : (i + 1) * prev] for i in range(dv)]
     out = []
     for a in range(gr.dims[0]):
         cols = []
         for i, l in comp.provenance:
-            col = gr.gen_bracket(1, rho[a].support[i], d - 1, _unit(l))
-            cols.append(_pairs(gr.gen_bracket(1, _unit(i), d - 1, prev[a].support[l], col)))
+            cols.append(combine(((g // e, rho[a * dv + i], by_l[l]), (g // f, act[a * prev + l], by_i[i])), g * t))
         out.append(SparseCols(comp.dim, comp.dim, tuple(cols)))
     return tuple(out)
 

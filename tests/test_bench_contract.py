@@ -1,13 +1,22 @@
-"""The benchmark's traced pass wraps glaw functions by module and name.
+"""What the benchmark relies on, checked without running it.
 
-perfbench/spans.py lists them in LAYERS; a renamed or moved function would
-only show up as a failure of a traced benchmark run, so check here that every
-listed (module, function) still resolves.
+The traced pass wraps glaw functions by module and name: perfbench/spans.py
+lists them in LAYERS, and a renamed or moved function would only show up as a
+failure of a traced benchmark run, so check here that every listed (module,
+function) still resolves.  Every job that the benchmark expects to succeed is
+replayed in-process through perfbench/child.py's own set-up and oracle, so a
+report that no longer matches its digest in perfbench/digests.json fails here.
 """
 
 import importlib
 import importlib.util
+import signal
+import sys
 from pathlib import Path
+
+import pytest
+
+from glaw import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -27,3 +36,30 @@ def test_every_traced_layer_resolves_in_glaw():
         for fn_name in functions:
             fn = getattr(module, fn_name, None)
             assert callable(fn), f"{span_name}: {module_name}.{fn_name} is missing"
+
+
+def load_perfbench(*names: str) -> list:
+    """Modules of perfbench/, which import their siblings by plain name."""
+    sys.path.insert(0, str(SPANS.parent))
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(str(SPANS.parent))
+
+
+@pytest.mark.parametrize("name", ["grow-wide", "assemble-deep", "pn-scan", "cli-mix"])
+def test_every_benchmark_job_reproduces_its_recorded_report(name, tmp_path, monkeypatch):
+    # each exit-0 job once, under its workload's degree cap: a changed report byte fails here, not only in the benchmark
+    child, workloads = load_perfbench("child", "workloads")
+    workload = workloads.WORKLOADS[name]
+    previous = signal.signal(signal.SIGALRM, child._on_alarm)
+    try:
+        paths = child.set_up(cli, workload, tmp_path)
+        monkeypatch.setenv("GLAW_MAX_DEGREE", workload.glaw_max_degree)
+        jobs = [workloads.JOBS[j] for j in workload.mix if workloads.JOBS[j].exit == 0]
+        assert jobs
+        for job in jobs:
+            rc, out, err, _, _ = child.run_cli(cli, [child._fill(a, paths) for a in job.argv], child.JOB_LIMIT_S)
+            assert child.check(job, rc, out, err) is None, job.name
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -96,6 +96,19 @@ def test_validate_catches_each_invariant():
     assert any("Jacobi" in v for v in rep.violations)
 
 
+def test_a_perturbed_non_integral_rho_entry_breaks_the_homomorphism_at_the_same_pairs():
+    # gl(3) on cubics acts with thirds; its first one, rho_0[0][0] = 7/3, is moved by 1/7
+    t = gen_symplectic(3, 3, 1)
+    first = t.rho.action_cols[0]
+    assert first.support[0][0] == (0, F(7, 3))
+    col = ((0, F(7, 3) + F(1, 7)),) + first.support[0][1:]
+    maps = (SparseCols(first.rows, first.cols, (col,) + first.support[1:]),) + t.rho.action_cols[1:]
+    rep = validate(FundamentalTriplet(t.g0, t.b0, Representation(t.dim_v, maps)))
+    # the messages the Fraction check gave, in its order
+    pairs = ["0,1", "0,2", "0,3", "0,6", "1,3", "2,6"]
+    assert rep.violations == [f"representation homomorphism fails at basis pair ({ij})" for ij in pairs]
+
+
 def test_form_invariance_messages_come_in_basis_triple_order():
     # the (i, j, k) order and the wording of the per-triple check on B([e_i,e_j], e_k) = B(e_i, [e_j,e_k])
     t = sl2_triplet()

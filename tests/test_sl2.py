@@ -53,6 +53,16 @@ def test_poly_calculus():
     assert p.scalar_multiple_of(PolyInvariant.from_string("x0^2", 2)) is None
 
 
+def test_scalar_multiple_of_at_eight_hundred_terms():
+    p = PolyInvariant.from_dict(2, {(i, 1000 - i): i + 1 for i in range(800)})
+    double = PolyInvariant.from_dict(2, {e: 2 * c for e, c in p.terms})
+    assert p.scalar_multiple_of(double) == F(1, 2)
+    assert double.scalar_multiple_of(p) == 2
+    assert p.scalar_multiple_of(PolyInvariant.from_dict(2, dict(p.terms) | {(400, 600): 7})) is None
+    # a term of other that self lacks is caught by the second pass
+    assert p.scalar_multiple_of(PolyInvariant.from_dict(2, dict(p.terms) | {(900, 100): 1})) is None
+
+
 def test_vector_field_action_matches_euler():
     p = PolyInvariant.from_string("x0^3+x0*x1^2", 2)
     ident = SparseCols.from_matrix(Matrix.identity(2))

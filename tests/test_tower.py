@@ -121,6 +121,20 @@ def test_principal_grading_matches_root_height_oracle(cartan, budget):
     assert tn.dims() == oracle
 
 
+@pytest.mark.parametrize(
+    "cartan,dims",
+    [
+        (HYPERBOLIC, [2, 1, 2, 3, 4, 5, 10, 14, 24, 38, 66, 105]),
+        ([[2, -1, 0], [-1, 2, -2], [0, -2, 2]], [3, 2, 3, 3, 5, 5, 9, 11]),
+    ],
+)
+def test_indefinite_principal_towers_keep_their_pinned_dims(cartan, dims):
+    # the sums of the Kac-Moody root multiplicities by height (Peterson's recursion), both sides
+    _, tp, tn = grown(gen_principal(cartan), len(dims))
+    assert tp.dims() == tn.dims() == dims
+    assert not (tp.terminated or tn.terminated)
+
+
 def test_grow_requires_transitive_local_part():
     local = build_local(gen_with_trivial_summand(gl_standard_triplet(2), 1))
     with pytest.raises(TransitivityRequired):
@@ -202,6 +216,64 @@ def test_growth_map_equivariance_at_degree_two():
                         if c:
                             corr = vadd(corr, vscale(c, base[j2 * dv : (j2 + 1) * dv]))
                     assert tuple(got) == tuple(x - y for x, y in zip(acted, corr))
+
+
+def bracket_growth_map(gr, n):
+    """The columns of Phi into degree n + 1 by the definition, one bracket at a time through _Graded."""
+    unit, pairs = glaw.tower._unit, glaw.tower._pairs
+    dv, dim = gr.dims[1], gr.dims[n]
+    yx, lower = gr.comps[1].lower, gr.comps[n].lower
+    cols = []
+    for i in range(dv):
+        for l in range(dim):
+            col = []
+            for j in range(dv):
+                # [[y_j, x_i], u_l] + [x_i, [y_j, u_l]]
+                block = gr.act0(n, yx[j].support[i], unit(l))
+                gr.gen_bracket(1, unit(i), n - 1, lower[j].support[l], block)
+                col.extend((j * dim + k, x) for k, x in pairs(block))
+            cols.append(col)
+    return cols
+
+
+def bracket_lifted_action(gr, d):
+    """The columns of every act0 on degree d by the definition [a, [x_i, u_l]] = [[a, x_i], u_l] + [x_i, [a, u_l]]."""
+    unit, pairs = glaw.tower._unit, glaw.tower._pairs
+    rho, prev = gr.comps[1].act0, gr.comps[d - 1].act0
+    cols = []
+    for a in range(gr.dims[0]):
+        for i, l in gr.comps[d].provenance:
+            col = gr.gen_bracket(1, rho[a].support[i], d - 1, unit(l))
+            cols.append(pairs(gr.gen_bracket(1, unit(i), d - 1, prev[a].support[l], col)))
+    return cols
+
+
+def typed(cols):
+    return [[(k, type(x), x) for k, x in col] for col in cols]
+
+
+@pytest.mark.parametrize(
+    "make,budget",
+    [
+        (lambda: gen_symplectic(3, 3, 1, "trace"), 3),
+        (lambda: gen_principal(HYPERBOLIC), 8),
+        (lambda: gen_glblock(2, 1, 2), 4),
+        (lambda: gen_symplectic(2, 3, 1, "g2"), 4),
+        # rho has halves and degree 2's action none, so the lift into degree 3 scales its two terms apart
+        (lambda: gen_symplectic(2, 2, 1, "trace"), 4),
+    ],
+)
+def test_the_int_kernel_matches_the_bracket_definition_of_every_growth_map_and_lifted_action(make, budget):
+    # values and their int/Fraction types, column by column, on both sides
+    local = build_local(make())
+    for tower in grow_both(local, budget):
+        growth = local if tower.side == POSITIVE else local.swapped
+        gr = glaw.tower._Graded(growth.triplet.g0, tower.components)
+        assert len(tower.phis) == len(tower.components) - 1
+        for n, phi in enumerate(tower.phis, 1):
+            assert typed(phi.support) == typed(bracket_growth_map(gr, n))
+        for d, comp in enumerate(tower.components[1:], 2):
+            assert typed(col for m in comp.act0 for col in m.support) == typed(bracket_lifted_action(gr, d))
 
 
 def test_component_action_is_a_representation_and_lower_is_equivariant():
