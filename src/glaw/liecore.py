@@ -32,10 +32,8 @@ from .exactla import (
     combine,
     frac,
     image_basis,
-    kernel_basis,
     numerators,
     rank,
-    solve,
     solve_pairs,
     span_matrix,
     sparse_kernel,
@@ -381,15 +379,15 @@ def grading_element(t: FundamentalTriplet) -> Vector | None:
     z = center(t.g0)
     if not z:
         return None
-    mats = [t.rho.matrix_of(zv).entries for zv in z]
-    dv = t.dim_v
-    sys = Matrix(dv * dv, len(z), tuple(tuple(m[p][q] for m in mats) for p in range(dv) for q in range(dv)))
-    coeffs = solve(sys, [Fraction(2) if p == q else ZERO for p in range(dv) for q in range(dv)])
-    if coeffs is None:
+    # one elimination of [sys | 2 Id], column k of sys holding rho(z_k)[p][q] at row q * dim_V + p
+    dv, nz = t.dim_v, len(z)
+    sys = [tuple((q * dv + p, x) for q, col in enumerate(t.rho.cols_of(zv).support) for p, x in col) for zv in z]
+    ib = image_basis(SparseCols(dv * dv, nz + 1, (*sys, tuple((p * dv + p, 2) for p in range(dv)))))
+    if nz in ib.pivots:
         return None
-    if kernel_basis(sys):
+    if len(ib.pivots) < nz:
         raise AmbiguousGrading("several central elements act as 2*Id")
-    return span_matrix(z, t.dim_g0).matvec(coeffs)
+    return tuple(sum((x * z[k][a] for k, x in ib.coord_cols.support[nz]), ZERO) for a in range(t.dim_g0))
 
 
 def killing_form(g: LieAlgebraData) -> Matrix:

@@ -128,10 +128,11 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     denominators, e that of rho (and of rho^*) and rho' = e rho, the table T = G^{-1} R
     (R[a][(i, j)] = rho_a[j][i]) is built as the integral T' = de T.  The
     mixed Jacobi identity ad(e_a) T = T (rho_a (x) 1 + 1 (x) rho_a^*) is
-    re-verified on all (a, i, j) times de^2, as
-    e ad(e_a) T' = T' (rho'_a (x) 1 + 1 (x) rho'^*_a): every term is linear
-    in T, so it fails exactly where the plain identity does, which means the
-    triplet was invalid.  T' is divided by de once, into ``xy_pairs``.
+    re-verified on all (a, i, j) times f de^2 (f the lcm of the structure constants'
+    denominators) as f e ad(e_a) T' = f T' (rho'_a (x) 1 + 1 (x) rho'^*_a), one int dict
+    per (a, i) keyed j * dim_g0 + k: every term is linear in T, so it fails exactly where
+    the plain identity does (the smallest nonzero key gives the first such j), which
+    means the triplet was invalid.  T' is divided by de once, into ``xy_pairs``.
     """
     n, dv = t.dim_g0, t.dim_v
     inv = solve_pairs(t.b0.gram, [((a, 1),) for a in range(n)])
@@ -149,19 +150,27 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
             for k, y in inv[a]:
                 cell[k] += x * y
     xy = [[tuple(sorted((k, v) for k, v in cell.items() if v)) for cell in row] for row in cells]
-    c = t.g0.structure_pairs
-    bracket, xy_entry = (lambda p, q: c[p][q]), (lambda r, s: xy[r][s])
+    f, c = numerators(col for row in t.g0.structure_pairs for col in row)
+    # row i of T' as (offset j * n, b, T'_ij[b]) for each nonzero entry: T'_ij[b] goes to key j * n + b
+    t_rows = [[(j * n, b, x) for j in range(dv) for b, x in xy[i][j]] for i in range(dv)]
     for a in range(n):
+        ad, duals = c[a * n : (a + 1) * n], [(j * n, k, x) for j in range(dv) for k, x in dual[a * dv + j]]
         for i in range(dv):
-            for j in range(dv):
-                acc = bilinear(((a, e),), xy[i][j], bracket, defaultdict(int))
-                bilinear(rho[a * dv + i], ((j, -1),), xy_entry, acc)
-                bilinear(((i, -1),), dual[a * dv + j], xy_entry, acc)
-                if any(acc.values()):
-                    raise Refusal(
-                        f"mixed Jacobi identity fails at (g0={a}, V={i}, V*={j}); "
-                        "the input triplet does not satisfy the construction hypotheses"
-                    )
+            # f e [e_a, T'_ij] - f sum_k rho'^*_a[k, j] T'_ik - f sum_k rho'_a[k, i] T'_kj, for every j
+            acc: dict[int, int] = {}
+            for terms, src, m in ((t_rows[i], ad, e), (duals, xy[i], -f)):
+                for o, b, x in terms:
+                    for k, y in src[b]:
+                        acc[o + k] = acc.get(o + k, 0) + m * x * y
+            for k, x in rho[a * dv + i]:
+                for o, b, y in t_rows[k]:
+                    acc[o + b] = acc.get(o + b, 0) - f * x * y
+            if any(acc.values()):
+                j = min(r for r, v in acc.items() if v) // n
+                raise Refusal(
+                    f"mixed Jacobi identity fails at (g0={a}, V={i}, V*={j}); "
+                    "the input triplet does not satisfy the construction hypotheses"
+                )
     de = d * e
     xy = [tuple(divided(p, de) for p in row) for row in xy]
     return LocalAlgebra(t, dual_action, tuple(xy))

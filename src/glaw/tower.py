@@ -8,8 +8,8 @@ negative side is the positive side of the swapped triplet, grown over the
 local algebra read off ``L.swapped`` (the swap fixes all elements).  Each
 growth map, and each degree's g0 action (lifted on its first read), runs on
 integer numerators: every stored map it reads is scaled once by the lcm of its
-denominators, ints accumulate, and each entry is divided once by the common
-scale (``exactla.combine``).  Assembly brackets through one mechanism over the
+denominators, each output column accumulates ints in one dict, and each entry
+is divided once by the common scale.  Assembly brackets through one mechanism over the
 same maps (``_Graded``).  Bases of each new degree are pivot columns under the
 deterministic elimination of exactla, so reruns are bit-identical.
 """
@@ -32,6 +32,7 @@ from .exactla import (
     bilinear,
     combine,
     dense,
+    divided,
     image_basis,
     numerators,
     rank,
@@ -254,7 +255,8 @@ def _growth_map(gr: _Graded, n: int) -> SparseCols:
     """Columns Phi(x_i (x) u_l), one block per y_j: [[y_j, x_i], u_l] + [x_i, [y_j, u_l]], on ints.
 
     Block j is sum_a [y_j, x_i]_a act0_n[a][:, l] + sum_m lower_n[j][m, l] [x_i, e_m], [x_i, e_m] read off
-    degree n's tensor coordinates; at n = 1 the second term is -sum_a [y_j, x_l]_a rho_a[:, i]."""
+    degree n's tensor coordinates; at n = 1 the second term is -sum_a [y_j, x_l]_a rho_a[:, i].  Each column
+    is one int accumulation over all blocks, row j * dim + k, from the nonzero terms listed once per map."""
     dv, dim = gr.dims[1], gr.dims[n]
     e, yx = numerators(col for m in gr.comps[1].lower for col in m.support)
     f, act = numerators(col for m in gr.comps[n].act0 for col in m.support)
@@ -267,14 +269,18 @@ def _growth_map(gr: _Graded, n: int) -> SparseCols:
         raised = [tc[i * prev : (i + 1) * prev] for i in range(dv)]
     s = lcm(e * f, h * t)
     m1, m2 = s // (e * f), sign * s // (h * t)
+    # the nonzero terms of every block j, each with its row offset j * dim and its scale
+    by_i = [[(j * dim, a, m1 * c) for j in range(dv) for a, c in yx[j * dv + i]] for i in range(dv)]
+    by_l = [[(j * dim, m, m2 * c) for j in range(dv) for m, c in low[j * dim + l]] for l in range(dim)]
     cols = []
     for i in range(dv):
         for l in range(dim):
-            col = []
-            for j in range(dv):
-                block = combine(((m1, yx[j * dv + i], acts[l]), (m2, low[j * dim + l], raised[i])), s)
-                col.extend((j * dim + k, x) for k, x in block)
-            cols.append(tuple(col))
+            acc: dict[int, int] = {}
+            for terms, src in ((by_i[i], acts[l]), (by_l[l], raised[i])):
+                for o, a, c in terms:
+                    for k, x in src[a]:
+                        acc[o + k] = acc.get(o + k, 0) + c * x
+            cols.append(divided(sorted(acc.items()), s))
     return SparseCols(dv * dim, dv * dim, tuple(cols))
 
 

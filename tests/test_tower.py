@@ -276,6 +276,23 @@ def test_the_int_kernel_matches_the_bracket_definition_of_every_growth_map_and_l
             assert typed(col for m in comp.act0 for col in m.support) == typed(bracket_lifted_action(gr, d))
 
 
+@settings(max_examples=15, deadline=None)
+@given(generator_triplets(), st.integers(2, 4))
+def test_the_int_kernel_matches_the_bracket_definition_across_the_generator_families(t, budget):
+    # every phi and every lifted act0 of both sides, values and types, up to the first degree above 40
+    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    for side in (POSITIVE, NEGATIVE):
+        tower = grow(local, side, budget)
+        while len(tower.components) > 1 and tower.components[-2].dim > 40:
+            tower = grow(local, side, len(tower.components) - 1)
+        growth = local if side == POSITIVE else local.swapped
+        gr = glaw.tower._Graded(growth.triplet.g0, tower.components)
+        for n, phi in enumerate(tower.phis, 1):
+            assert typed(phi.support) == typed(bracket_growth_map(gr, n))
+        for d, comp in enumerate(tower.components[1:], 2):
+            assert typed(col for m in comp.act0 for col in m.support) == typed(bracket_lifted_action(gr, d))
+
+
 def test_component_action_is_a_representation_and_lower_is_equivariant():
     # per grown degree: act0 is a g0-representation and the lowering maps satisfy
     # act0(u) lower(y) - lower(y) act0(u) = lower(rho*(u) y); below degree 1
