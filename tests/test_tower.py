@@ -252,6 +252,17 @@ def typed(cols):
     return [[(k, type(x), x) for k, x in col] for col in cols]
 
 
+def assert_the_int_kernel_matches_the_bracket_definition(local, tower):
+    """Every phi and every lifted act0 of the tower: values and their int/Fraction types, column by column."""
+    growth = local if tower.side == POSITIVE else local.swapped
+    gr = glaw.tower._Graded(growth.triplet.g0, tower.components)
+    assert len(tower.phis) == len(tower.components) - 1
+    for n, phi in enumerate(tower.phis, 1):
+        assert typed(phi.support) == typed(bracket_growth_map(gr, n))
+    for d, comp in enumerate(tower.components[1:], 2):
+        assert typed(col for m in comp.act0 for col in m.support) == typed(bracket_lifted_action(gr, d))
+
+
 @pytest.mark.parametrize(
     "make,budget",
     [
@@ -264,33 +275,21 @@ def typed(cols):
     ],
 )
 def test_the_int_kernel_matches_the_bracket_definition_of_every_growth_map_and_lifted_action(make, budget):
-    # values and their int/Fraction types, column by column, on both sides
     local = build_local(make())
     for tower in grow_both(local, budget):
-        growth = local if tower.side == POSITIVE else local.swapped
-        gr = glaw.tower._Graded(growth.triplet.g0, tower.components)
-        assert len(tower.phis) == len(tower.components) - 1
-        for n, phi in enumerate(tower.phis, 1):
-            assert typed(phi.support) == typed(bracket_growth_map(gr, n))
-        for d, comp in enumerate(tower.components[1:], 2):
-            assert typed(col for m in comp.act0 for col in m.support) == typed(bracket_lifted_action(gr, d))
+        assert_the_int_kernel_matches_the_bracket_definition(local, tower)
 
 
 @settings(max_examples=15, deadline=None)
 @given(generator_triplets(), st.integers(2, 4))
 def test_the_int_kernel_matches_the_bracket_definition_across_the_generator_families(t, budget):
-    # every phi and every lifted act0 of both sides, values and types, up to the first degree above 40
+    # both sides, the budget lowered until no growth map reads a degree above 40 dimensions
     local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
     for side in (POSITIVE, NEGATIVE):
         tower = grow(local, side, budget)
         while len(tower.components) > 1 and tower.components[-2].dim > 40:
             tower = grow(local, side, len(tower.components) - 1)
-        growth = local if side == POSITIVE else local.swapped
-        gr = glaw.tower._Graded(growth.triplet.g0, tower.components)
-        for n, phi in enumerate(tower.phis, 1):
-            assert typed(phi.support) == typed(bracket_growth_map(gr, n))
-        for d, comp in enumerate(tower.components[1:], 2):
-            assert typed(col for m in comp.act0 for col in m.support) == typed(bracket_lifted_action(gr, d))
+        assert_the_int_kernel_matches_the_bracket_definition(local, tower)
 
 
 def test_component_action_is_a_representation_and_lower_is_equivariant():
