@@ -9,9 +9,11 @@ local algebra read off ``L.swapped`` (the swap fixes all elements).  Each
 growth map, and each degree's g0 action (lifted on its first read), runs on
 integer numerators: every stored map it reads is scaled once by the lcm of its
 denominators, each output column accumulates ints in one dict, and each entry
-is divided once by the common scale.  Assembly brackets through one mechanism over the
-same maps (``_Graded``).  Bases of each new degree are pivot columns under the
-deterministic elimination of exactla, so reruns are bit-identical.
+is divided once by the common scale.  Assembly reads the same maps one row at
+a time: the brackets of one basis element with a whole degree, through the
+graded Jacobi identity over its provenance (``_Graded.row``).  Bases of each
+new degree are pivot columns under the deterministic elimination of exactla,
+so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -61,17 +63,14 @@ NEGATIVE = "neg"
 class GradedComponent:
     """One graded piece with its g0 action and the maps tying it to its neighbours.
 
-    Every map is stored by sparse columns (``SparseCols``; ``.to_matrix()``
-    gives the dense Fraction matrix) that keep each integral value as an int
-    and any other as a Fraction; growth and the lift read them as integer
-    numerators (``exactla.numerators``).  ``act0[a]`` is the action of the a-th g0 basis element, a
-    (dim x dim) map, computed on first read by ``_lift``.
-    ``lower[j]`` is ad of the j-th degree-(-1) generator, a (prev_dim x dim)
-    map (prev_dim is dim g0 at degree 1).
-    ``provenance`` lists, for degree >= 2, the pivot tensors (generator index,
-    previous-degree index) whose classes form the basis; ``tensor_coords``
-    expresses every tensor class in that basis, column i * prev_dim + m for
-    the tensor (i, m).
+    Every map is stored by sparse columns (``SparseCols``) that keep each
+    integral value as an int and any other as a Fraction.  ``act0[a]`` is the
+    action of the a-th g0 basis element, a (dim x dim) map, computed on first
+    read by ``_lift``.  ``lower[j]`` is ad of the j-th degree-(-1) generator, a
+    (prev_dim x dim) map (prev_dim is dim g0 at degree 1).  ``provenance``
+    lists, for degree >= 2, the pivot tensors (generator index, previous-degree
+    index) whose classes form the basis; ``tensor_coords`` expresses every
+    tensor class in that basis, column i * prev_dim + m for the tensor (i, m).
     """
 
     dim: int
@@ -120,80 +119,65 @@ def _unit(i: int) -> tuple[tuple[int, int]]:
     return ((i, 1),)
 
 
-def _pairs(v: Sparse) -> tuple[tuple[int, Exact], ...]:
-    """The nonzero entries of a sparse vector in increasing index order, integral ones as ints."""
-    return tuple((k, x if type(x) is int else tight(x)) for k, x in sorted(v.items()) if x)
-
-
 class _Graded:
-    """Brackets in g0 + sum of the grown degrees, read off the stored maps.
+    """g0 + sum of the grown degrees, read off the stored maps.
 
     ``comps`` and ``dims`` map each signed degree to its component and dim,
     bound from ``pos`` (degrees 1, 2, ...), ``neg`` (-1, -2, ...) and ``add``;
-    an unbound degree is zero.  Arguments are given by their nonzero (index,
-    coefficient) pairs; each method adds its value into ``out`` (a dense list,
-    or a new sparse vector when omitted) and returns it.
+    an unbound degree is zero.  ``row(da, sa, db)`` is [e_sa, e_sb] for one
+    e_sa of degree da and every e_sb of degree db, memoized per object.
     """
 
     def __init__(self, g0: LieAlgebraData, pos=(), neg=()):
         self.g0 = g0
         self.comps = {s * n: c for s, comps in ((1, pos), (-1, neg)) for n, c in enumerate(comps, 1)}
         self.dims = {0: g0.dim} | {d: c.dim for d, c in self.comps.items()}
-        self.memo: dict[tuple[int, int, int, int], tuple[tuple[int, Exact], ...]] = {}
+        self.rows: dict[tuple[int, int, int], tuple[tuple[tuple[int, Exact], ...], ...]] = {}
 
     def add(self, d: int, comp: GradedComponent) -> None:
         self.comps[d] = comp
         self.dims[d] = comp.dim
 
-    def act0(self, d: int, u, w, out: Sparse | list | None = None) -> Sparse | list:
-        """[u, w] for u in g0 and w of degree d."""
-        out = defaultdict(int) if out is None else out
+    def act0(self, d: int, u, w, out: Sparse | list) -> Sparse | list:
+        """Add [u, w] into out, for u in g0 and w of degree d, each given by its nonzero (index, coefficient) pairs."""
         if d == 0:
             table = self.g0.structure_pairs
             return bilinear(u, w, lambda a, b: table[a][b], out)
         mats = self.comps[d].act0
         return bilinear(u, w, lambda a, l: mats[a].support[l], out)
 
-    def gen_bracket(self, s: int, g, d: int, w, out: Sparse | list | None = None) -> Sparse | list:
-        """[g, w] for g of degree s = +-1 and w of degree d.
-
-        Degree 0 is the action, -rho_s(w) g; towards degree s the bracket
-        raises through tower s's tensor coordinates; otherwise it lowers
-        through tower -s's maps (at |d| = 1 these hold the local [X, Y]).
-        """
-        out = defaultdict(int) if out is None else out
-        if not self.dims.get(d + s):
-            return out
-        if d == 0:
-            return self.act0(s, [(a, -x) for a, x in w], g, out)
-        if (d > 0) == (s > 0):
-            coords, prev = self.comps[d + s].tensor_coords.support, self.dims[d]
-            return bilinear(g, w, lambda i, m: coords[i * prev + m], out)
-        lower = self.comps[d].lower
-        return bilinear(g, w, lambda i, m: lower[i].support[m], out)
-
-    def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Exact], ...]:
-        key = (da, sa, db, sb)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.memo[key] = self._bracket_basis(da, sa, db, sb)
+    def row(self, da: int, sa: int, db: int) -> tuple:
+        if (hit := self.rows.get((da, sa, db))) is None:
+            hit = self.rows[da, sa, db] = self._row(da, sa, db)
         return hit
 
-    def _bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple[tuple[int, Exact], ...]:
-        if abs(da) > 1 >= abs(db):
-            return tuple((k, -x) for k, x in self.bracket_basis(db, sb, da, sa))
+    def _row(self, da: int, sa: int, db: int) -> tuple:
+        """Called only where degree da + db is nonzero; rows with |da| <= 1 or |db| <= 1 are the stored maps."""
+        dims = self.dims
         if da == 0:
-            return _pairs(self.act0(db, _unit(sa), _unit(sb)))
+            return self.comps[db].act0[sa].support if db else self.g0.structure_pairs[sa]
+        if db == 0 or abs(db) == 1 < abs(da):  # [e_sa, e_sb] = -[e_sb, e_sa]
+            return tuple(tuple((k, -x) for k, x in self.row(db, sb, da)[sa]) for sb in range(dims[db]))
+        if abs(da) == 1:  # raise through degree da + db's tensor coordinates, or lower through degree db's maps
+            if (da > 0) == (db > 0):
+                return self.comps[da + db].tensor_coords.support[sa * dims[db] : (sa + 1) * dims[db]]
+            return self.comps[db].lower[sa].support
+        # [[g, u], w] = [g, [u, w]] - [u, [g, w]] for the provenance g (x) u of e_sa, one dict per e_sb
         s = 1 if da > 0 else -1
-        if da == s:
-            return _pairs(self.gen_bracket(s, _unit(sa), db, _unit(sb)))
-        # [[g, u], w] = [g, [u, w]] - [u, [g, w]] for the provenance g (x) u of e_sa
-        gen, prev_idx = self.comps[da].provenance[sa]
-        out = self.gen_bracket(s, _unit(gen), da - s + db, self.bracket_basis(da - s, prev_idx, db, sb))
-        gw = [(k, -x) for k, x in _pairs(self.gen_bracket(s, _unit(gen), db, _unit(sb)))]
-        if self.dims.get(da + db):
-            bilinear(_unit(prev_idx), gw, lambda p, q: self.bracket_basis(da - s, p, db + s, q), out)
-        return _pairs(out)
+        g, u = self.comps[da].provenance[sa]
+        terms = [(1, self.row(da - s, u, db), self.row(s, g, da - s + db))] if dims.get(da - s + db) else []
+        if dims.get(db + s):
+            terms.append((-1, self.row(s, g, db), self.row(da - s, u, db + s)))
+        out = []
+        for sb in range(dims[db]):
+            acc = {}
+            for m, coefs, cols in terms:
+                for k, c in coefs[sb]:
+                    c *= m
+                    for r, x in cols[k]:
+                        acc[r] = acc.get(r, 0) + c * x
+            out.append(tuple((k, x if type(x) is int else tight(x)) for k, x in sorted(acc.items()) if x))
+        return tuple(out)
 
 
 def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
@@ -306,14 +290,21 @@ def _lifted_action(gr: _Graded, d: int) -> tuple[SparseCols, ...]:
 # extended invariant form: degree pairings
 
 
+def _check_towers(name: str, tp: Tower, tn: Tower, L: LocalAlgebra | None = None) -> None:
+    """Refuse unless tp is a positive and tn a negative tower, both grown from L (from one local algebra)."""
+    if tp.side != POSITIVE or tn.side != NEGATIVE:
+        raise Refusal(f"{name} expects a positive and a negative tower, in that order")
+    if not tp.local == tn.local == (tn.local if L is None else L):
+        raise Refusal(f"{name} expects towers grown from the local algebra it is given")
+
+
 def pairing(tp: Tower, tn: Tower, n: int) -> Matrix:
     """Pairing matrix of g_n against g_{-n} under the extended form.
 
     Degree 0 is the triplet Gram; degree 1 is the dual-basis pairing Y(X);
     higher degrees unfold one lowering at a time through the stored maps.
     """
-    if tp.side != POSITIVE or tn.side != NEGATIVE:
-        raise Refusal("pairing expects a positive and a negative tower, in that order")
+    _check_towers("pairing", tp, tn)
     if n == 0:
         return tp.local.triplet.b0.gram
     return pairing_table(tp, tn, n)[n - 1]
@@ -571,11 +562,16 @@ class AssembledAlgebra:
 def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
     """Full structure constants of the direct sum of all grown degrees.
 
-    Requires both towers terminated; cross brackets are reduced by the graded
-    Jacobi identity to the stored raise/lower/action maps, memoized per basis
-    pair.  Each unordered basis pair i < j is computed once, and [e_j, e_i]
-    is filled as the negation of [e_i, e_j]; the diagonal is zero.
+    Requires both towers terminated and grown from L.  The unit of work is a
+    row: [e_sa, e_sb] for one e_sa of degree da and every e_sb of degree db.
+    A row with |da| <= 1 or |db| <= 1 is read off the stored maps (negated
+    where da is the deeper degree); any other follows from the graded Jacobi
+    identity [[g, u], w] = [g, [u, w]] - [u, [g, w]] over the provenance
+    g (x) u of e_sa, from the rows (da -+ 1, u, db) and (da -+ 1, u, db +- 1).
+    Rows are memoized per (da, sa, db); each row with da <= db fills its
+    brackets, [e_j, e_i] as the negation of [e_i, e_j], and the diagonal is zero.
     """
+    _check_towers("assemble", tp, tn, L)
     if not (tp.terminated and tn.terminated):
         raise Refusal("assembly needs both towers terminated (a zero degree reached)")
     asm = _Graded(L.triplet.g0, tp.components, tn.components)
@@ -595,11 +591,11 @@ def assemble(tp: Tower, tn: Tower, L: LocalAlgebra) -> AssembledAlgebra:
             ob, nb = blocks[db]
             o = blocks[da + db][0]
             for sa in range(na):
-                i = oa + sa
+                i, row = oa + sa, asm.row(da, sa, db)
                 for sb in range(sa + 1 if da == db else 0, nb):
-                    v = asm.bracket_basis(da, sa, db, sb)
-                    exact[i][ob + sb] = tuple((o + k, x) for k, x in v)
-                    exact[ob + sb][i] = tuple((o + k, -x) for k, x in v)
+                    if v := row[sb]:
+                        exact[i][ob + sb] = tuple((o + k, x) for k, x in v)
+                        exact[ob + sb][i] = tuple((o + k, -x) for k, x in v)
     return AssembledAlgebra(LieAlgebraData(total, tuple(map(tuple, exact))), tuple(labels), blocks)
 
 
@@ -690,6 +686,7 @@ def centralizer_graded(
     tp: Tower, tn: Tower, L: LocalAlgebra, sub: list[Vector], max_degree: int
 ) -> dict[int, list[Vector]]:
     """Per-degree centralizer of a g0 subalgebra in the grown algebra."""
+    _check_towers("centralizer_graded", tp, tn, L)
     _check_subalgebra(L.triplet.g0, sub)
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
     out: dict[int, list[Vector]] = {}
@@ -704,6 +701,7 @@ def centralizer_in_degree_zero(
     tp: Tower, tn: Tower, L: LocalAlgebra, graded_sub: dict[int, list[Vector]]
 ) -> list[Vector]:
     """Elements of g0 commuting with a graded subspace (any degrees)."""
+    _check_towers("centralizer_in_degree_zero", tp, tn, L)
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
     maps = [
         lambda k, d=d, s=support(s): gr.act0(d, _unit(k), s, [ZERO] * gr.dims.get(d, 0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 from hypothesis import assume, strategies as st
@@ -16,8 +17,10 @@ from glaw import (
     gen_principal,
     gen_symplectic,
 )
+from glaw.exactla import bilinear, tight
 from glaw.generators import find_symmetrizer, gen_glblock, gen_with_trivial_summand
 from glaw.liecore import basis_vector
+from glaw.tower import _Graded, _unit
 
 F = Fraction
 
@@ -275,3 +278,80 @@ def mixed_jacobi_failure(t: FundamentalTriplet) -> tuple[int, int, int] | None:
                 if lhs != rhs:
                     return a, i, j
     return None
+
+
+def sparse_pairs(v: dict) -> tuple:
+    """The nonzero entries of a sparse vector in increasing index order, integral ones as ints."""
+    return tuple((k, x if type(x) is int else tight(x)) for k, x in sorted(v.items()) if x)
+
+
+class GradedOracle(_Graded):
+    """The bracket definition, one basis pair at a time, over the stored maps of a ``_Graded``.
+
+    ``gen_bracket`` is [g, w] for g of degree s = +-1; ``bracket_basis`` is [e_sa, e_sb] by the graded Jacobi
+    identity [[g, u], w] = [g, [u, w]] - [u, [g, w]] over the provenance g (x) u of e_sa, memoized per basis
+    pair.  An oracle independent of the row recursion of ``glaw.tower.assemble``.
+    """
+
+    def __init__(self, g0: LieAlgebraData, pos=(), neg=()):
+        super().__init__(g0, pos, neg)
+        self.memo: dict[tuple[int, int, int, int], tuple] = {}
+
+    def gen_bracket(self, s: int, g, d: int, w, out=None):
+        """[g, w] for g of degree s = +-1 and w of degree d, added into out (a new sparse vector when omitted).
+
+        Degree 0 is the action, -rho_s(w) g; towards degree s the bracket raises through tower s's tensor
+        coordinates; otherwise it lowers through tower -s's maps (at |d| = 1 these hold the local [X, Y]).
+        """
+        out = defaultdict(int) if out is None else out
+        if not self.dims.get(d + s):
+            return out
+        if d == 0:
+            return self.act0(s, [(a, -x) for a, x in w], g, out)
+        if (d > 0) == (s > 0):
+            coords, prev = self.comps[d + s].tensor_coords.support, self.dims[d]
+            return bilinear(g, w, lambda i, m: coords[i * prev + m], out)
+        lower = self.comps[d].lower
+        return bilinear(g, w, lambda i, m: lower[i].support[m], out)
+
+    def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple:
+        key = (da, sa, db, sb)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self._bracket_basis(da, sa, db, sb)
+        return hit
+
+    def _bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple:
+        if abs(da) > 1 >= abs(db):
+            return tuple((k, -x) for k, x in self.bracket_basis(db, sb, da, sa))
+        if da == 0:
+            return sparse_pairs(self.act0(db, _unit(sa), _unit(sb), defaultdict(int)))
+        s = 1 if da > 0 else -1
+        if da == s:
+            return sparse_pairs(self.gen_bracket(s, _unit(sa), db, _unit(sb)))
+        gen, prev_idx = self.comps[da].provenance[sa]
+        out = self.gen_bracket(s, _unit(gen), da - s + db, self.bracket_basis(da - s, prev_idx, db, sb))
+        gw = [(k, -x) for k, x in sparse_pairs(self.gen_bracket(s, _unit(gen), db, _unit(sb)))]
+        if self.dims.get(da + db):
+            bilinear(_unit(prev_idx), gw, lambda p, q: self.bracket_basis(da - s, p, db + s, q), out)
+        return sparse_pairs(out)
+
+
+def assembled_by_pairs(tp, tn, local) -> tuple:
+    """The structure pairs ``assemble`` builds, by the per-pair recursion: [e_i, e_j] for each i < j from
+    ``GradedOracle.bracket_basis``, [e_j, e_i] as its negation, the diagonal zero."""
+    gr = GradedOracle(local.triplet.g0, tp.components, tn.components)
+    basis = [(d, s) for d in range(-tn.top_degree, tp.top_degree + 1) if gr.dims.get(d) for s in range(gr.dims[d])]
+    offset = {}
+    for i, (d, _) in enumerate(basis):
+        offset.setdefault(d, i)
+    table = [[()] * len(basis) for _ in basis]
+    for i, (da, sa) in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            db, sb = basis[j]
+            if gr.dims.get(da + db):
+                v = gr.bracket_basis(da, sa, db, sb)
+                o = offset[da + db]
+                table[i][j] = tuple((o + k, x) for k, x in v)
+                table[j][i] = tuple((o + k, -x) for k, x in v)
+    return tuple(map(tuple, table))

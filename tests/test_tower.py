@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+from collections import defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -50,6 +51,8 @@ from glaw.tower import NEGATIVE, POSITIVE, _WordLowering, eval_term, grow_both, 
 
 from helpers import (
     E6_CARTAN,
+    GradedOracle,
+    assembled_by_pairs,
     generator_triplets,
     gl_standard_triplet,
     jacobi_holds_everywhere,
@@ -57,6 +60,7 @@ from helpers import (
     random_gl2_triplet,
     random_rational_vector,
     root_height_counts,
+    sparse_pairs,
 )
 
 F = Fraction
@@ -219,8 +223,8 @@ def test_growth_map_equivariance_at_degree_two():
 
 
 def bracket_growth_map(gr, n):
-    """The columns of Phi into degree n + 1 by the definition, one bracket at a time through _Graded."""
-    unit, pairs = glaw.tower._unit, glaw.tower._pairs
+    """The columns of Phi into degree n + 1 by the definition, one bracket at a time through GradedOracle."""
+    unit = glaw.tower._unit
     dv, dim = gr.dims[1], gr.dims[n]
     yx, lower = gr.comps[1].lower, gr.comps[n].lower
     cols = []
@@ -229,22 +233,22 @@ def bracket_growth_map(gr, n):
             col = []
             for j in range(dv):
                 # [[y_j, x_i], u_l] + [x_i, [y_j, u_l]]
-                block = gr.act0(n, yx[j].support[i], unit(l))
+                block = gr.act0(n, yx[j].support[i], unit(l), defaultdict(int))
                 gr.gen_bracket(1, unit(i), n - 1, lower[j].support[l], block)
-                col.extend((j * dim + k, x) for k, x in pairs(block))
+                col.extend((j * dim + k, x) for k, x in sparse_pairs(block))
             cols.append(col)
     return cols
 
 
 def bracket_lifted_action(gr, d):
     """The columns of every act0 on degree d by the definition [a, [x_i, u_l]] = [[a, x_i], u_l] + [x_i, [a, u_l]]."""
-    unit, pairs = glaw.tower._unit, glaw.tower._pairs
+    unit = glaw.tower._unit
     rho, prev = gr.comps[1].act0, gr.comps[d - 1].act0
     cols = []
     for a in range(gr.dims[0]):
         for i, l in gr.comps[d].provenance:
             col = gr.gen_bracket(1, rho[a].support[i], d - 1, unit(l))
-            cols.append(pairs(gr.gen_bracket(1, unit(i), d - 1, prev[a].support[l], col)))
+            cols.append(sparse_pairs(gr.gen_bracket(1, unit(i), d - 1, prev[a].support[l], col)))
     return cols
 
 
@@ -255,7 +259,7 @@ def typed(cols):
 def assert_the_int_kernel_matches_the_bracket_definition(local, tower):
     """Every phi and every lifted act0 of the tower: values and their int/Fraction types, column by column."""
     growth = local if tower.side == POSITIVE else local.swapped
-    gr = glaw.tower._Graded(growth.triplet.g0, tower.components)
+    gr = GradedOracle(growth.triplet.g0, tower.components)
     assert len(tower.phis) == len(tower.components) - 1
     for n, phi in enumerate(tower.phis, 1):
         assert typed(phi.support) == typed(bracket_growth_map(gr, n))
@@ -399,19 +403,90 @@ def test_principal_e6_maps_and_assembled_constants_hold_only_ints():
 
 
 def test_principal_e6_assembly_computes_each_unordered_pair_once(monkeypatch):
-    # a count guard, no timing: computing both orders of every pair takes 5,490 recursion calls
+    # a count guard, no timing: no (da, sa, db) row is computed twice, and filling both orders of every
+    # basis pair from its own row would compute 1,482 rows
     calls = []
-    recurse = glaw.tower._Graded._bracket_basis
-    monkeypatch.setattr(glaw.tower._Graded, "_bracket_basis", lambda gr, *key: calls.append(key) or recurse(gr, *key))
+    build = glaw.tower._Graded._row
+    monkeypatch.setattr(glaw.tower._Graded, "_row", lambda gr, *key: calls.append(key) or build(gr, *key))
     local = build_local(gen_principal(E6_CARTAN))
     assemble(*grow_both(local, 12), local)
-    assert len(calls) < 5490
+    assert len(set(calls)) == len(calls) < 1482
+
+
+def assert_assembly_matches_the_per_pair_recursion(local, tp, tn):
+    """The table assemble hands to LieAlgebraData, value for value and int/Fraction type for type."""
+    grids = []
+    build = glaw.tower.LieAlgebraData
+    with mock.patch.object(glaw.tower, "LieAlgebraData", lambda dim, grid: grids.append(grid) or build(dim, grid)):
+        asm = assemble(tp, tn, local)
+    assert list(map(typed, grids[0])) == list(map(typed, assembled_by_pairs(tp, tn, local)))
+    assert asm.algebra.structure_pairs == grids[0]
+
+
+@pytest.mark.parametrize(
+    "make,budget",
+    [
+        (lambda: gen_principal(E6_CARTAN), 12),
+        (lambda: gen_principal(G2_CARTAN), 6),
+        # the symmetrizer 1/2, 3/2 puts Fractions into the stored maps
+        (lambda: gen_principal(G2_CARTAN, [F(1, 2), F(3, 2)]), 6),
+        (lambda: gen_symplectic(2, 3, 1, "g2"), 4),
+        (lambda: gen_glblock(2, 1, 1), 3),
+        # Fraction terms that sum to integral brackets, which a row must hold as ints
+        (lambda: gen_principal(C2), 6),
+    ],
+)
+def test_assembly_by_rows_matches_the_per_pair_recursion(make, budget):
+    local = build_local(make())
+    tp, tn = grow_both(local, budget)
+    assert tp.terminated and tn.terminated
+    assert_assembly_matches_the_per_pair_recursion(local, tp, tn)
+
+
+@settings(max_examples=20, deadline=None)
+@given(generator_triplets(min_n=2))
+def test_assembly_by_rows_matches_the_per_pair_recursion_across_the_generator_families(t):
+    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    for budget in range(2, 7):
+        tp = grow(local, POSITIVE, budget)
+        if tp.terminated or max(tp.dims()) > 40:
+            break
+    assume(tp.terminated)
+    tp, tn = grow_both(local, budget)
+    assume(tn.terminated and max(tn.dims()) <= 40)
+    assert_assembly_matches_the_per_pair_recursion(local, tp, tn)
+
+
+@pytest.mark.parametrize("make,budget", [(lambda: gen_principal(G2_CARTAN), 6), (lambda: gen_symplectic(2, 3, 1, "g2"), 4)])
+def test_tower_pairs_from_the_wrong_sides_or_another_local_algebra_are_refused(make, budget):
+    # assemble(tp, tp, L) used to return an algebra failing Jacobi at (0, 1, 13) on principal G2
+    local = build_local(make())
+    tp, tn = grow_both(local, budget)
+    other = build_local(gen_principal(A2))
+    sub = [basis_vector(local.dim_g0, 0)]
+    for towers in ((tp, tp), (tn, tn), (tn, tp)):
+        for call in (
+            lambda: assemble(*towers, local),
+            lambda: pairing(*towers, 1),
+            lambda: centralizer_graded(*towers, local, sub, budget),
+            lambda: centralizer_in_degree_zero(*towers, local, {}),
+        ):
+            with pytest.raises(Refusal, match="expects a positive and a negative tower, in that order"):
+                call()
+    for call in (
+        lambda: assemble(tp, tn, other),
+        lambda: pairing(tp, grow(other, NEGATIVE, 2), 1),
+        lambda: centralizer_graded(tp, tn, other, [basis_vector(other.dim_g0, 0)], budget),
+        lambda: centralizer_in_degree_zero(tp, tn, other, {}),
+    ):
+        with pytest.raises(Refusal, match="expects towers grown from the local algebra it is given"):
+            call()
 
 
 @settings(max_examples=25, deadline=None)
 @given(generator_triplets())
 def test_both_orders_of_a_basis_pair_bracket_to_negatives(t):
-    # assembly fills [e_j, e_i] as -[e_i, e_j]; here each order runs its own recursion and memo
+    # assembly fills [e_j, e_i] as -[e_i, e_j]; here each order runs the per-pair recursion with its own memo
     local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
     for budget in range(2, 7):
         tp = grow(local, POSITIVE, budget)
@@ -420,7 +495,7 @@ def test_both_orders_of_a_basis_pair_bracket_to_negatives(t):
     assume(tp.terminated)
     tp, tn = grow_both(local, budget)
     assume(max(tn.dims()) <= 40)
-    forward, backward = (glaw.tower._Graded(local.triplet.g0, tp.components, tn.components) for _ in range(2))
+    forward, backward = (GradedOracle(local.triplet.g0, tp.components, tn.components) for _ in range(2))
     basis = [(d, s) for d, dim in sorted(forward.dims.items()) for s in range(dim)]
     for i, (da, sa) in enumerate(basis):
         for db, sb in basis[i:]:
