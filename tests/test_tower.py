@@ -459,7 +459,7 @@ def test_assembly_by_rows_matches_the_per_pair_recursion_across_the_generator_fa
 
 @pytest.mark.parametrize("make,budget", [(lambda: gen_principal(G2_CARTAN), 6), (lambda: gen_symplectic(2, 3, 1, "g2"), 4)])
 def test_tower_pairs_from_the_wrong_sides_or_another_local_algebra_are_refused(make, budget):
-    # assemble(tp, tp, L) used to return an algebra failing Jacobi at (0, 1, 13) on principal G2
+    # unchecked, two positive towers of principal G2 assemble into a table failing Jacobi at (0, 1, 13)
     local = build_local(make())
     tp, tn = grow_both(local, budget)
     other = build_local(gen_principal(A2))
