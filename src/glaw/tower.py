@@ -311,6 +311,7 @@ def pairing(tp: Tower, tn: Tower, n: int) -> Matrix:
 
 
 def pairing_table(tp: Tower, tn: Tower, up_to: int) -> list[Matrix]:
+    _check_towers("pairing_table", tp, tn)
     tp.dim_at(up_to)
     tn.dim_at(up_to)
     tables = [Matrix.identity(tp.local.dim_v)]
@@ -416,23 +417,24 @@ class _WordLowering:
     {word: coefficient} of basis words of length k-1, by the recursion of
     ``_lower_symbolic`` (the head term first, then the rest).  It reads
     [[y_j, x_a], x_b] from a table filled on first use straight from the
-    local [X, Y] pairs and the action columns.  ``value(jx, word)`` is
-    T_{jx[0]} o ... o T_{jx[-1]} applied to the word, a sparse vector
-    {index: coefficient} of V.  Every lowering is memoized, full-length words
-    included: a scan over all basis tuples asks for T_{jx[-1]} of the same
-    full-length word once per prefix jx[:-1].  Values are memoized for words
-    shorter than n only, since each (jx, full-length word) is read once.
-    Coefficients are ints while the arithmetic stays integral and Fractions
-    otherwise; a dense result leaving the kernel is converted with ``frac``.
+    local [X, Y] pairs and the action columns.  ``values(rest, word)`` is
+    T_{j0} o T_{rest[0]} o ... o T_{rest[-1]} applied to the word for every
+    first dual index j0 at once, a sparse {(j0, index): coefficient}.  Every
+    lowering is memoized, full-length words included: for n >= 4 the scan
+    asks for T_{rest[-1]} of the same full-length word once per prefix
+    rest[:-1].  Values are memoized for words shorter than n only, since each
+    (rest, full-length word) is read once.  Coefficients are ints while the
+    arithmetic stays integral and Fractions otherwise; a dense result leaving
+    the kernel is converted with ``frac``.
     """
 
     def __init__(self, L: LocalAlgebra, n: int):
-        self.n = n
+        self.n, self.dv = n, L.dim_v
         self.xy = L.xy_pairs
         self.rho = L.triplet.rho.action_cols
         self.acts: dict[tuple[int, int, int], dict[int, Exact]] = {}
         self.lowered: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Exact]] = {}
-        self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Exact]] = {}
+        self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[tuple[int, int], Exact]] = {}
 
     def act(self, j: int, a: int, b: int) -> dict[int, Exact]:
         """[[y_j, x_a], x_b] as {index: coefficient}: [y_j, x_a] = -[x_a, y_j]
@@ -472,24 +474,22 @@ class _WordLowering:
                 out[(head,) + w] += v
         return {w: v for w, v in out.items() if v}
 
-    def value(self, jx: tuple[int, ...], word: tuple[int, ...]) -> dict[int, Exact]:
-        if not jx:
-            return {word[0]: 1}
-        if len(word) == self.n:
-            return self._value(jx, word)
-        key = (jx, word)
-        hit = self.values.get(key)
-        if hit is None:
-            hit = self.values[key] = self._value(jx, word)
+    def values(self, rest: tuple[int, ...], word: tuple[int, ...]) -> dict[tuple[int, int], Exact]:
+        key = (rest, word)
+        if (hit := self.memo.get(key)) is not None:
+            return hit
+        if not rest:  # a word of length 2, lowered by each y_j0 to a single index
+            hit = {(j, i): v for j in range(self.dv) for (i,), v in self.lower(j, word).items()}
+        else:
+            out: dict[tuple[int, int], Exact] = defaultdict(int)
+            head = rest[:-1]
+            for w, c in self.lower(rest[-1], word).items():
+                for k, v in self.values(head, w).items():
+                    out[k] += c * v
+            hit = {k: v for k, v in out.items() if v}
+        if len(word) < self.n:
+            self.memo[key] = hit
         return hit
-
-    def _value(self, jx: tuple[int, ...], word: tuple[int, ...]) -> dict[int, Exact]:
-        out: Sparse = defaultdict(int)
-        rest = jx[:-1]
-        for w, c in self.lower(jx[-1], word).items():
-            for i, v in self.value(rest, w).items():
-                out[i] += c * v
-        return {i: v for i, v in out.items() if v}
 
 
 def pn_evaluate(L: LocalAlgebra, ys: list[Vector], xs: list[Vector]) -> Vector:
@@ -501,8 +501,10 @@ def pn_evaluate(L: LocalAlgebra, ys: list[Vector], xs: list[Vector]) -> Vector:
     coordinates, and each y lowers that combination as the sum of y_j T_j
     over its nonzero coordinates, on the same memoized lowering as pn_check.
     """
-    if len(ys) != len(xs) - 1:
-        raise ValueError("the degree-n identity takes n-1 dual and n vector arguments")
+    if len(ys) != len(xs) - 1 or len(xs) < 2:
+        raise ValueError("the degree-n identity takes n-1 dual and n vector arguments, n >= 2")
+    if any(len(v) != L.dim_v for v in (*ys, *xs)):
+        raise ValueError(f"every argument of the degree-n identity has dim V = {L.dim_v} entries")
     kernel = _WordLowering(L, len(xs))
     words: dict[tuple[int, ...], Exact] = {}
     for pairs in itertools.product(*(support(x) for x in xs)):
@@ -528,24 +530,30 @@ class PnResult:
 def pn_check(L: LocalAlgebra, n: int) -> PnResult:
     """Does the degree-n identity hold on all basis tuples?
 
-    Multilinearity makes basis tuples sufficient.  Each tuple's value is
-    T_{j_0} o ... o T_{j_{n-2}} applied to the word (x_i...), read off one
-    memoized lowering over basis words (``_WordLowering``): each (dual index,
-    word) pair is lowered once, though the scan reads the lowering of a
-    full-length word once per prefix of dual indices.  Tuples are scanned in
-    lexicographic order, dual indices outer; returns the first nonvanishing
-    one, its value as a Fraction vector.
+    Multilinearity makes basis tuples sufficient.  The scan reads every
+    first dual index j0 at once: one memoized lowering over basis words
+    (``_WordLowering.values``) per (rest, ix), the later dual indices and the
+    vector indices, in lexicographic order.  The first nonvanishing tuple in
+    the order (j0, rest, ix) has the least j0 met anywhere and, for that j0,
+    the earliest (rest, ix), so the scan keeps a step only when its least
+    nonzero j0 is below the best so far and stops at j0 = 0.  Returns that
+    tuple, its value as a Fraction vector.
     """
     if not 2 <= n <= 5:
         raise Refusal("the identity check is supported for 2 <= n <= 5")
     dv = L.dim_v
     kernel = _WordLowering(L, n)
-    for jx in itertools.product(range(dv), repeat=n - 1):
-        for ix in itertools.product(range(dv), repeat=n):
-            val = kernel.value(jx, ix)
-            if val:
-                return PnResult(n, False, (jx, ix), dense(val.items(), dv))
-    return PnResult(n, True, None, None)
+    least, best = dv, None
+    words = itertools.product(range(dv), repeat=n)
+    for rest, ix in itertools.product(itertools.product(range(dv), repeat=n - 2), words):
+        if (val := kernel.values(rest, ix)) and (j0 := min(val)[0]) < least:
+            least, best = j0, (rest, ix, val)
+            if j0 == 0:
+                break
+    if best is None:
+        return PnResult(n, True, None, None)
+    rest, ix, val = best
+    return PnResult(n, False, ((least,) + rest, ix), dense(((i, c) for (j, i), c in val.items() if j == least), dv))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -17,10 +18,10 @@ from glaw import (
     gen_principal,
     gen_symplectic,
 )
-from glaw.exactla import bilinear, tight
+from glaw.exactla import bilinear, dense, tight
 from glaw.generators import find_symmetrizer, gen_glblock, gen_with_trivial_summand
 from glaw.liecore import basis_vector
-from glaw.tower import _Graded, _unit
+from glaw.tower import PnResult, _Graded, _unit, _WordLowering
 
 F = Fraction
 
@@ -355,3 +356,43 @@ def assembled_by_pairs(tp, tn, local) -> tuple:
                 table[i][j] = tuple((o + k, x) for k, x in v)
                 table[j][i] = tuple((o + k, -x) for k, x in v)
     return tuple(map(tuple, table))
+
+
+class WordLoweringOracle(_WordLowering):
+    """The degree-n identity one basis tuple at a time, over the memoized lowering of ``_WordLowering``.
+
+    ``value(jx, word)`` is T_{jx[0]} o ... o T_{jx[-1]} applied to the word, a sparse {index: coefficient} of
+    V, memoized for words shorter than n.  An oracle independent of the scan of ``glaw.tower.pn_check``,
+    which reads every first dual index at once.
+    """
+
+    def __init__(self, L, n: int):
+        super().__init__(L, n)
+        self.by_tuple: dict[tuple, dict] = {}
+
+    def value(self, jx: tuple, word: tuple) -> dict:
+        if not jx:
+            return {word[0]: 1}
+        key = (jx, word)
+        hit = self.by_tuple.get(key)
+        if hit is None:
+            out = defaultdict(int)
+            for w, c in self.lower(jx[-1], word).items():
+                for i, v in self.value(jx[:-1], w).items():
+                    out[i] += c * v
+            hit = {i: v for i, v in out.items() if v}
+            if len(word) < self.n:
+                self.by_tuple[key] = hit
+        return hit
+
+
+def pn_check_by_tuples(L, n: int) -> PnResult:
+    """``pn_check`` by the per-tuple scan: every (jx, ix) in lexicographic order, dual indices outer, until
+    the first nonvanishing value, returned as a Fraction vector."""
+    dv = L.dim_v
+    kernel = WordLoweringOracle(L, n)
+    for jx in itertools.product(range(dv), repeat=n - 1):
+        for ix in itertools.product(range(dv), repeat=n):
+            if val := kernel.value(jx, ix):
+                return PnResult(n, False, (jx, ix), dense(val.items(), dv))
+    return PnResult(n, True, None, None)

@@ -41,7 +41,7 @@ from glaw import (
     validate,
 )
 from glaw import cli
-from glaw.exactla import rank, subspace_equal, vadd, vis_zero, vneg, vscale, vzero
+from glaw.exactla import SparseCols, rank, subspace_equal, vadd, vis_zero, vneg, vscale, vzero
 from glaw.liecore import basis_vector, center as lie_center, killing_form
 import glaw.localg
 import glaw.tower
@@ -56,6 +56,7 @@ from helpers import (
     generator_triplets,
     gl_standard_triplet,
     jacobi_holds_everywhere,
+    pn_check_by_tuples,
     random_abelian_triplet,
     random_gl2_triplet,
     random_rational_vector,
@@ -68,6 +69,7 @@ F = Fraction
 A2 = [[2, -1], [-1, 2]]
 C2 = [[2, -1], [-2, 2]]
 G2_CARTAN = [[2, -1], [-3, 2]]
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 HYPERBOLIC = [[2, -3], [-3, 2]]
 
 
@@ -483,6 +485,14 @@ def test_tower_pairs_from_the_wrong_sides_or_another_local_algebra_are_refused(m
             call()
 
 
+def test_pairing_table_refuses_towers_from_the_wrong_sides():
+    # unchecked, pairing_table(tp, tp, 3) on principal G2 returned a table
+    tp, tn = grow_both(build_local(gen_principal(G2_CARTAN)), 6)
+    for towers in ((tp, tp), (tn, tp)):
+        with pytest.raises(Refusal, match="pairing_table expects a positive and a negative tower, in that order"):
+            pairing_table(*towers, 3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(generator_triplets())
 def test_both_orders_of_a_basis_pair_bracket_to_negatives(t):
@@ -744,9 +754,9 @@ ORACLE_CASES = [
 
 
 def assert_scan_matches_the_oracle(L, n):
-    """_WordLowering.value equals the symbolic expansion on every basis tuple,
-    and pn_check reports the first nonzero tuple in lexicographic order, its
-    value as Fractions."""
+    """The j0 slice of _WordLowering.values equals the symbolic expansion on
+    every basis tuple (y_j0, y_rest..., x_i...), and pn_check reports the
+    first nonzero tuple in lexicographic order, its value as Fractions."""
     dv = L.dim_v
     basis = [basis_vector(dv, i) for i in range(dv)]
     kernel = _WordLowering(L, n)
@@ -755,7 +765,7 @@ def assert_scan_matches_the_oracle(L, n):
         ys = [basis[j] for j in jx]
         for ix in itertools.product(range(dv), repeat=n):
             oracle = _oracle_value(L, n, ys, [basis[i] for i in ix])
-            got = kernel.value(jx, ix)
+            got = {i: c for (j, i), c in kernel.values(jx[1:], ix).items() if j == jx[0]}
             assert tuple(got.get(i, F(0)) for i in range(dv)) == oracle, (jx, ix)
             if first is None and not vis_zero(oracle):
                 first = ((jx, ix), oracle)
@@ -796,6 +806,72 @@ def test_pn_check_lowers_each_dual_index_and_top_word_once(monkeypatch):
     assert len(top) == len(set(top)) == 6**4
 
 
+def test_pn_check_accumulates_each_later_dual_index_and_top_word_once(monkeypatch):
+    # a count guard, no timing: on sym-square-3 (dim V = 6) the n = 3 scan reads all 6 first dual indices of
+    # each (y_j1, top word) in one accumulation, 6 * 6^3 of them, not one per basis tuple (6^5)
+    L = build_local(gen_symplectic(3, 2, 2))
+    top = []
+    values = _WordLowering.values
+
+    def counted(self, rest, word):
+        if len(word) == self.n:
+            top.append((rest, word))
+        return values(self, rest, word)
+
+    monkeypatch.setattr(_WordLowering, "values", counted)
+    assert pn_check(L, 3).holds
+    assert len(top) == len(set(top)) == 1296
+
+
+def assert_pn_check_matches_the_per_tuple_scan(L, n):
+    expected, got = pn_check_by_tuples(L, n), pn_check(L, n)
+    assert (got.holds, got.witness, got.value) == (expected.holds, expected.witness, expected.value)
+    assert got.value is None or all(type(x) is Fraction for x in got.value)
+
+
+def with_a_trivial_summand_first(t):
+    """t with a one-dimensional summand on which everything acts by zero, as the first basis vector of V:
+    every tuple with j0 = 0 vanishes, so the scan runs to its end."""
+    dv = t.dim_v + 1
+    shift = [((),) + tuple(tuple((r + 1, x) for r, x in col) for col in m.support) for m in t.rho.action_cols]
+    return FundamentalTriplet(t.g0, t.b0, Representation(dv, tuple(SparseCols(dv, dv, cols) for cols in shift)))
+
+
+PER_TUPLE_CASES = [
+    pytest.param(lambda: gen_symplectic(3, 2, 2), 3, id="sym-square-3-n3"),
+    pytest.param(lambda: gen_symplectic(2, 2, 2, "trace"), 3, id="sym-square-2-n3"),
+    pytest.param(lambda: gen_symplectic(2, 3, 1, "g2"), 3, id="g2-cubic-n3"),
+    pytest.param(lambda: gen_glblock(2, 1, 2), 2, id="glblock-2-n2"),
+    pytest.param(lambda: gen_glblock(2, 1, 2), 3, id="glblock-2-n3"),
+    pytest.param(lambda: gen_principal(G2_CARTAN), 5, id="principal-g2-n5"),
+    pytest.param(lambda: gen_principal(A4), 4, id="a4-n4"),
+    pytest.param(lambda: with_a_trivial_summand_first(gen_glblock(2, 1, 2)), 2, id="trivial-first-glblock-2-n2"),
+    pytest.param(lambda: with_a_trivial_summand_first(gen_glblock(2, 1, 2)), 3, id="trivial-first-glblock-2-n3"),
+]
+
+
+@pytest.mark.parametrize("make,n", PER_TUPLE_CASES)
+def test_pn_check_matches_the_per_tuple_scan(make, n):
+    assert_pn_check_matches_the_per_tuple_scan(build_local(make()), n)
+
+
+def test_pn_check_keeps_scanning_past_a_first_nonzero_step_above_the_least_dual_index():
+    # on a4 the first nonzero (rest, ix) in the scan has no j0 = 0 entry; the witness, j0 = 0, comes later
+    L = build_local(gen_principal(A4))
+    kernel = _WordLowering(L, 4)
+    steps = itertools.product(itertools.product(range(4), repeat=2), itertools.product(range(4), repeat=4))
+    first = next(val for rest, ix in steps if (val := kernel.values(rest, ix)))
+    assert min(first)[0] > 0
+    assert pn_check(L, 4).witness == ((0, 2, 3), (0, 1, 2, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_triplets(), st.sampled_from([2, 3]))
+def test_pn_check_matches_the_per_tuple_scan_across_the_generator_families(t, n):
+    assume(t.dim_v <= 4)
+    assert_pn_check_matches_the_per_tuple_scan(build_local(t), n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), family=st.sampled_from(["abelian", "gl2"]))
 def test_pn_evaluate_matches_the_symbolic_expansion_on_random_vectors(seed, n, family):
@@ -814,6 +890,16 @@ def test_pn_evaluate_needs_one_dual_argument_fewer_than_vector_arguments():
     e = basis_vector(L.dim_v, 0)
     with pytest.raises(ValueError):
         pn_evaluate(L, [e, e], [e, e])
+
+
+def test_pn_evaluate_refuses_vectors_of_the_wrong_length_and_a_single_vector():
+    # glblock-2 has dim V = 4: a 3-entry x had read as zero, a 5-entry x or y raised IndexError, and a lone x
+    # (n = 1, which pn_check refuses) came back as itself
+    L = build_local(gen_glblock(2, 1, 2))
+    e, short, long = basis_vector(4, 0), basis_vector(3, 0), basis_vector(5, 0)
+    for ys, xs in (([e], [e, short]), ([e], [long, e]), ([long], [e, e]), ([], [e])):
+        with pytest.raises(ValueError):
+            pn_evaluate(L, ys, xs)
 
 
 # ---------------------------------------------------------------------------
