@@ -9,7 +9,7 @@ pairs and action columns, the local table, the tower's maps, reduced rows)
 an integral value is an ``int`` (``tight``) and any other a ``Fraction``:
 both compare, hash, print and expose numerator and denominator alike, and
 int multiply-adds are far cheaper.  Every dense result (``Matrix``, the dense
-views of ``SparseCols`` and ``ImageBasis``, kernels, solutions) holds only
+views of ``SparseCols`` and ``ImageBasis``, kernels) holds only
 Fractions, converted by ``frac`` where it is built.  Elimination runs on
 sparse integer rows ({column: int}, denominators cleared, each row divided
 by the gcd of its entries) and divides each reduced row by its pivot at the
@@ -18,10 +18,13 @@ pivot is the eligible row with the fewest nonzeros, ties to the lower row
 index; the reduced row echelon form is unique, so that choice only changes
 fill-in and never a result.  The bases produced here are canonical:
 null-space bases set each free variable to 1 in increasing column order,
-column-space bases are the pivot columns in left-to-right order.  Linear
-systems sharing a matrix are solved together: ``solve_pairs`` eliminates
-[a | b_0 | b_1 | ...] once on sparse right-hand sides, ``solve_many`` is its
-dense form, and ``solve``, ``inverse`` and ``in_span`` are single calls to it.
+column-space bases are the pivot columns in left-to-right order.  Every
+solve, kernel and column space of glaw runs on sparse input: linear systems
+sharing a matrix (given as ``SparseCols``) are solved together by
+``solve_pairs``, which eliminates [a | b_0 | b_1 | ...] once on sparse
+right-hand sides, and ``inverse_pairs`` is its solve against the unit
+vectors.  ``Matrix`` is the dense form of parsing, reports and tests, and of
+``rref`` and ``rank``.
 """
 
 from __future__ import annotations
@@ -258,13 +261,6 @@ class Matrix:
         )
 
 
-def hstack(mats: Sequence[Matrix]) -> Matrix:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ValueError("row counts differ")
-    return Matrix(rows, sum(m.cols for m in mats), tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows)))
-
-
 class SparseCols(NamedTuple):
     """Immutable matrix stored by columns.
 
@@ -280,7 +276,14 @@ class SparseCols(NamedTuple):
     @staticmethod
     def from_matrix(m: Matrix) -> "SparseCols":
         """The columns of a dense matrix, each integral value as an int."""
-        return SparseCols(m.rows, m.cols, tuple(tight_pairs(support(m.col(j))) for j in range(m.cols)))
+        return SparseCols.from_vectors([m.col(j) for j in range(m.cols)], m.rows)
+
+    @staticmethod
+    def from_vectors(vectors: Sequence[Sequence], rows: int) -> "SparseCols":
+        """The matrix whose columns are the given dense vectors (possibly none), each integral value as an int."""
+        if any(len(v) != rows for v in vectors):
+            raise ValueError("column length does not match row count")
+        return SparseCols(rows, len(vectors), tuple(tight_pairs(support(v)) for v in vectors))
 
     def col(self, j: int) -> Vector:
         return dense(self.support[j], self.rows)
@@ -292,11 +295,15 @@ class SparseCols(NamedTuple):
         return Matrix(self.cols, self.rows, tuple(self.columns())).transpose()
 
     def transpose(self) -> "SparseCols":
-        rows: list[list[tuple[int, Exact]]] = [[] for _ in range(self.rows)]
+        return SparseCols(self.cols, self.rows, tuple(tuple(row.items()) for row in self.row_dicts()))
+
+    def row_dicts(self) -> list[dict[int, Exact]]:
+        """Each row as its nonzero {column: value} entries, in increasing column order."""
+        rows: list[dict[int, Exact]] = [{} for _ in range(self.rows)]
         for j, col in enumerate(self.support):
             for i, x in col:
-                rows[i].append((j, x))
-        return SparseCols(self.cols, self.rows, tuple(map(tuple, rows)))
+                rows[i][j] = x
+        return rows
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -413,12 +420,7 @@ def sparse_kernel(rows: Iterable[dict[int, Exact]], ncols: int) -> list[Vector]:
     return basis
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of the right null space (free variables set to 1, increasing)."""
-    return sparse_kernel((dict(support(r)) for r in m.entries), m.cols)
-
-
-def solve_pairs(a: Matrix, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Exact], ...] | None]:
+def solve_pairs(a: SparseCols, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Exact], ...] | None]:
     """One exact solution of a x = b for each b (free variables 0), None
     for each inconsistent b, from one elimination of [a | b_0 | b_1 | ...].
     Each b and each solution is given by its nonzero (index, value) pairs,
@@ -430,7 +432,7 @@ def solve_pairs(a: Matrix, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Exact],
     solution off the rows pivoted in a, which come in increasing pivot order.
     """
     n = a.cols
-    rows = [dict(support(r)) for r in a.entries]
+    rows = a.row_dicts()
     for k, b in enumerate(bs):
         for i, x in b:
             rows[i][n + k] = x
@@ -447,17 +449,11 @@ def solve_pairs(a: Matrix, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Exact],
     return [None if k in inconsistent else tuple(x) for k, x in enumerate(out)]
 
 
-def solve_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector | None]:
-    """``solve_pairs`` on dense right-hand sides, with dense solutions."""
-    bs = [as_vector(b) for b in bs]
-    if any(len(b) != a.rows for b in bs):
-        raise ValueError("right-hand side length does not match row count")
-    return [None if x is None else dense(x, a.cols) for x in solve_pairs(a, [support(b) for b in bs])]
-
-
-def solve(a: Matrix, b: Sequence) -> Vector | None:
-    """One exact solution of a x = b (free variables 0), or None if inconsistent."""
-    return solve_many(a, [b])[0]
+def inverse_pairs(a: SparseCols) -> list[tuple[tuple[int, Exact], ...]] | None:
+    """The columns of the inverse of a square a as (index, value) pairs, from
+    one ``solve_pairs`` against the unit vectors; None when a is singular."""
+    cols = solve_pairs(a, [((k, 1),) for k in range(a.rows)])
+    return None if None in cols else cols
 
 
 @dataclass(frozen=True)
@@ -487,39 +483,10 @@ def image_basis(m: Matrix | SparseCols) -> ImageBasis:
     """Column-space basis and coordinates, read off the sparse reduced rows."""
     if isinstance(m, Matrix):
         m = SparseCols.from_matrix(m)
-    rows: list[dict[int, Exact]] = [{} for _ in range(m.rows)]
-    for j, col in enumerate(m.support):
-        for i, x in col:
-            rows[i][j] = x
-    reduced, pivots = _sparse_rref(rows, m.cols)
+    reduced, pivots = _sparse_rref(m.row_dicts(), m.cols)
     coords: list[list[tuple[int, Exact]]] = [[] for _ in range(m.cols)]
     for k, row in enumerate(reduced):
         for j, x in row.items():
             coords[j].append((k, x))
     basis = SparseCols(m.rows, len(pivots), tuple(m.support[p] for p in pivots))
     return ImageBasis(pivots, basis, SparseCols(len(pivots), m.cols, tuple(map(tuple, coords))))
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise ValueError("only square matrices invert")
-    cols = solve_many(m, Matrix.identity(m.rows).entries)
-    if None in cols:
-        raise ValueError("matrix is singular")
-    return Matrix.from_cols(cols, nrows=m.rows)
-
-
-def span_matrix(vectors: Sequence[Vector], dim: int) -> Matrix:
-    """Matrix whose columns are the given vectors (possibly none) in a space of size dim."""
-    return Matrix.from_cols(list(vectors), nrows=dim) if vectors else Matrix.zeros(dim, 0)
-
-
-def subspace_equal(a: Sequence[Vector], b: Sequence[Vector], dim: int) -> bool:
-    """Do two spanning sets span the same subspace?"""
-    ma, mb = span_matrix(a, dim), span_matrix(b, dim)
-    ra, rb = rank(ma), rank(mb)
-    return ra == rb == rank(hstack([ma, mb]))
-
-
-def in_span(v: Vector, vectors: Sequence[Vector]) -> bool:
-    return solve_many(span_matrix(vectors, len(v)), [v])[0] is not None

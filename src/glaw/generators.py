@@ -9,8 +9,9 @@ The two matrix families are sub-triplets of gl(n)-type triplets, built by one
 restriction (``_restrict``): the block family of gl(n) + gl(n) acting on n x n
 matrices, the stabilizer family of gl(n) with its trace form and defining
 action.  The restriction reads each bracket of two basis vectors off the
-structure pairs, takes the form as M^T G M on the basis columns M, and the
-action as rho(v) for each basis vector v; no matrix commutator is formed.
+structure pairs, takes the form as B(b_p, b_q) on the basis vectors
+(``QuadraticForm.gram_on``), and the action as rho(v) for each basis vector
+v; no matrix commutator is formed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import ZERO, Matrix, SparseCols, Vector, dense, frac, kernel_basis, rank, span_matrix, vscale
+from .exactla import ZERO, Matrix, SparseCols, Vector, dense, frac, rank, sparse_kernel, vscale
 from .liecore import (
     FundamentalTriplet,
     LieAlgebraData,
@@ -142,14 +143,13 @@ def gen_symplectic(n: int, p: int, lam, form="trace") -> FundamentalTriplet:
     return FundamentalTriplet(_gl_structure(n), QuadraticForm(gram), Representation(dim_v, tuple(action)))
 
 
-def _restrict(g: LieAlgebraData, gram: Matrix, rho: Representation, basis: list[Vector]) -> FundamentalTriplet:
-    """The sub-triplet of (g, gram, rho) on the span of basis: the brackets
-    written in the basis, the Gram matrix M^T gram M of the basis columns M,
-    and rho(v) for each basis vector v."""
-    m = span_matrix(basis, g.dim)
+def _restrict(g: LieAlgebraData, b0: QuadraticForm, rho: Representation, basis: list[Vector]) -> FundamentalTriplet:
+    """The sub-triplet of (g, b0, rho) on the span of basis: the brackets
+    written in the basis, the Gram matrix of b0 on the basis vectors, and
+    rho(v) for each basis vector v."""
     sub = restrict_algebra(g, basis, "the basis does not span a subalgebra")
     action = tuple(rho.cols_of(v) for v in basis)
-    return FundamentalTriplet(sub, QuadraticForm(m.transpose() @ gram @ m), Representation(rho.dim_v, action))
+    return FundamentalTriplet(sub, QuadraticForm(b0.gram_on(basis)), Representation(rho.dim_v, action))
 
 
 def gen_glblock(n: int, lam1, lam2) -> FundamentalTriplet:
@@ -172,13 +172,13 @@ def gen_glblock(n: int, lam1, lam2) -> FundamentalTriplet:
     sl += [[(diag[i], 1), (diag[i + 1], -1)] for i in range(n - 1)]
     basis = [[(k, 1) for k in diag] + [(nn + k, -1) for k in diag]] + sl + [[(nn + k, x) for k, x in v] for v in sl]
     trace = symplectic_form_gram(n, "trace")
-    gram = QuadraticForm(trace.scale(lam1)).direct_sum(QuadraticForm(trace.scale(lam2))).gram
+    b0 = QuadraticForm(trace.scale(lam1)).direct_sum(QuadraticForm(trace.scale(lam2)))
     # X = E_ij sits at index i*n + j; each map is {column: (row, value)}, one entry per column at most
     left = [{b * n + j: (a * n + j, 1) for j in r} for a in r for b in r]
     right = [{i * n + a: (i * n + b, -1) for i in r} for a in r for b in r]
     action = tuple(SparseCols(nn, nn, tuple((m[q],) if q in m else () for q in range(nn))) for m in left + right)
     g = _gl_structure(n).direct_sum(_gl_structure(n))
-    return _restrict(g, gram, Representation(nn, action), [dense(v, 2 * nn) for v in basis])
+    return _restrict(g, b0, Representation(nn, action), [dense(v, 2 * nn) for v in basis])
 
 
 def find_symmetrizer(cartan: Matrix) -> Vector:
@@ -226,7 +226,7 @@ def gen_principal(cartan, symmetrizer=None) -> FundamentalTriplet:
         d = tuple(frac(x) for x in symmetrizer)
         if len(d) != n or any(x == 0 for x in d):
             raise Refusal("the symmetrizer must be a nonzero diagonal of the right size")
-    gram = a @ Matrix.from_rows([[d[j] if i == j else 0 for j in range(n)] for i in range(n)])
+    gram = Matrix.from_rows([[x * d[j] for j, x in enumerate(row)] for row in a.entries])
     if not gram.is_symmetric():
         raise Refusal("the diagonal does not symmetrize the matrix")
     if rank(a) != n:
@@ -259,14 +259,15 @@ def stabilizer_of_poly(n: int, p: PolyInvariant) -> list[Vector]:
         raise Refusal("the polynomial must be homogeneous (the stabilizer is read in its one degree)")
     target = monomial_basis(n, p.degree())
     index = {alpha: k for k, alpha in enumerate(target.exponents)}
-    cols = []
+    # row k holds the coefficient of the k-th monomial in E_ab.p at column a * n + b
+    rows: list[dict[int, Fraction]] = [{} for _ in target.exponents]
     for a in range(n):
         for b in range(n):
             # E_ab acts as x_a d/dx_b, the flow of E_ba: its one entry is row b of column a
             e_ba = SparseCols(n, n, tuple(((b, 1),) if i == a else () for i in range(n)))
-            res = directional_derivative(p, e_ba)
-            cols.append(dense(((index[e], c) for e, c in res.terms), len(target.exponents)))
-    return kernel_basis(Matrix.from_cols(cols, nrows=len(target.exponents)))
+            for e, c in directional_derivative(p, e_ba).terms:
+                rows[index[e]][a * n + b] = c
+    return sparse_kernel(rows, n * n)
 
 
 def gen_stabilizer_triplet(p: PolyInvariant, center_scale) -> FundamentalTriplet:
@@ -285,7 +286,7 @@ def gen_stabilizer_triplet(p: PolyInvariant, center_scale) -> FundamentalTriplet
         raise Refusal("identity lies in the stabilizer; the family does not apply")
     gl = gen_symplectic(n, 1, 1, "trace")
     ident = dense(((a * (n + 1), 1) for a in range(n)), n * n)
-    t = _restrict(gl.g0, gl.b0.gram, gl.rho, [ident] + stab)
+    t = _restrict(gl.g0, gl.b0, gl.rho, [ident] + stab)
     if rank(t.b0.gram) != t.dim_g0:
         raise Refusal("the trace form is degenerate on this stabilizer family")
     action = (gl.rho.cols_of(vscale(center_scale, ident)),) + t.rho.action_cols[1:]

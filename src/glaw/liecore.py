@@ -35,7 +35,6 @@ from .exactla import (
     numerators,
     rank,
     solve_pairs,
-    span_matrix,
     sparse_kernel,
     support,
     tight_pairs,
@@ -130,7 +129,7 @@ class LieAlgebraData:
         return tuple(tuple(SparseCols(self.dim, self.dim, row).columns()) for row in self.structure_pairs)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        _check_lengths(self.dim, x, y)
+        check_lengths(self.dim, x, y)
         table = self.structure_pairs
         return tuple(bilinear(support(x), support(y), lambda i, j: table[i][j], [ZERO] * self.dim))
 
@@ -158,14 +157,14 @@ def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> Li
         for q in sups:
             acc = bilinear(p, q, lambda i, j: table[i][j], defaultdict(int))
             brackets.append(tuple((k, x) for k, x in acc.items() if x))
-    coords = solve_pairs(span_matrix(basis, g.dim), brackets)
+    coords = solve_pairs(SparseCols.from_vectors(basis, g.dim), brackets)
     if None in coords:
         raise Refusal(f"{refusal}; inconsistent data")
     dim = len(basis)
     return LieAlgebraData(dim, tuple(tuple(coords[p * dim : (p + 1) * dim]) for p in range(dim)))
 
 
-def _check_lengths(n: int, *vectors: Vector):
+def check_lengths(n: int, *vectors: Vector):
     """Refuse a dense vector whose length is not n, which would read as zero-padded or overrun."""
     for v in vectors:
         if len(v) != n:
@@ -180,12 +179,36 @@ def basis_vector(dim: int, i: int) -> Vector:
 class QuadraticForm:
     gram: Matrix
 
+    @cached_property
+    def cols(self) -> SparseCols:
+        """The Gram matrix G by columns, each integral value as an int, built on first read."""
+        return SparseCols.from_matrix(self.gram)
+
     def value(self, u: Vector, v: Vector) -> Fraction:
-        _check_lengths(self.gram.rows, u, v)
+        check_lengths(self.gram.rows, u, v)
         return sum(
             (ui * self.gram.entries[i][j] * vj for i, ui in enumerate(u) if ui for j, vj in enumerate(v) if vj),
             ZERO,
         )
+
+    def image(self, v: Vector) -> dict[int, Exact]:
+        """G v as its nonzero {index: value} entries, read off the columns of G at the support of v."""
+        check_lengths(self.gram.rows, v)
+        cols = self.cols.support
+        acc = bilinear(tight_pairs(support(v)), ((0, 1),), lambda k, _: cols[k], defaultdict(int))
+        return {k: x for k, x in acc.items() if x}
+
+    def gram_on(self, vectors: list[Vector], others: list[Vector] | None = None) -> Matrix:
+        """The matrix of B(u_p, v_q) for u_p in vectors and v_q in others (vectors when None): the
+        Gram matrix of the form restricted to the span of vectors.  Each G v_q is formed once and
+        dotted with the support of each u_p, on ints where the values are integral."""
+        check_lengths(self.gram.rows, *vectors)
+        images = [self.image(v) for v in (vectors if others is None else others)]
+        rows = []
+        for u in vectors:
+            us = tight_pairs(support(u))
+            rows.append(tuple(frac(sum(x * g[i] for i, x in us if i in g)) for g in images))
+        return Matrix(len(rows), len(images), tuple(rows))
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         n, m = self.gram.rows, other.gram.rows
@@ -222,14 +245,14 @@ class Representation:
         return tuple(m.to_matrix() for m in self.action_cols)
 
     def act(self, u: Vector, x: Vector) -> Vector:
-        _check_lengths(len(self.action_cols), u)
-        _check_lengths(self.dim_v, x)
+        check_lengths(len(self.action_cols), u)
+        check_lengths(self.dim_v, x)
         cols = self.action_cols
         return tuple(bilinear(support(u), support(x), lambda a, l: cols[a].support[l], [ZERO] * self.dim_v))
 
     def cols_of(self, u: Vector) -> SparseCols:
         """rho(u) = sum of u_a rho(e_a) by columns, read off the nonzero entries of u."""
-        _check_lengths(len(self.action_cols), u)
+        check_lengths(len(self.action_cols), u)
         n, us, cols = self.dim_v, support(u), [m.support for m in self.action_cols]
         out = []
         for l in range(n):
@@ -308,7 +331,7 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
     # B([e_i,e_j], e_k) = (G^T c_ij)[k] and B(e_i, [e_j,e_k]) = (G c_jk)[i], c_ij = [e_i,e_j];
     # both are zero unless (i,j,k) is in the support of one of the two products
     g_rows = [tight_pairs(support(r)) for r in b0.gram.entries]
-    g_cols = SparseCols.from_matrix(b0.gram).support
+    g_cols = b0.cols.support
     left, right = {}, {}
     for i in range(n):
         for j in range(n):

@@ -11,6 +11,7 @@ first; [U,Y] is the contragredient action.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,29 +19,23 @@ from functools import cached_property
 from .exactla import (
     Exact,
     Matrix,
+    Pairs,
     SparseCols,
     Vector,
     ZERO,
     bilinear,
+    combine,
     dense,
     divided,
-    hstack,
     image_basis,
-    inverse,
-    kernel_basis,
+    inverse_pairs,
     numerators,
     rank,
-    solve,
-    solve_many,
     solve_pairs,
-    span_matrix,
     sparse_kernel,
     support,
-    vadd,
     vdot,
-    vis_zero,
     vneg,
-    vscale,
 )
 from .liecore import (
     FundamentalTriplet,
@@ -50,6 +45,7 @@ from .liecore import (
     Representation,
     basis_vector,
     center,
+    check_lengths,
     dual_rep,
     grading_element,
     rep_kernel,
@@ -135,8 +131,8 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     means the triplet was invalid.  T' is divided by de once, into ``xy_pairs``.
     """
     n, dv = t.dim_g0, t.dim_v
-    inv = solve_pairs(t.b0.gram, [((a, 1),) for a in range(n)])
-    if None in inv:
+    inv = inverse_pairs(t.b0.cols)
+    if inv is None:
         raise Refusal("the invariant form is degenerate; no local bracket exists")
     d, inv = numerators(inv)
     dual_action = dual_rep(t.rho)
@@ -223,26 +219,29 @@ def transitivity_check(L: LocalAlgebra) -> TransitivityReport:
     return TransitivityReport(faithful and spans_v and spans_w, faithful, spans_v, spans_w, False)
 
 
-def _component_change_of_basis(t: FundamentalTriplet, ideal_bases: list[list[Vector]]) -> Matrix:
-    n = t.dim_g0
-    all_cols = [v for basis in ideal_bases for v in basis]
-    if len(all_cols) != n:
+def _component_scaling(t: FundamentalTriplet, ideal_bases: list[list[Vector]], scales: list[Fraction]) -> SparseCols:
+    """S = M D M^-1 by columns, M the ideal bases by columns and D scaling the coordinates of the
+    p-th ideal by scales[p]: S e_a is read off the solution M c_a = e_a, all from one elimination."""
+    n, vectors = t.dim_g0, [v for basis in ideal_bases for v in basis]
+    if len(vectors) != n:
         raise Refusal("ideal bases do not add up to the dimension of g0")
-    m = span_matrix(all_cols, n)
-    if rank(m) != n:
+    m = SparseCols.from_vectors(vectors, n)
+    coords = inverse_pairs(m)
+    if coords is None:
         raise Refusal("ideal bases are not linearly independent")
-    return m
+    d = [lam for basis, lam in zip(ideal_bases, scales, strict=True) for _ in basis]
+    return SparseCols(n, n, tuple(combine(((1, [(k, d[k] * x) for k, x in c], m.support),)) for c in coords))
 
 
 def _is_ideal(g: LieAlgebraData, basis: list[Vector]) -> bool:
     """Is the span of basis closed under brackets with every element of g?"""
     brackets = [support(g.bracket(basis_vector(g.dim, a), w)) for w in basis for a in range(g.dim)]
-    return None not in solve_pairs(span_matrix(basis, g.dim), brackets)
+    return None not in solve_pairs(SparseCols.from_vectors(basis, g.dim), brackets)
 
 
 def _orthogonal_complement(t: FundamentalTriplet, vectors: list[Vector]) -> list[Vector]:
     """Canonical basis of the B0-orthogonal complement of the span of vectors."""
-    return sparse_kernel((dict(support(t.b0.gram.matvec(v))) for v in vectors), t.dim_g0)
+    return sparse_kernel((t.b0.image(v) for v in vectors), t.dim_g0)
 
 
 def _check_orthogonal_ideals(t: FundamentalTriplet, ideal_bases: list[list[Vector]]):
@@ -251,48 +250,37 @@ def _check_orthogonal_ideals(t: FundamentalTriplet, ideal_bases: list[list[Vecto
             raise Refusal("a listed subspace is not an ideal of g0")
     for p in range(len(ideal_bases)):
         for q in range(p + 1, len(ideal_bases)):
-            for u in ideal_bases[p]:
-                for v in ideal_bases[q]:
-                    if t.b0.value(u, v) != 0:
-                        raise Refusal("the listed ideals are not mutually orthogonal")
+            if any(any(row) for row in t.b0.gram_on(ideal_bases[p], ideal_bases[q]).entries):
+                raise Refusal("the listed ideals are not mutually orthogonal")
 
 
 def scale_by_components(
     t: FundamentalTriplet, ideal_bases: list[list[Vector]], lambdas: list[Fraction], u: Vector
 ) -> Vector:
     """Scale the component of u in the p-th ideal by lambdas[p]."""
-    m = _component_change_of_basis(t, ideal_bases)
-    coords = solve(m, u)
-    scaled = []
-    pos = 0
-    for basis, lam in zip(ideal_bases, lambdas, strict=True):
-        scaled.extend(lam * c for c in coords[pos : pos + len(basis)])
-        pos += len(basis)
-    return m.matvec(scaled)
+    s = _component_scaling(t, ideal_bases, lambdas)
+    check_lengths(t.dim_g0, u)
+    return dense(combine(((1, support(u), s.support),)), t.dim_g0)
 
 
 def deform_form(
     t: FundamentalTriplet, ideal_bases: list[list[Vector]], lambdas: list[Fraction]
 ) -> FundamentalTriplet:
-    """Replace B0 by the direct sum of lambda_p * B0 restricted to each ideal."""
+    """Replace B0 by the direct sum of lambda_p * B0 restricted to each ideal.
+
+    In the ideal basis M that form is D (M^T G M), so its Gram matrix is M^-T D (M^T G M) M^-1.
+    The ideals are orthogonal, so M^T G M is block diagonal and commutes with D, and the new
+    Gram matrix is G S, S = M D M^-1 the component scaling.
+    """
     if len(ideal_bases) != len(lambdas):
         raise Refusal("one scale per ideal is required")
     if any(lam == 0 for lam in lambdas):
         raise Refusal("zero scales make the deformed form degenerate")
     _check_orthogonal_ideals(t, ideal_bases)
-    m = _component_change_of_basis(t, ideal_bases)
-    m_inv = inverse(m)
-    g_t = m.transpose() @ t.b0.gram @ m
-    scaled_rows = []
-    pos = 0
-    for basis, lam in zip(ideal_bases, lambdas, strict=True):
-        for r in range(pos, pos + len(basis)):
-            scaled_rows.append([lam * x for x in g_t.entries[r]])
-        pos += len(basis)
-    # row scaling suffices: the blocks off the diagonal are zero by orthogonality
-    g_scaled = Matrix.from_rows(scaled_rows)
-    g_new = m_inv.transpose() @ g_scaled @ m_inv
-    if rank(g_new) != t.dim_g0:
+    s = _component_scaling(t, ideal_bases, lambdas)
+    n = t.dim_g0
+    g_new = t.b0.gram_on([basis_vector(n, a) for a in range(n)], s.columns())
+    if rank(g_new) != n:
         raise Refusal("the deformed form is degenerate")
     return FundamentalTriplet(t.g0, QuadraticForm(g_new), t.rho)
 
@@ -302,41 +290,27 @@ def box_rescale_rep(
 ) -> FundamentalTriplet:
     """Rescale the action of a central orthogonal ideal Z by gamma (rho off Z kept).
 
-    Post-verifies that the new degree-(1,-1) bracket is the old one with its
-    Z-component scaled by gamma, on all basis pairs.
+    e_a acts as S e_a, S the component scaling by gamma on Z and 1 on its orthogonal complement.
+    Post-verifies that the new degree-(1,-1) bracket is S times the old one, on all basis pairs.
     """
     if gamma == 0:
         raise Refusal("gamma must be nonzero")
     n = t.dim_g0
     z_basis = list(center_part)
-    if None in solve_many(span_matrix(center(t.g0), n), z_basis):
+    check_lengths(n, *z_basis)
+    if None in solve_pairs(SparseCols.from_vectors(center(t.g0), n), [support(z) for z in z_basis]):
         raise Refusal("the given subspace is not central")
     l_basis = _orthogonal_complement(t, z_basis)
-    m = _component_change_of_basis(t, [z_basis, l_basis])
+    s = _component_scaling(t, [z_basis, l_basis], [gamma, 1])
     if not _is_ideal(t.g0, l_basis):
         raise Refusal("the orthogonal complement of Z is not an ideal")
-    m_inv = inverse(m)
-    k = len(z_basis)
-    z_m = span_matrix(z_basis, n)
-    # e_a acts as e_a + (gamma - 1) z_a, z_a its component in Z
-    shifts = [vscale(gamma - 1, z_m.matvec(m_inv.col(a)[:k])) for a in range(n)]
-    new_action = tuple(t.rho.cols_of(vadd(basis_vector(n, a), z)) for a, z in enumerate(shifts))
-    out = FundamentalTriplet(t.g0, t.b0, Representation(t.dim_v, new_action))
-    old_local = build_local(t)
-    new_local = build_local(out)
+    out = FundamentalTriplet(t.g0, t.b0, Representation(t.dim_v, tuple(t.rho.cols_of(u) for u in s.columns())))
+    old_xy, new_xy = build_local(t).xy_pairs, build_local(out).xy_pairs
     for i in range(t.dim_v):
         for j in range(t.dim_v):
-            expected = _box_scale_vector(m, m_inv, k, gamma, old_local.xy_table[i][j])
-            if new_local.xy_table[i][j] != expected:
+            if new_xy[i][j] != combine(((1, old_xy[i][j], s.support),)):
                 raise Refusal("rescaled bracket identity failed; Z and its complement do not split B0")
     return out
-
-
-def _box_scale_vector(m: Matrix, m_inv: Matrix, k: int, gamma: Fraction, u: Vector) -> Vector:
-    coords = list(m_inv.matvec(u))
-    for i in range(k):
-        coords[i] *= gamma
-    return m.matvec(coords)
 
 
 def theta_swap(t: FundamentalTriplet) -> FundamentalTriplet:
@@ -368,6 +342,18 @@ def _lie_homomorphism_failure(g1: LieAlgebraData, g2: LieAlgebraData, a_map: Mat
     return None
 
 
+def _is_square(m: Matrix, dim1: int, dim2: int) -> bool:
+    """Is m a square map of the dimension that both triplets share?"""
+    return m.rows == m.cols == dim1 == dim2
+
+
+def _intertwines(r1: Representation, r2: Representation, a: int, u: Vector, gamma: Sequence[Pairs]) -> bool:
+    """Does r2(u) gamma = gamma r1(e_a) hold?  Compared column by column on the sparse
+    columns, gamma given by its columns."""
+    lhs, rhs = r2.cols_of(u).support, r1.action_cols[a].support
+    return all(combine(((1, g, lhs),)) == combine(((1, rhs[l], gamma),)) for l, g in enumerate(gamma))
+
+
 def triplet_iso_extend(
     t1: FundamentalTriplet, t2: FundamentalTriplet, a_map: Matrix, gamma: Matrix
 ) -> LocalIsomorphism | IsoRefusal:
@@ -377,39 +363,34 @@ def triplet_iso_extend(
     post-verified to intertwine all three local brackets on basis pairs.  On
     failure reports the violated condition with a witness basis pair.
     """
-    if a_map.rows != t2.dim_g0 or a_map.cols != t1.dim_g0 or t1.dim_g0 != t2.dim_g0:
+    if not _is_square(a_map, t1.dim_g0, t2.dim_g0):
         raise Refusal("A must be square of the common g0 dimension")
-    if gamma.rows != t2.dim_v or gamma.cols != t1.dim_v or t1.dim_v != t2.dim_v:
+    if not _is_square(gamma, t1.dim_v, t2.dim_v):
         raise Refusal("gamma must be square of the common V dimension")
     n, dv = t1.dim_g0, t1.dim_v
-    try:
-        a_inv = inverse(a_map)
-        del a_inv
-    except ValueError:
-        raise Refusal("A is not invertible") from None
-    try:
-        gamma_inv = inverse(gamma)
-    except ValueError:
-        raise Refusal("gamma is not invertible") from None
+    if inverse_pairs(SparseCols.from_matrix(a_map)) is None:
+        raise Refusal("A is not invertible")
+    gamma_cols = SparseCols.from_matrix(gamma)
+    gamma_inv = inverse_pairs(gamma_cols)
+    if gamma_inv is None:
+        raise Refusal("gamma is not invertible")
     if (ij := _lie_homomorphism_failure(t1.g0, t2.g0, a_map)) is not None:
         return IsoRefusal("lie-homomorphism", ij)
-    pulled = a_map.transpose() @ t2.b0.gram @ a_map
+    pulled = t2.b0.gram_on([a_map.col(a) for a in range(n)])
     for i in range(n):
         for j in range(n):
             if pulled.entries[i][j] != t1.b0.gram.entries[i][j]:
                 return IsoRefusal("form-isometry", (i, j))
     for a in range(n):
-        lhs = t2.rho.matrix_of(a_map.col(a)) @ gamma
-        rhs = gamma @ t1.rho.action[a]
-        if lhs.entries != rhs.entries:
+        if not _intertwines(t1.rho, t2.rho, a, a_map.col(a), gamma_cols.support):
             return IsoRefusal("representation-intertwiner", (a,))
-    gamma_tilde = gamma_inv.transpose()
+    # row j of gamma^-T is column j of gamma^-1
+    gamma_tilde = Matrix.from_rows([dense(col, dv) for col in gamma_inv])
     # post-verification of the full local criterion on basis elements
     l1, l2 = build_local(t1), build_local(t2)
+    tilde_cols = SparseCols.from_matrix(gamma_tilde).support
     for a in range(n):
-        lhs = l2.dual_action.matrix_of(a_map.col(a)) @ gamma_tilde
-        rhs = gamma_tilde @ l1.dual_action.action[a]
-        if lhs.entries != rhs.entries:
+        if not _intertwines(l1.dual_action, l2.dual_action, a, a_map.col(a), tilde_cols):
             raise Refusal("dual intertwining failed after extension; inconsistent input data")
     for i in range(dv):
         for j in range(dv):
@@ -433,29 +414,28 @@ def local_iso_check(
     non-isometric scaling maps between a form and its multiples.
     """
     n, dv = t1.dim_g0, t1.dim_v
-    if a_map.rows != n or gamma.rows != dv or gamma_tilde.rows != dv:
+    if not (_is_square(a_map, n, t2.dim_g0) and all(_is_square(m, dv, t2.dim_v) for m in (gamma, gamma_tilde))):
         raise Refusal("maps must match the common dimensions")
-    for m in (a_map, gamma, gamma_tilde):
-        try:
-            inverse(m)
-        except ValueError:
-            raise Refusal("all three maps must be invertible") from None
+    a_cols, gamma_cols, tilde_cols = (SparseCols.from_matrix(m) for m in (a_map, gamma, gamma_tilde))
+    if any(inverse_pairs(m) is None for m in (a_cols, gamma_cols, tilde_cols)):
+        raise Refusal("all three maps must be invertible")
     if (ij := _lie_homomorphism_failure(t1.g0, t2.g0, a_map)) is not None:
         return IsoRefusal("lie-homomorphism", ij)
     l1, l2 = build_local(t1), build_local(t2)
     for a in range(n):
         col = a_map.col(a)
-        if (t2.rho.matrix_of(col) @ gamma).entries != (gamma @ t1.rho.action[a]).entries:
+        if not _intertwines(t1.rho, t2.rho, a, col, gamma_cols.support):
             return IsoRefusal("v-intertwiner", (a,))
-        if (l2.dual_action.matrix_of(col) @ gamma_tilde).entries != (gamma_tilde @ l1.dual_action.action[a]).entries:
+        if not _intertwines(l1.dual_action, l2.dual_action, a, col, tilde_cols.support):
             return IsoRefusal("v-dual-intertwiner", (a,))
-    twist = gamma_tilde.transpose() @ gamma
+    # column i of gamma_tilde^T gamma: entry k is column k of gamma_tilde dotted with column i of gamma
+    twist = [tuple(vdot(gamma_tilde.col(k), gamma.col(i)) for k in range(dv)) for i in range(dv)]
     for i in range(dv):
         for j in range(dv):
             lhs_vec = a_map.matvec(l1.xy_table[i][j])
             for u in range(n):
                 lhs = t2.b0.value(lhs_vec, a_map.col(u))
-                rhs = t1.b0.value(l1.bracket_xy(twist.col(i), basis_vector(dv, j)), basis_vector(n, u))
+                rhs = t1.b0.value(l1.bracket_xy(twist[i], basis_vector(dv, j)), basis_vector(n, u))
                 if lhs != rhs:
                     return IsoRefusal("bracket-form-compatibility", (i, j, u))
     return LocalIsomorphism(a_map, gamma, gamma_tilde)
@@ -484,28 +464,27 @@ def reduce_triplet(t: FundamentalTriplet, assert_completely_reducible: bool) -> 
     zc = center(t.g0)
     z_and_k = _intersect_spans(zc, k_basis, n)
     if z_and_k:
-        mzk = span_matrix(z_and_k, n)
-        if rank(mzk.transpose() @ t.b0.gram @ mzk) != len(z_and_k):
+        if rank(t.b0.gram_on(z_and_k)) != len(z_and_k):
             raise Refusal("B0 restricted to the central part of the kernel is degenerate")
     f_basis = _orthogonal_complement(t, k_basis)
-    if len(f_basis) + len(k_basis) != n or rank(span_matrix(list(k_basis) + f_basis, n)) != n:
+    if len(f_basis) + len(k_basis) != n or rank(Matrix.from_rows(k_basis + f_basis)) != n:
         raise Refusal("the orthogonal complement of the kernel does not complement it")
     if not _is_ideal(t.g0, f_basis):
         raise Refusal("the orthogonal complement of the kernel is not an ideal")
     v0 = _trivial_component(t.rho)
-    v1 = list(image_basis(SparseCols(dv, n * dv, tuple(c for m in t.rho.action_cols for c in m.support))).basis)
-    if len(v0) + len(v1) != dv or rank(span_matrix(v0 + v1, dv)) != dv:
+    span = image_basis(SparseCols(dv, n * dv, tuple(c for m in t.rho.action_cols for c in m.support))).basis_cols
+    v1 = span.columns()
+    if len(v0) + len(v1) != dv or rank(Matrix.from_rows(v0 + v1)) != dv:
         raise Refusal("reducibility check failed: the trivial part does not complement the span of g0.V")
     if not k_basis and not v0:
         return ReductionResult(t, (), tuple(basis_vector(dv, i) for i in range(dv)), (), tuple(f_basis))
-    f_m = span_matrix(f_basis, n)
     nf = len(f_basis)
     g0f = restrict_algebra(t.g0, f_basis, "bracket left the faithful ideal")
-    gram_f = f_m.transpose() @ t.b0.gram @ f_m
+    gram_f = t.b0.gram_on(f_basis)
     if rank(gram_f) != nf:
         raise Refusal("B0 restricted to the faithful ideal is degenerate")
     nv1 = len(v1)
-    coords = solve_pairs(span_matrix(v1, dv), [support(t.rho.act(f, v)) for f in f_basis for v in v1])
+    coords = solve_pairs(span, [support(t.rho.act(f, v)) for f in f_basis for v in v1])
     if None in coords:
         raise Refusal("the span of g0.V is not rho-stable; inconsistent data")
     action = tuple(SparseCols(nv1, nv1, tuple(coords[p * nv1 : (p + 1) * nv1])) for p in range(nf))
@@ -519,7 +498,7 @@ def _trivial_component(r: Representation) -> list[Vector]:
 
 
 def _intersect_spans(a: list[Vector], b: list[Vector], dim: int) -> list[Vector]:
-    ma = span_matrix(a, dim)
-    m = hstack([ma, span_matrix([vneg(v) for v in b], dim)])
-    vecs = [ma.matvec(kv[: len(a)]) for kv in kernel_basis(m)]
-    return [v for v in vecs if not vis_zero(v)]
+    """The nonzero vectors A x for the canonical kernel basis of [A | -B], A and B the columns a and b."""
+    m = SparseCols.from_vectors(a + [vneg(v) for v in b], dim)
+    vecs = [combine(((1, support(x[: len(a)]), m.support),)) for x in sparse_kernel(m.row_dicts(), m.cols)]
+    return [dense(v, dim) for v in vecs if v]

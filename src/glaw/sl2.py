@@ -20,11 +20,11 @@ from .exactla import (
     SparseCols,
     Vector,
     ZERO,
+    dense,
     frac,
-    in_span,
     rank,
-    solve,
-    span_matrix,
+    solve_pairs,
+    support,
     vadd,
     vis_zero,
     vscale,
@@ -223,7 +223,7 @@ def assumption_h_check(t: FundamentalTriplet) -> AssumptionHReport:
     der = derived_subalgebra(t.g0)
     if len(z) != 1:
         failures.append(f"center has dimension {len(z)}, expected 1")
-    if len(der) + len(z) != t.dim_g0 or rank(span_matrix(der + z, t.dim_g0)) != t.dim_g0:
+    if len(der) + len(z) != t.dim_g0 or rank(Matrix.from_rows(der + z)) != t.dim_g0:
         failures.append("g0 is not the direct sum of its center and derived algebra")
     h0 = None
     if len(z) == 1:
@@ -245,7 +245,8 @@ def property_p_test(t: FundamentalTriplet, x: Vector) -> bool:
     """True when x lies outside the span of the derived algebra applied to x."""
     if vis_zero(x):
         return False
-    return not in_span(x, [t.rho.act(u, x) for u in derived_subalgebra(t.g0)])
+    orbit = SparseCols.from_vectors([t.rho.act(u, x) for u in derived_subalgebra(t.g0)], len(x))
+    return solve_pairs(orbit, [support(x)]) == [None]
 
 
 def complete_triple(t: FundamentalTriplet, x: Vector) -> Sl2Certificate:
@@ -256,11 +257,12 @@ def complete_triple(t: FundamentalTriplet, x: Vector) -> Sl2Certificate:
     if not property_p_test(t, x):
         raise NoTriple("the candidate lies in the span of the derived algebra applied to it")
     der = derived_subalgebra(t.g0)
-    rows = [t.rho.act(u, x) for u in der] + [x]
-    rhs = [ZERO] * len(der) + [Fraction(1)]
-    y = solve(Matrix.from_rows(rows), rhs)
+    # the covector y with (rho(u) x) . y = 0 for each u in der and x . y = 1: the system with those rows
+    rows = SparseCols.from_vectors([t.rho.act(u, x) for u in der] + [x], t.dim_v).transpose()
+    (y,) = solve_pairs(rows, [((len(der), 1),)])
     if y is None:
         raise NoTriple("no covector annihilates the derived orbit direction while pairing with the candidate")
+    y = dense(y, t.dim_v)
     L = build_local(t)
     br = L.bracket_yx(y, x)
     lam = None

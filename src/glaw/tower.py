@@ -39,7 +39,6 @@ from .exactla import (
     numerators,
     rank,
     solve_pairs,
-    span_matrix,
     sparse_kernel,
     support,
     tight,
@@ -678,7 +677,7 @@ def finiteness_report(
 
 
 def _check_subalgebra(g, sub: list[Vector]):
-    if None in solve_pairs(span_matrix(sub, g.dim), [support(g.bracket(p, q)) for p in sub for q in sub]):
+    if None in solve_pairs(SparseCols.from_vectors(sub, g.dim), [support(g.bracket(p, q)) for p in sub for q in sub]):
         raise Refusal("the given subspace is not closed under the bracket")
 
 

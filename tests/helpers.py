@@ -244,6 +244,33 @@ def dense_kernel(rows, ncols: int) -> list[tuple]:
     return basis
 
 
+def dense_rank(rows, ncols: int) -> int:
+    return len(dense_rref(rows, ncols)[1])
+
+
+def same_span(a, b, dim: int) -> bool:
+    """Do two lists of vectors of length dim span the same subspace?  By ``dense_rref`` ranks."""
+    return dense_rank(a, dim) == dense_rank(b, dim) == dense_rank(list(a) + list(b), dim)
+
+
+def in_dense_span(v, vectors) -> bool:
+    """Is v in the span of vectors?  By ``dense_rref`` ranks."""
+    return dense_rank(list(vectors) + [v], len(v)) == dense_rank(vectors, len(v))
+
+
+def dense_solve(rows, rhs) -> tuple | None:
+    """The solution of rows . x = rhs with free variables 0, read off ``dense_rref`` of [rows | rhs],
+    or None when the system is inconsistent."""
+    ncols = len(rows[0])
+    m, pivots = dense_rref([list(row) + [b] for row, b in zip(rows, rhs, strict=True)], ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [F(0)] * ncols
+    for k, pc in enumerate(pivots):
+        x[pc] = m[k][ncols]
+    return tuple(x)
+
+
 def dense_inverse(g: Matrix) -> list[list[Fraction]] | None:
     """The inverse of a square matrix from ``dense_rref`` of [g | Id], None when singular."""
     n = g.rows

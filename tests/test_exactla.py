@@ -13,14 +13,10 @@ from glaw.exactla import (
     dense,
     format_scalar,
     image_basis,
-    in_span,
-    inverse,
-    kernel_basis,
+    inverse_pairs,
     parse_scalar,
     rank,
     rref,
-    solve,
-    solve_many,
     solve_pairs,
     sparse_kernel,
     support,
@@ -28,6 +24,17 @@ from glaw.exactla import (
 )
 
 F = Fraction
+
+
+def kernel(m: Matrix) -> list[tuple]:
+    """sparse_kernel of the rows of a dense matrix."""
+    return sparse_kernel((dict(support(r)) for r in m.entries), m.cols)
+
+
+def solve_dense(a: Matrix, bs) -> list[tuple | None]:
+    """solve_pairs of a, by columns, on dense right-hand sides, each solution as a dense vector."""
+    got = solve_pairs(SparseCols.from_matrix(a), [support(b) for b in bs])
+    return [None if x is None else dense(x, a.cols) for x in got]
 
 
 def test_scalar_round_trip():
@@ -61,18 +68,20 @@ def test_rank_identity_zero_and_dependent():
 
 
 def test_kernel_identity_zero_and_line():
-    assert kernel_basis(Matrix.identity(4)) == []
-    zk = kernel_basis(Matrix.zeros(2, 3))
+    assert kernel(Matrix.identity(4)) == []
+    zk = kernel(Matrix.zeros(2, 3))
     assert zk == [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
-    assert kernel_basis(Matrix.from_rows([[1, 1]])) == [(F(-1), F(1))]
+    assert kernel(Matrix.from_rows([[1, 1]])) == [(F(-1), F(1))]
 
 
 def test_solve_cases():
     ident = Matrix.identity(3)
     b = (F(2), F(-1), F(5))
-    assert solve(ident, b) == b
-    assert solve(Matrix.from_rows([[1, 1], [1, 1]]), (1, 2)) is None
-    assert solve(Matrix.from_rows([[2]]), (1,)) == (F(1, 2),)
+    assert solve_dense(ident, [b]) == [b]
+    assert solve_dense(Matrix.from_rows([[1, 1], [1, 1]]), [(1, 2)]) == [None]
+    assert solve_dense(Matrix.from_rows([[2]]), [(1,)]) == [(F(1, 2),)]
+    # a system that is not square: the free variable is 0
+    assert solve_pairs(SparseCols(1, 2, (((0, 1),), ((0, 1),))), [((0, 3),)]) == [((0, 3),)]
 
 
 def test_image_basis_cases():
@@ -93,10 +102,10 @@ def test_rank_nullity_and_residual_on_random_matrices():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = Matrix.from_rows([[F(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)])
-        assert rank(m) + len(kernel_basis(m)) == cols
+        assert rank(m) + len(kernel(m)) == cols
         x = tuple(F(rng.randint(-3, 3)) for _ in range(cols))
         b = m.matvec(x)
-        sol = solve(m, b)
+        (sol,) = solve_dense(m, [b])
         assert sol is not None
         assert m.matvec(sol) == b
 
@@ -205,7 +214,7 @@ def test_rref_of_zero_and_empty_matrices():
     r, pivots = rref(Matrix.from_rows([[0, 0, F(-3, 2)], [0, 0, 5], [0, 0, 0]]))
     assert pivots == (2,)
     assert r.entries == Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]]).entries
-    assert kernel_basis(Matrix.zeros(0, 2)) == [(F(1), F(0)), (F(0), F(1))]
+    assert kernel(Matrix.zeros(0, 2)) == [(F(1), F(0)), (F(0), F(1))]
 
 
 def test_matmul_matches_the_triple_loop():
@@ -226,9 +235,9 @@ def test_matmul_matches_the_triple_loop():
 
 def test_inverse():
     m = Matrix.from_rows([[1, 2], [3, 5]])
-    assert (inverse(m) @ m).entries == Matrix.identity(2).entries
-    with pytest.raises(ValueError):
-        inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+    inv = Matrix.from_cols([dense(c, 2) for c in inverse_pairs(SparseCols.from_matrix(m))])
+    assert (inv @ m).entries == Matrix.identity(2).entries
+    assert inverse_pairs(SparseCols.from_matrix(Matrix.from_rows([[1, 2], [2, 4]]))) is None
 
 
 @pytest.mark.parametrize(
@@ -239,16 +248,17 @@ def test_from_cols_refuses_a_column_of_the_wrong_length(cols, nrows):
         Matrix.from_cols(cols, nrows)
 
 
-def test_in_span_refuses_vectors_longer_than_v():
+@pytest.mark.parametrize("vectors", [[(1, 0, 5)], [(1, 0), (1,)]], ids=["long", "short"])
+def test_from_vectors_refuses_a_vector_of_the_wrong_length(vectors):
     # (1, 0, 5) is not a vector of the plane; it must not be truncated to (1, 0)
-    with pytest.raises(ValueError):
-        in_span((1, 0), [(1, 0, 5)])
+    with pytest.raises(ValueError, match="column length does not match row count"):
+        SparseCols.from_vectors(vectors, 2)
 
 
 def test_kernel_vectors_canonical_free_variable_convention():
     # one pivot at column 0; free columns 1 and 2 get the unit value in order
     m = Matrix.from_rows([[1, 2, 3]])
-    assert kernel_basis(m) == [(F(-2), F(1), F(0)), (F(-3), F(0), F(1))]
+    assert kernel(m) == [(F(-2), F(1), F(0)), (F(-3), F(0), F(1))]
 
 
 def sympy_solve(a: Matrix, b: tuple) -> tuple | None:
@@ -290,7 +300,7 @@ def systems(draw) -> tuple[Matrix, list[tuple]]:
 def test_solve_many_matches_sympy_column_by_column(system):
     # the example puts an inconsistent b before a consistent one, twice
     a, bs = system
-    got = solve_many(a, bs)
+    got = solve_dense(a, bs)
     assert len(got) == len(bs)
     for b, x in zip(bs, got):
         assert x == sympy_solve(a, b)
@@ -337,8 +347,9 @@ def test_repeated_single_entry_rows_change_no_result(system):
     ib, ib0 = image_basis(m), image_basis(base)
     assert (ib.pivots, ib.coord_cols) == (ib0.pivots, ib0.coord_cols)
     a, bs = split_system(m, n)
-    got = solve_pairs(a, bs)
-    assert got == solve_pairs(*split_system(base, n))
+    got = solve_pairs(SparseCols.from_matrix(a), bs)
+    a0, bs0 = split_system(base, n)
+    assert got == solve_pairs(SparseCols.from_matrix(a0), bs0)
     for b, x in zip(bs, got):
         assert (None if x is None else dense(x, n)) == sympy_solve(a, dense(b, m.rows))
 
@@ -380,17 +391,16 @@ def test_every_dense_result_holds_only_fractions(m):
     for a in (m, integral):
         cols = [a.col(j) for j in range(a.cols)]
         assert only_fractions(*rref(a)[0].entries)
-        assert only_fractions(*kernel_basis(a))
-        assert only_fractions(*sparse_kernel((dict(support(r)) for r in a.entries), a.cols))
-        values = [x for sol in solve_pairs(a, [support(c) for c in cols]) for _, x in sol]
+        assert only_fractions(*kernel(a))
+        values = [x for sol in solve_pairs(SparseCols.from_matrix(a), [support(c) for c in cols]) for _, x in sol]
         assert all(type(x) is (int if x.denominator == 1 else F) for x in values)
-        assert only_fractions(*solve_many(a, cols), solve(a, cols[0]))
         ib = image_basis(a)
         assert only_fractions(*ib.basis, *ib.coords)
         sparse = SparseCols(a.rows, a.cols, tuple(tuple((i, tight(x)) for i, x in support(c)) for c in cols))
         assert only_fractions(*image_basis(sparse).basis, *image_basis(sparse).coords)
         assert only_fractions(sparse.col(0), *sparse.columns(), *sparse.to_matrix().entries)
-    assert only_fractions(*inverse(Matrix.from_rows([[1, 2], [3, 5]])).entries)
+    inv = inverse_pairs(SparseCols.from_matrix(Matrix.from_rows([[2, 1], [1, 1]]).scale(F(1, 3))))
+    assert [type(x) for col in inv for _, x in col] == [int] * 4
     assert only_fractions(dense(((0, 1), (2, -3)), 4))
 
 

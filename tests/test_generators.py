@@ -23,12 +23,12 @@ from glaw import (
     validate,
 )
 from glaw.cli import canonical_json, emit_triplet_spec, main
-from glaw.exactla import subspace_equal, support, vis_zero
+from glaw.exactla import support, vis_zero
 from glaw.generators import _gl_structure, find_symmetrizer, symplectic_form_gram
 from glaw.liecore import LieAlgebraData, QuadraticForm, basis_vector, direct_sum_with_zero_factor
 from glaw.sl2 import PolyInvariant
 
-from helpers import glblock_pairs, small_rationals
+from helpers import glblock_pairs, same_span, small_rationals
 
 F = Fraction
 
@@ -230,7 +230,7 @@ def test_stabilizer_of_poly_dimensions():
                 v[a * n + b] = F(1)
                 v[b * n + a] = F(-1)
                 anti.append(tuple(v))
-        assert subspace_equal(stab, anti, n * n)
+        assert same_span(stab, anti, n * n)
     assert stabilizer_of_poly(1, PolyInvariant.from_string("x0^3", 1)) == []
 
 

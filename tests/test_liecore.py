@@ -23,7 +23,7 @@ from glaw import (
     rep_kernel,
     validate,
 )
-from glaw.exactla import SparseCols, format_scalar, in_span, kernel_basis, rank
+from glaw.exactla import SparseCols, format_scalar, rank
 from glaw.generators import gen_glblock, gen_stabilizer_triplet
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
 from glaw.generators import gen_principal, gen_symplectic
@@ -36,6 +36,7 @@ from helpers import (
     E6_CARTAN,
     dense_kernel,
     generator_triplets,
+    in_dense_span,
     gl_standard_triplet,
     random_rational_vector,
     sl2_algebra,
@@ -240,7 +241,7 @@ def test_center_dimensions():
         z = center(gl_standard_triplet(n).g0)
         assert len(z) == 1
         ident = tuple(F(1) if a == b else F(0) for a in range(n) for b in range(n))
-        assert in_span(ident, z)
+        assert in_dense_span(ident, z)
     assert center(sl2_algebra()) == []
 
 
@@ -280,7 +281,7 @@ def test_center_matches_the_kernel_of_the_full_coefficient_matrix():
     # the rows gathered from structure_pairs must give the kernel of the full dense system
     examples = [gl_standard_triplet(3).g0, gl_standard_triplet(2).g0.direct_sum(sl2_algebra())]
     for g in examples + list(assembled_algebras().values()):
-        assert center(g) == kernel_basis(Matrix.from_rows(center_rows(g)))
+        assert center(g) == dense_kernel(center_rows(g), g.dim)
 
 
 def test_subalgebra_closure_properties():
@@ -289,10 +290,23 @@ def test_subalgebra_closure_properties():
     z = center(g)
     for u in der:
         for v in der:
-            assert in_span(g.bracket(u, v), der)
+            assert in_dense_span(g.bracket(u, v), der)
     for u in z:
         for a in range(g.dim):
             assert g.bracket(basis_vector(g.dim, a), u) == tuple([F(0)] * g.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_triplets(), st.data())
+def test_gram_on_is_the_dense_product_of_the_basis_columns(t, data):
+    # B(u_p, v_q) read off the sparse Gram columns equals (U^T G V)[p][q], value and type
+    n = t.dim_g0
+    vectors = st.lists(st.tuples(*[small_rationals] * n), max_size=4)
+    us, vs = data.draw(vectors), data.draw(vectors)
+    expected = Matrix.from_cols(us, nrows=n).transpose() @ t.b0.gram @ Matrix.from_cols(vs, nrows=n)
+    got = t.b0.gram_on(us, vs)
+    assert got.entries == expected.entries and all(type(x) is F for row in got.entries for x in row)
+    assert t.b0.gram_on(us).entries == t.b0.gram_on(us, us).entries
 
 
 def test_rep_kernel_cases():
@@ -306,7 +320,7 @@ def test_rep_kernel_cases():
     # the kernel is an ideal
     for u in k:
         for a in range(glued.g0.dim):
-            assert in_span(glued.g0.bracket(basis_vector(glued.g0.dim, a), u), k)
+            assert in_dense_span(glued.g0.bracket(basis_vector(glued.g0.dim, a), u), k)
 
 
 def test_rep_kernel_matches_the_dense_kernel_of_the_action_entries():

@@ -23,7 +23,7 @@ from glaw import (
     triplet_iso_extend,
     validate,
 )
-from glaw.exactla import inverse, solve, support, tight_pairs, vis_zero, vneg
+from glaw.exactla import support, tight_pairs, vis_zero, vneg
 from glaw.generators import (
     gen_glblock,
     gen_principal,
@@ -32,13 +32,14 @@ from glaw.generators import (
     gen_with_trivial_summand,
     monomial_basis,
 )
-from glaw.liecore import basis_vector, direct_sum_with_zero_factor, dual_rep, restrict_algebra
+from glaw.liecore import StructureError, basis_vector, direct_sum_with_zero_factor, dual_rep, restrict_algebra
 from glaw.localg import IsoRefusal, LocalForm, LocalIsomorphism, local_iso_check, scale_by_components
 from glaw.sl2 import PolyInvariant
 from glaw.tower import centralizer_graded, grow_both
 
 from helpers import (
     E6_CARTAN,
+    dense_inverse,
     dense_xy_table,
     generator_triplets,
     gl_standard_triplet,
@@ -472,6 +473,26 @@ def test_deform_form_component_identity():
             assert scale_by_components(t, ideals, lams, l2.xy_table[i][j]) == l1.xy_table[i][j]
 
 
+def test_scaling_deformation_and_box_rescale_are_one_dense_m_d_m_inverse():
+    # gl(2) split as the identity and a non-coordinate basis of its trace-orthogonal complement
+    t = gen_symplectic(2, 2, 2, "trace")
+    ideals = [[(F(1), F(0), F(0), F(1))], [(F(0), F(1), F(0), F(0)), (F(0), F(0), F(1), F(0)), (F(-1), F(0), F(0), F(1))]]
+    m = Matrix.from_cols([v for basis in ideals for v in basis])
+    m_inv = Matrix.from_rows(dense_inverse(m))
+
+    def scaling(lams):
+        return m @ Matrix.from_rows([[lams[min(i, 1)] if i == j else 0 for j in range(4)] for i in range(4)]) @ m_inv
+
+    rng = random.Random(7)
+    for lams in ([F(3), F(-1, 2)], [F(2), F(1)]):
+        s = scaling(lams)
+        for u in [basis_vector(4, a) for a in range(4)] + [tuple(F(rng.randint(-5, 5), 3) for _ in range(4))]:
+            assert scale_by_components(t, ideals, lams, u) == s.matvec(u)
+        assert deform_form(t, ideals, lams).b0.gram.entries == (t.b0.gram @ s).entries
+    s = scaling([F(2), F(1)])
+    assert box_rescale_rep(t, ideals[0], F(2)).rho.action_cols == tuple(t.rho.cols_of(s.col(a)) for a in range(4))
+
+
 def test_deform_form_refusals():
     t = gen_glblock(2, 1, 1)
     with pytest.raises(Refusal):
@@ -670,12 +691,36 @@ E = [basis_vector(4, k) for k in range(4)]  # E00, E01, E10, E11 of gl(2)
             Refusal,
             "gamma is not invertible",
         ),
-        (lambda: inverse(Matrix.from_rows([[1, 2], [2, 4]])), ValueError, "matrix is singular"),
-        (lambda: inverse(Matrix.zeros(2, 3)), ValueError, "only square matrices invert"),
         (
-            lambda: solve(Matrix.identity(2), (1, 2, 3)),
-            ValueError,
-            "right-hand side length does not match row count",
+            lambda: scale_by_components(gl_standard_triplet(2), [E], [F(2)], (F(1), F(2), F(3))),
+            StructureError,
+            "a vector of length 3 where the space has dimension 4",
+        ),
+        (
+            lambda: box_rescale_rep(gl_standard_triplet(2), [(F(1), F(0), F(1))], F(2)),
+            StructureError,
+            "a vector of length 3 where the space has dimension 4",
+        ),
+        (
+            lambda: local_iso_check(
+                gen_symplectic(2, 2, 2, "trace"),
+                gen_symplectic(3, 1, 1, "trace"),
+                Matrix.identity(3),
+                Matrix.identity(4),
+                Matrix.identity(3),
+            ),
+            Refusal,
+            "maps must match the common dimensions",
+        ),
+        (
+            lambda: triplet_iso_extend(
+                gen_symplectic(2, 2, 2, "trace"),
+                gen_symplectic(3, 1, 1, "trace"),
+                Matrix.identity(4),
+                Matrix.identity(3),
+            ),
+            Refusal,
+            "A must be square of the common g0 dimension",
         ),
     ],
     ids=[
@@ -685,9 +730,10 @@ E = [basis_vector(4, k) for k in range(4)]  # E00, E01, E10, E11 of gl(2)
         "centralizer-not-closed",
         "iso-singular-a",
         "iso-singular-gamma",
-        "inverse-singular",
-        "inverse-not-square",
-        "solve-wrong-length",
+        "scale-wrong-length",
+        "box-wrong-length",
+        "local-iso-mismatched-shapes",
+        "iso-mismatched-shapes",
     ],
 )
 def test_refusal_types_and_texts(call, kind, text):

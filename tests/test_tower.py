@@ -41,7 +41,7 @@ from glaw import (
     validate,
 )
 from glaw import cli
-from glaw.exactla import SparseCols, rank, subspace_equal, vadd, vis_zero, vneg, vscale, vzero
+from glaw.exactla import SparseCols, rank, vadd, vis_zero, vneg, vscale, vzero
 from glaw.liecore import basis_vector, center as lie_center, killing_form
 import glaw.localg
 import glaw.tower
@@ -61,6 +61,7 @@ from helpers import (
     random_gl2_triplet,
     random_rational_vector,
     root_height_counts,
+    same_span,
     sparse_pairs,
 )
 
@@ -1147,10 +1148,10 @@ def test_dual_pair_centralizer_dims(n):
     graded = centralizer_graded(tp, tn, local, sub, 1)
     assert {d: len(v) for d, v in graded.items()} == {-1: 1, 0: 1, 1: 1}
     ident = tuple(F(1) if a == b else F(0) for a in range(n) for b in range(n))
-    assert subspace_equal(graded[0], [ident], n * n)
+    assert same_span(graded[0], [ident], n * n)
     dbl = centralizer_in_degree_zero(tp, tn, local, graded)
     assert len(dbl) == n * (n - 1) // 2
-    assert subspace_equal(dbl, sub, n * n)
+    assert same_span(dbl, sub, n * n)
 
 
 def test_dual_pair_double_centralizer_low_rank_case():
@@ -1163,7 +1164,7 @@ def test_dual_pair_double_centralizer_low_rank_case():
     assert {d: len(v) for d, v in graded.items()} == {-1: 1, 0: 2, 1: 1}
     dbl = centralizer_in_degree_zero(tp, tn, local, graded)
     assert len(dbl) == 1
-    assert subspace_equal(dbl, sub, n * n)
+    assert same_span(dbl, sub, n * n)
 
 
 def test_centralizer_of_whole_degree_zero_is_trivial_in_degree_one():
