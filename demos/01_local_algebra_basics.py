@@ -27,6 +27,6 @@ x = basis_vector(t.dim_v, 0)  # the monomial x0^2
 y = basis_vector(t.dim_v, 0)  # the covector dual to x0^2
 print("[x0^2, f_{x0^2}] =", [str(c) for c in L.bracket_xy(x, y)])
 
-# the bracket is one Gram solve per basis pair; the mixed Jacobi identity
+# the bracket table is G^-1 R, G^-1 from one sparse solve against the unit vectors; the mixed Jacobi identity
 # [U,[X,Y]] = [[U,X],Y] + [X,[U,Y]] was re-verified exhaustively during build
 print("bracket table size:", len(L.xy_table), "x", len(L.xy_table[0]))
