@@ -29,10 +29,10 @@ vectors.  ``Matrix`` is the dense form of parsing, reports and tests, and of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 Scalar = Fraction
@@ -176,7 +176,44 @@ def bilinear(x: Pairs, y: Pairs, entry: Callable[[int, int], Pairs], out):
     return out
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make cls an immutable value over its own annotated fields, in order.
+
+    ``cls(*args, **kwargs)`` binds the fields by position or keyword, then runs
+    ``__post_init__`` if the class has one.  Equality (within one class), hash and
+    repr read the fields, leaving out any whose name starts with "_".  Assignment
+    and deletion raise AttributeError.  No code is compiled, so records import fast.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    shown = [n for n in names if not n.startswith("_")]
+    key = attrgetter(*shown)
+    post = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            rest = names[len(args) :]
+            if len(args) > len(names) or set(kwargs) != set(rest):
+                raise TypeError(f"{cls.__name__}({', '.join(names)}) given {len(args)} values and {sorted(kwargs)}")
+            args += tuple(kwargs[n] for n in rest)
+        self.__dict__.update(zip(names, args))
+        if post is not None:
+            post(self)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot {'set' if value else 'delete'} {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__, cls.__setattr__, cls.__delattr__ = lambda self: hash(key(self)), frozen, frozen
+    return cls
+
+
+@record
 class Matrix:
     """Immutable dense matrix of Fractions, row-major."""
 
@@ -456,7 +493,7 @@ def inverse_pairs(a: SparseCols) -> list[tuple[tuple[int, Exact], ...]] | None:
     return None if None in cols else cols
 
 
-@dataclass(frozen=True)
+@record
 class ImageBasis:
     """Pivot-column basis of the column space plus coordinates of every column.
 

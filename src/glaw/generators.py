@@ -17,10 +17,9 @@ v; no matrix commutator is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import ZERO, Matrix, SparseCols, Vector, dense, frac, rank, sparse_kernel, vscale
+from .exactla import ZERO, Matrix, SparseCols, Vector, dense, frac, rank, record, sparse_kernel, vscale
 from .liecore import (
     FundamentalTriplet,
     LieAlgebraData,
@@ -34,7 +33,7 @@ from .sl2 import PolyInvariant, directional_derivative
 FORMS = ("trace", "sl-shifted", "g2")
 
 
-@dataclass(frozen=True)
+@record
 class MonomialBasis:
     """Exponent vectors of the degree-p monomials in n variables, graded-lex."""
 

@@ -17,7 +17,6 @@ multiply-add inside glaw reads them; every dense view holds Fractions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,6 +33,7 @@ from .exactla import (
     image_basis,
     numerators,
     rank,
+    record,
     solve_pairs,
     sparse_kernel,
     support,
@@ -93,7 +93,7 @@ def _tight_grid(grid, n: int, refusals: tuple[str, str, str]) -> tuple[tuple[tup
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@record
 class LieAlgebraData:
     """A Lie algebra on basis e_0..e_{dim-1}; structure_pairs[i][j] is
     [e_i, e_j] as its nonzero (k, coefficient) pairs in increasing k, each
@@ -109,7 +109,7 @@ class LieAlgebraData:
             raise StructureError(shape)
         order = "structure pairs must be nonzero at increasing indices below dim"
         pairs = _tight_grid(self.structure_pairs, self.dim, (shape, "structure constant", order))
-        object.__setattr__(self, "structure_pairs", pairs)  # the dataclass is frozen
+        object.__setattr__(self, "structure_pairs", pairs)  # records refuse plain assignment
 
     @staticmethod
     def from_table(table) -> "LieAlgebraData":
@@ -175,7 +175,7 @@ def basis_vector(dim: int, i: int) -> Vector:
     return tuple(Fraction(1) if k == i else ZERO for k in range(dim))
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticForm:
     gram: Matrix
 
@@ -217,7 +217,7 @@ class QuadraticForm:
         return QuadraticForm(Matrix.from_rows(rows))
 
 
-@dataclass(frozen=True)
+@record
 class Representation:
     """rho on V = Q^dim_v: action_cols[a] is rho(e_a) by columns, stored with each integral value as an int."""
 
@@ -265,7 +265,7 @@ class Representation:
         return self.cols_of(u).to_matrix()
 
 
-@dataclass(frozen=True)
+@record
 class FundamentalTriplet:
     g0: LieAlgebraData
     b0: QuadraticForm
@@ -286,9 +286,9 @@ class FundamentalTriplet:
         return self.rho.dim_v
 
 
-@dataclass
+@record
 class ValidationReport:
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
@@ -305,7 +305,7 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
     invariance for the form, and the homomorphism property of the
     representation, all on basis tuples, reading the sparse stores.
     """
-    rep = ValidationReport()
+    rep = ValidationReport([])
     g, b0, rho = t.g0, t.b0, t.rho
     n = g.dim
     c = g.structure_pairs

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,6 +30,7 @@ from .exactla import (
     inverse_pairs,
     numerators,
     rank,
+    record,
     solve_pairs,
     sparse_kernel,
     support,
@@ -54,7 +54,7 @@ from .liecore import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class LocalAlgebra:
     triplet: FundamentalTriplet
     dual_action: Representation
@@ -172,7 +172,7 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     return LocalAlgebra(t, dual_action, tuple(xy))
 
 
-@dataclass(frozen=True)
+@record
 class LocalForm:
     """Block description of the invariant form on V* + g0 + V.
 
@@ -193,7 +193,7 @@ class LocalForm:
         return vdot(x, y)
 
 
-@dataclass(frozen=True)
+@record
 class TransitivityReport:
     transitive: bool
     faithful: bool
@@ -318,14 +318,14 @@ def theta_swap(t: FundamentalTriplet) -> FundamentalTriplet:
     return FundamentalTriplet(t.g0, t.b0, dual_rep(t.rho))
 
 
-@dataclass(frozen=True)
+@record
 class LocalIsomorphism:
     a_map: Matrix
     gamma: Matrix
     gamma_tilde: Matrix
 
 
-@dataclass(frozen=True)
+@record
 class IsoRefusal:
     condition: str
     witness: tuple
@@ -441,7 +441,7 @@ def local_iso_check(
     return LocalIsomorphism(a_map, gamma, gamma_tilde)
 
 
-@dataclass(frozen=True)
+@record
 class ReductionResult:
     transitive_part: FundamentalTriplet
     v0: tuple[Vector, ...]

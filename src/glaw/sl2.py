@@ -12,7 +12,6 @@ columns; the relative-invariant check and the stabilizer generator share it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import (
@@ -23,6 +22,7 @@ from .exactla import (
     dense,
     frac,
     rank,
+    record,
     solve_pairs,
     support,
     vadd,
@@ -42,7 +42,7 @@ from .liecore import (
 from .localg import LocalAlgebra, build_local
 
 
-@dataclass(frozen=True)
+@record
 class PolyInvariant:
     """Sparse multivariate polynomial over Q: terms are (exponents, coefficient)."""
 
@@ -188,7 +188,7 @@ def directional_derivative(p: PolyInvariant, m: SparseCols) -> PolyInvariant:
 # certificates and criteria
 
 
-@dataclass(frozen=True)
+@record
 class Sl2Certificate:
     x: Vector
     h0: Vector
@@ -208,7 +208,7 @@ def _certificate(L: LocalAlgebra, y: Vector, h0: Vector, x: Vector) -> Sl2Certif
     return Sl2Certificate(x, h0, y, (r1, r2, r3))
 
 
-@dataclass(frozen=True)
+@record
 class AssumptionHReport:
     ok: bool
     h0: Vector | None
@@ -278,7 +278,7 @@ def complete_triple(t: FundamentalTriplet, x: Vector) -> Sl2Certificate:
     return cert
 
 
-@dataclass(frozen=True)
+@record
 class RelativeInvariantResult:
     ok: bool
     dchi: Vector | None

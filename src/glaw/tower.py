@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import lcm, prod
 
@@ -38,6 +37,7 @@ from .exactla import (
     image_basis,
     numerators,
     rank,
+    record,
     solve_pairs,
     sparse_kernel,
     support,
@@ -58,7 +58,7 @@ POSITIVE = "pos"
 NEGATIVE = "neg"
 
 
-@dataclass(frozen=True)
+@record
 class GradedComponent:
     """One graded piece with its g0 action and the maps tying it to its neighbours.
 
@@ -76,14 +76,14 @@ class GradedComponent:
     lower: tuple[SparseCols, ...]
     provenance: tuple[tuple[int, int], ...]
     tensor_coords: SparseCols | None
-    _lift: Callable[[], tuple[SparseCols, ...]] = field(repr=False, compare=False)
+    _lift: Callable[[], tuple[SparseCols, ...]]  # left out of eq, hash and repr
 
     @cached_property
     def act0(self) -> tuple[SparseCols, ...]:
         return self._lift()
 
 
-@dataclass(frozen=True)
+@record
 class Tower:
     local: LocalAlgebra
     side: str
@@ -354,7 +354,7 @@ def candidate_pairing_rank(tp: Tower, tn: Tower, n: int) -> int:
 # universal vanishing identities
 
 
-@dataclass(frozen=True)
+@record
 class PnExpansion:
     n: int
     terms: tuple[tuple, ...]
@@ -518,7 +518,7 @@ def pn_evaluate(L: LocalAlgebra, ys: list[Vector], xs: list[Vector]) -> Vector:
     return dense(((i, c) for (i,), c in words.items()), L.dim_v)
 
 
-@dataclass(frozen=True)
+@record
 class PnResult:
     n: int
     holds: bool
@@ -559,7 +559,7 @@ def pn_check(L: LocalAlgebra, n: int) -> PnResult:
 # assembly of a terminated pair of towers into plain structure constants
 
 
-@dataclass(frozen=True)
+@record
 class AssembledAlgebra:
     algebra: LieAlgebraData
     degrees: tuple[int, ...]
@@ -629,7 +629,7 @@ def assemble_nontransitive(t: FundamentalTriplet, max_degree: int) -> AssembledA
 # finiteness reporting and centralizers
 
 
-@dataclass(frozen=True)
+@record
 class FinitenessReport:
     dims_pos: tuple[int, ...]
     dims_neg: tuple[int, ...]

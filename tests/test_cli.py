@@ -623,3 +623,18 @@ def test_fuzzed_specs_get_a_defined_answer(spec, command):
     else:
         assert out == ""
         assert json.loads(err)["kind"] in ("parse", "precondition", "internal")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, glaw.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, text=True, capture_output=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_glaw_class_is_a_dataclass():
+    modules = [m for name, m in sys.modules.items() if name == "glaw" or name.startswith("glaw.")]
+    classes = [c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__]
+    assert len(modules) >= 7 and len(classes) >= 24
+    assert [c.__qualname__ for c in classes if hasattr(c, "__dataclass_fields__")] == []

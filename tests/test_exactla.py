@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -16,12 +17,17 @@ from glaw.exactla import (
     inverse_pairs,
     parse_scalar,
     rank,
+    record,
     rref,
     solve_pairs,
     sparse_kernel,
     support,
     tight,
 )
+from glaw.liecore import LieAlgebraData, StructureError, ValidationReport
+from glaw.localg import build_local
+from glaw.tower import GradedComponent
+from helpers import gl_standard_triplet, sl2_triplet
 
 F = Fraction
 
@@ -414,3 +420,93 @@ def test_sparse_rref_returns_an_int_exactly_for_an_integral_entry(m):
     for row in reduced:
         for x in row.values():
             assert type(x) in (int, F) and (type(x) is int) == (x.denominator == 1)
+
+
+@record
+class Pair:
+    a: int | F
+    b: int | F
+
+
+@record
+class OtherPair:
+    a: int | F
+    b: int | F
+
+
+EXACT = st.one_of(st.integers(-2, 2), st.builds(F, st.integers(-2, 2), st.integers(1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(EXACT, EXACT), st.tuples(EXACT, EXACT))
+@example((1, F(1, 2)), (F(1), F(1, 2)))
+def test_records_are_equal_exactly_when_their_fields_are(a, b):
+    assert (Pair(*a) == Pair(*b)) is (a == b)
+    assert (Pair(*a) != Pair(*b)) is (a != b)
+    if a == b:
+        assert hash(Pair(*a)) == hash(Pair(*b))
+    assert Pair(*a) == Pair(b=a[1], a=a[0])
+
+
+def test_a_record_never_equals_a_record_of_another_class_with_the_same_fields():
+    assert Pair(1, 2) != OtherPair(1, 2) and not Pair(1, 2) == OtherPair(1, 2)
+    assert Pair(1, 2).__eq__(OtherPair(1, 2)) is NotImplemented
+    assert Pair(1, 2) != (1, 2)
+    assert repr(Pair(1, F(1, 2))) == "Pair(a=1, b=Fraction(1, 2))"
+
+
+def test_a_record_refuses_assignment_and_deletion():
+    p = Pair(1, 2)
+    with pytest.raises(AttributeError):
+        p.a = 3
+    with pytest.raises(AttributeError):
+        p.c = 3
+    with pytest.raises(AttributeError):
+        del p.a
+    assert p == Pair(1, 2) and "c" not in p.__dict__
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((1,), {}), ((1, 2, 3), {}), ((1,), {"c": 2}), ((1, 2), {"c": 3}), ((1,), {"a": 2}), ((), {"b": 2})],
+    ids=["too-few", "too-many", "unknown-keyword", "extra-keyword", "repeated-keyword", "missing-keyword"],
+)
+def test_a_record_refuses_a_wrong_argument_list(args, kwargs):
+    with pytest.raises(TypeError, match=r"Pair\(a, b\)"):
+        Pair(*args, **kwargs)
+
+
+def test_post_init_still_refuses_a_bad_shape_and_stores_integral_values_as_ints():
+    with pytest.raises(StructureError, match="structure table has wrong shape"):
+        LieAlgebraData(2, ((), ()))
+    with pytest.raises(StructureError, match="structure table has wrong shape"):
+        LieAlgebraData(dim=2, structure_pairs=(((), ()),))
+    g = LieAlgebraData(2, (((), ((1, F(2)),)), (((1, F(-2)),), ())))
+    assert g.structure_pairs[0][1] == ((1, 2),) and type(g.structure_pairs[0][1][0][1]) is int
+    ints = LieAlgebraData(2, (((), ((1, 2),)), (((1, -2),), ())))
+    assert g == ints and hash(g) == hash(ints)
+
+
+def test_graded_components_that_differ_only_in_the_lift_are_equal():
+    a = GradedComponent(1, (), (), None, lambda: ())
+    b = GradedComponent(1, (), (), None, tuple)
+    assert a == b and hash(a) == hash(b)
+    assert a != GradedComponent(2, (), (), None, tuple)
+    assert "_lift" not in repr(a) and repr(a) == "GradedComponent(dim=1, lower=(), provenance=(), tensor_coords=None)"
+
+
+def test_validation_reports_keep_value_equality_and_stay_unhashable():
+    r = ValidationReport([])
+    r.add("x")
+    assert r == ValidationReport(["x"]) and r != ValidationReport([]) and not r.ok
+    with pytest.raises(TypeError):
+        hash(r)
+
+
+@pytest.mark.parametrize("make", [sl2_triplet, lambda: gl_standard_triplet(2)], ids=["sl2", "gl2"])
+def test_a_pickled_triplet_and_local_algebra_come_back_equal_with_equal_hashes(make):
+    t = make()
+    local = build_local(t)
+    for x in (t, local):
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is type(x) and back == x and hash(back) == hash(x)
