@@ -7,8 +7,7 @@ assembles into plain structure constants that can be checked directly.
 """
 
 from glaw import NEGATIVE, POSITIVE, assemble, build_local, gen_symplectic, grow
-from glaw.exactla import rank
-from glaw.liecore import center, killing_form
+from glaw.liecore import killing_rank_and_center_dim
 
 FAMILIES = [
     ("quadratics, n=2 (rank-2 symplectic algebra)", gen_symplectic(2, 2, 2, "trace")),
@@ -24,11 +23,8 @@ for label, triplet in FAMILIES:
     print(f"{label}")
     print("  positive dims:", tp.dims(), " negative dims:", tn.dims())
     asm = assemble(tp, tn, local)
-    kf_rank = rank(killing_form(asm.algebra))
-    print(
-        f"  assembled dim {asm.algebra.dim}, Killing rank {kf_rank},",
-        f"center dim {len(center(asm.algebra))}",
-    )
+    kf_rank, center_dim = killing_rank_and_center_dim(asm.algebra)
+    print(f"  assembled dim {asm.algebra.dim}, Killing rank {kf_rank},", f"center dim {center_dim}")
 
 # the degree labels attached to the assembled basis show the grading blocks
 local = build_local(FAMILIES[3][1])

@@ -23,6 +23,7 @@ from .liecore import (
     dual_rep,
     grading_element,
     killing_form,
+    killing_rank_and_center_dim,
     rep_kernel,
     validate,
 )

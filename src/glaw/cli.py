@@ -43,8 +43,7 @@ from .liecore import (
     Refusal,
     Representation,
     StructureError,
-    center,
-    killing_form,
+    killing_rank_and_center_dim,
     validate,
 )
 from .localg import build_local, reduce_triplet
@@ -338,12 +337,8 @@ def cmd_centralizer(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple
 def cmd_assemble(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
     local = build_local(t)
     asm = assemble(*grow_both(local, _budget(args)), local)
-    fields = {
-        "dim": asm.algebra.dim,
-        "degrees": list(asm.degrees),
-        "killing_rank": rank(killing_form(asm.algebra)),
-        "center_dim": len(center(asm.algebra)),
-    }
+    fields = {"dim": asm.algebra.dim, "degrees": list(asm.degrees)}
+    fields["killing_rank"], fields["center_dim"] = killing_rank_and_center_dim(asm.algebra)
     if args.full:
         fields["structure_constants"] = _structure_text(asm.algebra)
     return fields, 0

@@ -29,6 +29,7 @@ from .exactla import (
     as_vector,
     bilinear,
     combine,
+    dense,
     frac,
     image_basis,
     numerators,
@@ -374,6 +375,8 @@ def center(g: LieAlgebraData) -> list[Vector]:
 
     Row (j, k) of that system holds c[i][j][k] at column i; the rows are
     gathered from ``structure_pairs``, so only nonzero constants are read.
+    The center lies in the Killing radical, so ``killing_rank_and_center_dim``
+    solves this system only when that radical is nonzero.
     """
     rows: dict[tuple[int, int], dict[int, Exact]] = defaultdict(dict)
     for i, row in enumerate(g.structure_pairs):
@@ -413,34 +416,47 @@ def grading_element(t: FundamentalTriplet) -> Vector | None:
     return tuple(sum((x * z[k][a] for k, x in ib.coord_cols.support[nz]), ZERO) for a in range(t.dim_g0))
 
 
-def killing_form(g: LieAlgebraData) -> Matrix:
-    """Gram matrix of the Killing form tr(ad x ad y) on the basis.
+def _killing_rows(g: LieAlgebraData) -> list[dict[int, Exact]]:
+    """Rows of the Killing form tr(ad x ad y) on the basis, nonzero entries only.
 
     (ad e_i)[a][b] = c[i][b][a], so K[i][j] is the sum over ad positions
     (a, b) of c[i][b][a] c[j][a][b].  The nonzero constants are grouped by
     position, at[a, b] listing every (i, c[i][b][a]), and each group is
     multiplied with the group at the transposed position (b, a): one
     multiply-add per pair of nonzero factors, on ints where the constants are
-    integral.  Only the nonzero cells of K are converted to Fractions; every
-    zero cell is ``ZERO``.
+    integral.
     """
-    n = g.dim
     at: dict[tuple[int, int], list[tuple[int, Exact]]] = defaultdict(list)
     for i, row in enumerate(g.structure_pairs):
         for b, pairs in enumerate(row):
             for a, x in pairs:
                 at[a, b].append((i, x))
-    acc: dict[tuple[int, int], Exact] = defaultdict(int)
+    rows: list[dict[int, Exact]] = [defaultdict(int) for _ in range(g.dim)]
     for (a, b), left in at.items():
         right = at.get((b, a), ())
         for i, x in left:
+            row = rows[i]
             for j, y in right:
-                acc[i, j] += x * y
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), v in acc.items():
-        if v:
-            rows[i][j] = frac(v)
-    return Matrix(n, n, tuple(map(tuple, rows)))
+                row[j] += x * y
+    return [{j: v for j, v in row.items() if v} for row in rows]
+
+
+def killing_form(g: LieAlgebraData) -> Matrix:
+    """Gram matrix of the Killing form on the basis: the dense Fraction view of
+    ``_killing_rows``, every zero cell ``ZERO``."""
+    return Matrix(g.dim, g.dim, tuple(dense(row.items(), g.dim) for row in _killing_rows(g)))
+
+
+def killing_rank_and_center_dim(g: LieAlgebraData) -> tuple[int, int]:
+    """The rank of the Killing form, from one sparse elimination of its rows,
+    and the dimension of the center.
+
+    A central z has ad z = 0, so K(z, y) = tr(ad z ad y) = 0 for every y: the
+    center lies in the radical of K for any bracket table, Jacobi or not.  So
+    the center system is solved only when that radical is nonzero.
+    """
+    radical = sparse_kernel(_killing_rows(g), g.dim)
+    return g.dim - len(radical), len(center(g)) if radical else 0
 
 
 def direct_sum_with_zero_factor(

@@ -49,7 +49,7 @@ from .liecore import (
     Refusal,
     TransitivityRequired,
     center as algebra_center,
-    killing_form,
+    killing_rank_and_center_dim,
     restrict_algebra,
 )
 from .localg import LocalAlgebra, build_local, reduce_triplet
@@ -204,7 +204,7 @@ def grow(L: LocalAlgebra, side: str, max_degree: int) -> Tower:
         SparseCols(n0, dv, tuple(tuple((k, -x) for k, x in table[i][j]) for i in range(dv))) for j in range(dv)
     )
     gr = _Graded(t.g0)
-    gr.add(1, GradedComponent(dv, lower1, (), None, lambda: t.rho.action_cols))
+    gr.add(1, GradedComponent(dv, lower1, (), None, partial(getattr, t.rho, "action_cols")))
     phis: list[SparseCols] = []
     while (n := len(gr.comps)) < max_degree and gr.dims[n]:
         cur_dim = gr.dims[n]
@@ -657,8 +657,8 @@ def finiteness_report(
     asm_center = None
     if terminated:
         asm = assemble(tp, tn, L)
-        killing_ok = rank(killing_form(asm.algebra)) == asm.algebra.dim
-        asm_center = len(algebra_center(asm.algebra))
+        killing_rank, asm_center = killing_rank_and_center_dim(asm.algebra)
+        killing_ok = killing_rank == asm.algebra.dim
         advisory = "terminated: finite-dimensional minimal algebra"
     elif completely_reducible and irreducible_components is not None and z < irreducible_components:
         advisory = "infinite: the center is smaller than the number of irreducible components"

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glaw import cli, gen_symplectic
+from glaw import assemble_nontransitive, cli, exactla, gen_symplectic, gen_with_trivial_summand, liecore
 from helpers import generator_triplets
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -362,6 +363,48 @@ def test_e6_assemble_full_report_matches_recorded_digest():
     got = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     digest = (Path(__file__).parent / "golden" / "e6_assemble_full.sha256").read_text(encoding="utf-8").strip()
     assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
+def count_calls(monkeypatch, *fns) -> Counter:
+    """Count the calls of each function by (name, dim of the algebra it is given, None for a matrix), under every
+    name a glaw module binds it to."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name == "glaw" or name.startswith("glaw.")]
+    for fn in fns:
+        def counted(x, *args, fn=fn):
+            calls[fn.__name__, getattr(x, "dim", None)] += 1
+            return fn(x, *args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_assemble_reads_the_killing_rank_and_center_off_one_sparse_elimination(monkeypatch):
+    # a count guard, no timing: the Killing rows go through no dense matrix, and a zero Killing radical proves
+    # the assembled center zero; the one center left is g0's, which the transitivity check's grading element reads
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    calls = count_calls(monkeypatch, liecore.center, exactla.rref, liecore.killing_form)
+    monkeypatch.setenv("GLAW_MAX_DEGREE", "12")
+    for name, gen_args, degree, dim_g0 in (
+        ("assemble-e6", ["cartan", "--matrix", E6_CARTAN], "12", 6),
+        ("assemble-g2-cubic", ["sp", "--n", "2", "--p", "3", "--lambda", "1", "--form", "g2"], "4", 4),
+    ):
+        code, spec, _ = run_main(["gen", *gen_args])
+        assert code == 0
+        calls.clear()
+        code, out, err = run_main(["assemble", "-", "--max-degree", degree], stdin=spec)
+        assert code == 0, err
+        assert calls == {("center", dim_g0): 1}, name
+        got = json.dumps(strip_timings(json.loads(out)), sort_keys=True, separators=(",", ":")) + "\n"
+        assert hashlib.sha256(got.encode()).hexdigest() == digests[name]
+    # g2 cubic plus a two-dimensional trivial summand: a degenerate Killing form, so the center is sought once
+    algebra = assemble_nontransitive(gen_with_trivial_summand(gen_symplectic(2, 3, 1, "g2"), 2), 4).algebra
+    calls.clear()
+    assert liecore.killing_rank_and_center_dim(algebra) == (14, 4)
+    assert calls == {("center", 18): 1}
 
 
 def test_centralizer_of_the_zero_subalgebra_is_everything():

@@ -20,17 +20,18 @@ from glaw import (
     derived_subalgebra,
     dual_rep,
     grading_element,
+    killing_rank_and_center_dim,
     rep_kernel,
     validate,
 )
 from glaw.exactla import SparseCols, format_scalar, rank
-from glaw.generators import gen_glblock, gen_stabilizer_triplet
+from glaw.generators import gen_glblock, gen_stabilizer_triplet, gen_with_trivial_summand
 from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form, restrict_algebra
 from glaw.generators import gen_principal, gen_symplectic
 from glaw.cli import emit_triplet_spec, parse_triplet_spec
 from glaw.localg import build_local, reduce_triplet, transitivity_check
 from glaw.sl2 import PolyInvariant
-from glaw.tower import POSITIVE, assemble, grow, grow_both
+from glaw.tower import POSITIVE, assemble, assemble_nontransitive, grow, grow_both
 
 from helpers import (
     E6_CARTAN,
@@ -38,6 +39,7 @@ from helpers import (
     generator_triplets,
     in_dense_span,
     gl_standard_triplet,
+    jacobi_holds_everywhere,
     random_rational_vector,
     sl2_algebra,
     sl2_triplet,
@@ -392,6 +394,85 @@ def test_e6_killing_form_matches_its_recorded_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert {type(x) for row in k.entries for x in row} == {F}
     assert sum(1 for row in k.entries for x in row if x) == 88
+
+
+def dense_route(g: LieAlgebraData) -> tuple[int, int]:
+    """The Killing rank and the center's dim through the dense Killing matrix and the center system."""
+    return rank(killing_form(g)), len(center(g))
+
+
+def heisenberg(m: int) -> LieAlgebraData:
+    """Basis p_1..p_m, q_1..q_m, z with [p_i, q_i] = z the only nonzero brackets."""
+    n = 2 * m + 1
+    rows = [[()] * n for _ in range(n)]
+    for i in range(m):
+        rows[i][m + i], rows[m + i][i] = ((n - 1, 1),), ((n - 1, -1),)
+    return LieAlgebraData(n, tuple(map(tuple, rows)))
+
+
+@st.composite
+def antisymmetric_tables(draw) -> LieAlgebraData:
+    """Antisymmetric tables with small int constants, Jacobi not asked for, and up to two null basis vectors."""
+    n = draw(st.integers(1, 5))
+    rows = [[()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            rows[i][j] = tuple((k, x) for k, x in enumerate(v) if x)
+            rows[j][i] = tuple((k, -x) for k, x in rows[i][j])
+    return LieAlgebraData(n, tuple(map(tuple, rows))).direct_sum(LieAlgebraData.abelian(draw(st.integers(0, 2))))
+
+
+# [e0, e1] = e2 and [e1, e2] = e1: Jacobi fails at (0, 1, 2), and K is nondegenerate
+NOT_LIE = LieAlgebraData(3, (((), ((2, 1),), ()), (((2, -1),), (), ((1, 1),)), ((), ((1, -1),), ())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(antisymmetric_tables())
+@example(NOT_LIE)
+@example(NOT_LIE.direct_sum(LieAlgebraData.abelian(1)))
+def test_killing_rank_and_center_dim_match_the_dense_route_on_any_antisymmetric_table(g):
+    # ad z = 0 puts z in the Killing radical for any table, so the shortcut needs no Jacobi identity
+    assert killing_rank_and_center_dim(g) == dense_route(g)
+
+
+@pytest.mark.parametrize(
+    "g,want",
+    [
+        (LieAlgebraData.abelian(0), (0, 0)),
+        (LieAlgebraData.abelian(3), (0, 3)),
+        (heisenberg(1), (0, 1)),
+        (heisenberg(2), (0, 1)),
+        (NOT_LIE, (3, 0)),
+        (sl2_algebra(), (3, 0)),
+        (gl_standard_triplet(2).g0, (3, 1)),
+        (assemble_nontransitive(gen_with_trivial_summand(gen_symplectic(2, 3, 1, "g2"), 2), 4).algebra, (14, 4)),
+    ],
+    ids=["abelian-0", "abelian-3", "heisenberg-1", "heisenberg-2", "not-lie", "sl2", "gl2", "g2-cubic-trivial-2"],
+)
+def test_killing_rank_and_center_dim_of_fixed_algebras(g, want):
+    assert killing_rank_and_center_dim(g) == dense_route(g) == want
+    assert jacobi_holds_everywhere(g) is (g is not NOT_LIE)
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_triplets(), st.sampled_from([None, "abelian", "sl2"]))
+def test_killing_rank_and_center_dim_match_the_dense_route_on_generator_algebras(t, kernel):
+    # the reductive g0 (a center, a degenerate K), the ideal adjoined by zero, and the assembled algebras
+    if kernel is not None:
+        extra = LieAlgebraData.abelian(1) if kernel == "abelian" else sl2_algebra()
+        t = direct_sum_with_zero_factor(t, extra, QuadraticForm(Matrix.identity(extra.dim)))
+    algebras = [t.g0]
+    part = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    for b in range(2, 7):
+        tp = grow(part, POSITIVE, b)
+        if tp.terminated or max(tp.dims()) > 40:
+            break
+    tp, tn = grow_both(part, b)
+    if tp.terminated and tn.terminated:
+        algebras += [assemble(tp, tn, part).algebra, assemble_nontransitive(t, b).algebra]
+    for g in algebras:
+        assert killing_rank_and_center_dim(g) == dense_route(g)
 
 
 def test_every_killing_form_entry_is_a_fraction_zeros_included():

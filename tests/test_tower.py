@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import pickle
 import random
 import sys
 from collections import defaultdict
@@ -47,7 +48,7 @@ import glaw.localg
 import glaw.tower
 from glaw.localg import LocalAlgebra, reduce_triplet
 from glaw.sl2 import PolyInvariant
-from glaw.tower import NEGATIVE, POSITIVE, _WordLowering, eval_term, grow_both, term_to_str
+from glaw.tower import NEGATIVE, POSITIVE, Tower, _WordLowering, eval_term, grow_both, term_to_str
 
 from helpers import (
     E6_CARTAN,
@@ -385,6 +386,19 @@ def test_a_lazily_read_action_equals_the_one_read_by_growth(t, budget):
     lazy, eager = grow(local, POSITIVE, budget), grow(local, POSITIVE, budget + 1)
     for n, comp in enumerate(lazy.components, 1):
         assert comp.act0 == eager.component(n).act0
+
+
+@pytest.mark.parametrize("make", [lambda: gl_standard_triplet(2), lambda: gen_principal(HYPERBOLIC)], ids=["gl2", "hyp"])
+def test_a_grown_tower_pickles_before_and_after_its_actions_are_read(make):
+    # a lift that is not a lambda lets a worker process receive a tower, read or not
+    local = build_local(make())
+    for tower in grow_both(local, 4):
+        unread = pickle.loads(pickle.dumps(tower))
+        acts = [comp.act0 for comp in tower.components]
+        read = pickle.loads(pickle.dumps(tower))
+        for back in (unread, read):
+            assert type(back) is Tower and back == tower and back.dims() == tower.dims()
+            assert [comp.act0 for comp in back.components] == acts
 
 
 def stored_values(tower):
