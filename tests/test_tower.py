@@ -388,7 +388,9 @@ def test_a_lazily_read_action_equals_the_one_read_by_growth(t, budget):
         assert comp.act0 == eager.component(n).act0
 
 
-@pytest.mark.parametrize("make", [lambda: gl_standard_triplet(2), lambda: gen_principal(HYPERBOLIC)], ids=["gl2", "hyp"])
+@pytest.mark.parametrize(
+    "make", [lambda: gl_standard_triplet(2), lambda: gen_principal(HYPERBOLIC)], ids=["gl2", "hyp"]
+)
 def test_a_grown_tower_pickles_before_and_after_its_actions_are_read(make):
     # a lift that is not a lambda lets a worker process receive a tower, read or not
     local = build_local(make())
