@@ -67,6 +67,8 @@ class PolyInvariant:
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial")
+        if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", s):
+            raise ValueError(f"malformed polynomial {text!r}: a sign must be followed by a term")
         chunks = re.findall(r"[+-]?[^+-]+", s)
         data: dict[tuple[int, ...], Fraction] = {}
         for chunk in chunks:

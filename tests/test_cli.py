@@ -154,6 +154,15 @@ def test_sl2_command_with_polynomial():
     assert payload["certificate"]["y"] == ["-1/2", "0", "-1/2"]
 
 
+@pytest.mark.parametrize("poly", ["x0^2--x1^2", "x0^2+x1^2+", "+", "-"])
+def test_sl2_polynomial_with_a_stray_sign_is_a_parse_error(poly):
+    # each sign was dropped: "x0^2--x1^2" was certified as x0^2 - x1^2, "+" and "-" read as zero
+    gen = run_cli("gen", "sp", "--n", "2", "--p", "2", "--lambda", "2", "--form", "trace")
+    proc = run_cli("sl2", "-", "--poly", poly, stdin=gen.stdout)
+    assert_parse_error(proc)
+    assert proc.stdout == "" and "malformed polynomial" in proc.stderr
+
+
 def test_sl2_command_rejects_degree_one_candidates():
     gen = run_cli("gen", "sp", "--n", "2", "--p", "1", "--lambda", "3", "--form", "sl-shifted")
     proc = run_cli("sl2", "-", "--x-vector", "1,0", stdin=gen.stdout)

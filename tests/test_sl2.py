@@ -109,6 +109,14 @@ def test_directional_derivative_matches_sympy(case):
     assert dict(got.terms) == {e: F(int(c.p), int(c.q)) for e, c in expected.items()}
 
 
+@settings(max_examples=30, deadline=None)
+@given(polys_and_maps())
+def test_poly_str_round_trips(case):
+    # negative and fractional coefficients, constant terms and the zero polynomial print as text the parser reads back
+    p, _ = case
+    assert PolyInvariant.from_string(str(p), p.nvars) == p
+
+
 # ---------------------------------------------------------------------------
 # assumption (H)
 

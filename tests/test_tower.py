@@ -799,9 +799,34 @@ def test_word_lowering_matches_the_symbolic_expansion_across_the_generator_famil
     assert_scan_matches_the_oracle(build_local(t), n)
 
 
+def assert_values_are_antisymmetric_in_the_last_two_letters(L, n):
+    """values(rest, S ix) is the negation of values(rest, ix), S swapping the last two letters, and empty on
+    equal last letters: the ground for pn_check reading only the words with ix[-2] < ix[-1]."""
+    dv = L.dim_v
+    kernel = _WordLowering(L, n)
+    for rest in itertools.product(range(dv), repeat=n - 2):
+        for ix in itertools.product(range(dv), repeat=n):
+            val = kernel.values(rest, ix)
+            assert kernel.values(rest, ix[:-2] + ix[:-3:-1]) == {k: -v for k, v in val.items()}, (rest, ix)
+            assert ix[-2] != ix[-1] or val == {}, (rest, ix)
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_triplets(), st.sampled_from([2, 3]))
+def test_word_values_are_antisymmetric_in_the_last_two_letters_across_the_generator_families(t, n):
+    assume(t.dim_v <= 4)
+    assert_values_are_antisymmetric_in_the_last_two_letters(build_local(t), n)
+
+
+def test_word_values_are_antisymmetric_in_the_last_two_letters_at_n4():
+    # sym-square-2 (gen sp --n 2 --p 2 --lambda 2): words of length 4 lower through the length-3 case
+    assert_values_are_antisymmetric_in_the_last_two_letters(build_local(gen_symplectic(2, 2, 2)), 4)
+
+
 def test_pn_check_lowers_each_dual_index_and_top_word_once(monkeypatch):
     # a count guard, no timing: sym-square-3 (gen sp --n 3 --p 2 --lambda 2) has dim V = 6, so the
-    # n = 3 scan reads 6^5 (dual indices, top word) tuples over 6 * 6^3 (last dual index, top word) pairs
+    # n = 3 scan reads 6^5 (dual indices, top word) tuples over 6 * 6 * 15 (last dual index, top word) pairs:
+    # a top word's value is antisymmetric in its last two letters, so only the 15 pairs a < b of them are read
     L = build_local(gen_symplectic(3, 2, 2))
     top = []
     lower = _WordLowering._lower
@@ -813,12 +838,13 @@ def test_pn_check_lowers_each_dual_index_and_top_word_once(monkeypatch):
 
     monkeypatch.setattr(_WordLowering, "_lower", counted)
     assert pn_check(L, 3).holds
-    assert len(top) == len(set(top)) == 6**4
+    assert len(top) == len(set(top)) == 6 * 6 * 15
 
 
 def test_pn_check_accumulates_each_later_dual_index_and_top_word_once(monkeypatch):
     # a count guard, no timing: on sym-square-3 (dim V = 6) the n = 3 scan reads all 6 first dual indices of
-    # each (y_j1, top word) in one accumulation, 6 * 6^3 of them, not one per basis tuple (6^5)
+    # each (y_j1, top word) in one accumulation, not one per basis tuple (6^5), and only the top words whose
+    # last two letters increase, 6 * 6 * 15 of them: the value is antisymmetric in those letters
     L = build_local(gen_symplectic(3, 2, 2))
     top = []
     values = _WordLowering.values
@@ -830,7 +856,7 @@ def test_pn_check_accumulates_each_later_dual_index_and_top_word_once(monkeypatc
 
     monkeypatch.setattr(_WordLowering, "values", counted)
     assert pn_check(L, 3).holds
-    assert len(top) == len(set(top)) == 1296
+    assert len(top) == len(set(top)) == 6 * 6 * 15
 
 
 def assert_pn_check_matches_the_per_tuple_scan(L, n):
@@ -854,6 +880,8 @@ PER_TUPLE_CASES = [
     pytest.param(lambda: gen_glblock(2, 1, 2), 2, id="glblock-2-n2"),
     pytest.param(lambda: gen_glblock(2, 1, 2), 3, id="glblock-2-n3"),
     pytest.param(lambda: gen_principal(G2_CARTAN), 5, id="principal-g2-n5"),
+    # the identity holds, so the scan runs to its end, re-reading each full-length lowering once per prefix
+    pytest.param(lambda: gen_symplectic(2, 2, 2), 4, id="sym-square-2-n4"),
     # the first nonzero step of a4 has no j0 = 0 entry, so the scan keeps going to the witness ((0, 2, 3), ...)
     pytest.param(lambda: gen_principal(A4), 4, id="a4-n4"),
     pytest.param(lambda: with_a_trivial_summand_first(gen_glblock(2, 1, 2)), 2, id="trivial-first-glblock-2-n2"),
