@@ -554,9 +554,9 @@ def pn_check(L: LocalAlgebra, n: int) -> PnResult:
     dv = L.dim_v
     kernel = _WordLowering(L, n)
     least, best = dv, None
-    pairs = itertools.combinations(range(dv), 2)
-    words = [head + ab for head, ab in itertools.product(itertools.product(range(dv), repeat=n - 2), pairs)]
-    for rest, ix in itertools.product(itertools.product(range(dv), repeat=n - 2), words):
+    heads = list(itertools.product(range(dv), repeat=n - 2))
+    words = [head + ab for head, ab in itertools.product(heads, itertools.combinations(range(dv), 2))]
+    for rest, ix in itertools.product(heads, words):
         if (val := kernel.values(rest, ix)) and (j0 := min(val)[0]) < least:
             least, best = j0, (rest, ix, val)
             if j0 == 0:
