@@ -522,6 +522,24 @@ def test_scaled_form_gives_isomorphic_local_algebra():
     assert isinstance(refused, IsoRefusal) and refused.condition == "form-isometry"
 
 
+A3_PRINCIPAL = gen_principal([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+
+
+@pytest.mark.parametrize(
+    "t, gamma_tilde, witness",
+    [
+        (A3_PRINCIPAL, Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), (2, 2, 1)),
+        (gen_symplectic(2, 2, 2), Matrix.identity(3).scale(2), (0, 0, 0)),
+    ],
+    ids=["a3-diag112", "sym-square-2-scaled"],
+)
+def test_local_iso_check_refuses_a_bracket_incompatible_dual_map(t, gamma_tilde, witness):
+    # gamma_tilde intertwines the dual action but rescales [X_i, Y_j] against B0: the first
+    # failing (i, j, u) in the order i, then j, then u
+    res = local_iso_check(t, t, gamma_tilde, Matrix.identity(t.dim_g0), Matrix.identity(t.dim_v))
+    assert res == IsoRefusal("bracket-form-compatibility", witness)
+
+
 def test_triplet_iso_identity_and_conjugation():
     t = gl_standard_triplet(2)
     res = triplet_iso_extend(t, t, Matrix.identity(4), Matrix.identity(2))
