@@ -24,7 +24,11 @@ sharing a matrix (given as ``SparseCols``) are solved together by
 ``solve_pairs``, which eliminates [a | b_0 | b_1 | ...] once on sparse
 right-hand sides, and ``inverse_pairs`` is its solve against the unit
 vectors.  ``Matrix`` is the dense form of parsing, reports and tests, and of
-``rref`` and ``rank``.
+``rref`` and ``rank``.  ``combine`` is the one sparse linear-combination
+kernel: every sum of sparse columns (a bracket, a form image, a map applied to
+a vector) goes through it, except three hot loops that measured slower through
+it and write it inline (the growth map, ``build_local``'s mixed-Jacobi check
+and assembly's row recursion).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -67,15 +71,17 @@ def tight_pairs(pairs: Pairs) -> tuple[tuple[int, Exact], ...]:
 
 @lru_cache(maxsize=4096)
 def parse_scalar(text: str) -> Fraction:
-    """Parse a canonical "p/q" or "p" string; reject junk and zero denominators (not cached)."""
+    """Parse a canonical "p/q" or "p" string; reject junk and zero denominators (not cached).
+
+    Decimal points and exponents are refused before ``Fraction`` reads the text, which would
+    first build the whole power of ten of an exponent like "1e4000000"."""
     s = text.strip()
-    try:
-        value = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
     if "." in s or "e" in s or "E" in s:
         raise ValueError(f"malformed rational {text!r} (only p/q form is accepted)")
-    return value
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r}") from exc
 
 
 def format_scalar(x: Fraction) -> str:
@@ -136,44 +142,21 @@ def numerators(cols: Iterable[Pairs]) -> tuple[int, list[tuple[tuple[int, int], 
 
 def combine(terms: Iterable[tuple[int, Pairs, Sequence[Pairs]]], s: int = 1) -> tuple[tuple[int, Exact], ...]:
     """The sum over terms (m, coefs, cols) of m c cols[k] for each (k, c) in coefs, divided by s: its nonzero
-    entries in index order.  On int coefficients and columns it accumulates ints and divides each entry once."""
+    entries in index order.  On int coefficients and columns it accumulates ints and divides each entry once.
+    A bilinear sum of x_i y_j T[i][j] is one term (x_i, y, T[i]) per nonzero x_i."""
     acc: dict[int, int] = {}
+    get = acc.get
     for m, coefs, cols in terms:
         for k, c in coefs:
             c *= m
             for r, x in cols[k]:
-                acc[r] = acc.get(r, 0) + c * x
+                acc[r] = get(r, 0) + c * x
     return divided(sorted(acc.items()), s)
 
 
 def divided(pairs: Iterable[tuple[int, int]], s: int) -> tuple[tuple[int, Exact], ...]:
     """The nonzero (index, x / s) of int pairs, each an int where s divides x, else a Fraction."""
-    return tuple((k, x // s if x % s == 0 else Fraction(x, s)) for k, x in pairs if x)
-
-
-def bilinear(x: Pairs, y: Pairs, entry: Callable[[int, int], Pairs], out):
-    """Add the sum of x_i y_j entry(i, j) into out and return it.
-
-    x and y are walked over their supports, ``entry(i, j)`` gives the nonzero
-    pairs of a vector (a structure constant, a column of a stored map), and
-    ``out`` is a dense list or a dict defaulting to 0.  A pair of basis
-    vectors costs one entry read, and a coefficient x_i y_j of 1 or -1 adds
-    or subtracts the entries without a multiply.
-    """
-    y = list(y)
-    for i, xi in x:
-        for j, yj in y:
-            c = xi * yj
-            if c == 1:
-                for k, e in entry(i, j):
-                    out[k] += e
-            elif c == -1:
-                for k, e in entry(i, j):
-                    out[k] -= e
-            else:
-                for k, e in entry(i, j):
-                    out[k] += c * e
-    return out
+    return tuple([(k, x // s if x % s == 0 else Fraction(x, s)) for k, x in pairs if x])
 
 
 def record(cls):

@@ -27,7 +27,6 @@ from .exactla import (
     Vector,
     ZERO,
     as_vector,
-    bilinear,
     combine,
     dense,
     frac,
@@ -131,8 +130,8 @@ class LieAlgebraData:
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         check_lengths(self.dim, x, y)
-        table = self.structure_pairs
-        return tuple(bilinear(support(x), support(y), lambda i, j: table[i][j], [ZERO] * self.dim))
+        table, ys = self.structure_pairs, tight_pairs(support(y))
+        return dense(combine((x_i, ys, table[i]) for i, x_i in tight_pairs(support(x))), self.dim)
 
     def ad_matrix(self, x: Vector) -> Matrix:
         cols = [self.bracket(x, basis_vector(self.dim, j)) for j in range(self.dim)]
@@ -152,12 +151,8 @@ def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> Li
     the supports of b_p and b_q through the structure pairs, and all of them
     are written in the basis by one elimination."""
     table = g.structure_pairs
-    sups = [support(v) for v in basis]
-    brackets = []
-    for p in sups:
-        for q in sups:
-            acc = bilinear(p, q, lambda i, j: table[i][j], defaultdict(int))
-            brackets.append(tuple((k, x) for k, x in acc.items() if x))
+    sups = [tight_pairs(support(v)) for v in basis]
+    brackets = [combine((p_i, q, table[i]) for i, p_i in p) for p in sups for q in sups]
     coords = solve_pairs(SparseCols.from_vectors(basis, g.dim), brackets)
     if None in coords:
         raise Refusal(f"{refusal}; inconsistent data")
@@ -186,18 +181,15 @@ class QuadraticForm:
         return SparseCols.from_matrix(self.gram)
 
     def value(self, u: Vector, v: Vector) -> Fraction:
-        check_lengths(self.gram.rows, u, v)
-        return sum(
-            (ui * self.gram.entries[i][j] * vj for i, ui in enumerate(u) if ui for j, vj in enumerate(v) if vj),
-            ZERO,
-        )
+        """B(u, v) = u^T G v: the support of u dotted with G v."""
+        check_lengths(self.gram.rows, u)
+        g = self.image(v)
+        return frac(sum(x * g[i] for i, x in tight_pairs(support(u)) if i in g))
 
     def image(self, v: Vector) -> dict[int, Exact]:
         """G v as its nonzero {index: value} entries, read off the columns of G at the support of v."""
         check_lengths(self.gram.rows, v)
-        cols = self.cols.support
-        acc = bilinear(tight_pairs(support(v)), ((0, 1),), lambda k, _: cols[k], defaultdict(int))
-        return {k: x for k, x in acc.items() if x}
+        return dict(combine(((1, tight_pairs(support(v)), self.cols.support),)))
 
     def gram_on(self, vectors: list[Vector], others: list[Vector] | None = None) -> Matrix:
         """The matrix of B(u_p, v_q) for u_p in vectors and v_q in others (vectors when None): the
@@ -248,18 +240,14 @@ class Representation:
     def act(self, u: Vector, x: Vector) -> Vector:
         check_lengths(len(self.action_cols), u)
         check_lengths(self.dim_v, x)
-        cols = self.action_cols
-        return tuple(bilinear(support(u), support(x), lambda a, l: cols[a].support[l], [ZERO] * self.dim_v))
+        cols, xs = self.action_cols, tight_pairs(support(x))
+        return dense(combine((u_a, xs, cols[a].support) for a, u_a in tight_pairs(support(u))), self.dim_v)
 
     def cols_of(self, u: Vector) -> SparseCols:
         """rho(u) = sum of u_a rho(e_a) by columns, read off the nonzero entries of u."""
         check_lengths(len(self.action_cols), u)
-        n, us, cols = self.dim_v, support(u), [m.support for m in self.action_cols]
-        out = []
-        for l in range(n):
-            acc = bilinear(us, ((l, 1),), lambda a, m: cols[a][m], defaultdict(int))
-            out.append(tight_pairs(sorted((r, x) for r, x in acc.items() if x)))
-        return SparseCols(n, n, tuple(out))
+        n, us, cols = self.dim_v, tight_pairs(support(u)), [m.support for m in self.action_cols]
+        return SparseCols(n, n, tuple(combine((u_a, ((l, 1),), cols[a]) for a, u_a in us) for l in range(n)))
 
     def matrix_of(self, u: Vector) -> Matrix:
         """rho(u) as a dense matrix."""
@@ -337,8 +325,8 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
     for i in range(n):
         for j in range(n):
             if c[i][j]:
-                left[i, j] = bilinear(c[i][j], ((0, 1),), lambda m, _: g_rows[m], defaultdict(int))
-                right[i, j] = bilinear(c[i][j], ((0, 1),), lambda m, _: g_cols[m], defaultdict(int))
+                left[i, j] = dict(combine(((1, c[i][j], g_rows),)))
+                right[i, j] = dict(combine(((1, c[i][j], g_cols),)))
     suspects = {(i, j, k) for (i, j), v in left.items() for k in v}
     suspects |= {(i, j, k) for (j, k), v in right.items() for i in v}
     for i, j, k in sorted(suspects):

@@ -22,7 +22,6 @@ from .exactla import (
     SparseCols,
     Vector,
     ZERO,
-    bilinear,
     combine,
     dense,
     divided,
@@ -34,6 +33,7 @@ from .exactla import (
     solve_pairs,
     sparse_kernel,
     support,
+    tight_pairs,
     vdot,
     vneg,
 )
@@ -98,8 +98,8 @@ class LocalAlgebra:
         return tuple(tuple(dense(p, self.dim_g0) for p in row) for row in self.xy_pairs)
 
     def bracket_xy(self, x: Vector, y: Vector) -> Vector:
-        table = self.xy_pairs
-        return tuple(bilinear(support(x), support(y), lambda i, j: table[i][j], [ZERO] * self.dim_g0))
+        table, ys = self.xy_pairs, tight_pairs(support(y))
+        return dense(combine((x_i, ys, table[i]) for i, x_i in tight_pairs(support(x))), self.dim_g0)
 
     def bracket_yx(self, y: Vector, x: Vector) -> Vector:
         return vneg(self.bracket_xy(x, y))
@@ -333,11 +333,10 @@ class IsoRefusal:
 
 def _lie_homomorphism_failure(g1: LieAlgebraData, g2: LieAlgebraData, a_map: Matrix) -> tuple[int, int] | None:
     """The first basis pair i < j with A[e_i, e_j] != [A e_i, A e_j], or None."""
-    a_cols = SparseCols.from_matrix(a_map).support
+    a_cols, c1, c2 = SparseCols.from_matrix(a_map).support, g1.structure_pairs, g2.structure_pairs
     for i in range(g1.dim):
         for j in range(i + 1, g1.dim):
-            lhs = bilinear(g1.structure_pairs[i][j], ((0, 1),), lambda k, _: a_cols[k], [ZERO] * a_map.rows)
-            if tuple(lhs) != g2.bracket(a_map.col(i), a_map.col(j)):
+            if combine(((1, c1[i][j], a_cols),)) != combine((x, a_cols[j], c2[k]) for k, x in a_cols[i]):
                 return i, j
     return None
 
@@ -368,7 +367,8 @@ def triplet_iso_extend(
     if not _is_square(gamma, t1.dim_v, t2.dim_v):
         raise Refusal("gamma must be square of the common V dimension")
     n, dv = t1.dim_g0, t1.dim_v
-    if inverse_pairs(SparseCols.from_matrix(a_map)) is None:
+    a_cols = SparseCols.from_matrix(a_map)
+    if inverse_pairs(a_cols) is None:
         raise Refusal("A is not invertible")
     gamma_cols = SparseCols.from_matrix(gamma)
     gamma_inv = inverse_pairs(gamma_cols)
@@ -394,9 +394,9 @@ def triplet_iso_extend(
             raise Refusal("dual intertwining failed after extension; inconsistent input data")
     for i in range(dv):
         for j in range(dv):
-            lhs = a_map.matvec(l1.xy_table[i][j])
-            rhs = l2.bracket_xy(gamma.col(i), gamma_tilde.col(j))
-            if lhs != rhs:
+            # A [X_i, Y_j] against [gamma X_i, gamma_tilde Y_j]
+            lhs = combine(((1, l1.xy_pairs[i][j], a_cols.support),))
+            if lhs != combine((x, tilde_cols[j], l2.xy_pairs[k]) for k, x in gamma_cols.support[i]):
                 raise Refusal("degree-(1,-1) bracket not preserved; inconsistent input data")
     return LocalIsomorphism(a_map, gamma, gamma_tilde)
 
@@ -429,14 +429,17 @@ def local_iso_check(
         if not _intertwines(l1.dual_action, l2.dual_action, a, col, tilde_cols.support):
             return IsoRefusal("v-dual-intertwiner", (a,))
     # column i of gamma_tilde^T gamma: entry k is column k of gamma_tilde dotted with column i of gamma
-    twist = [tuple(vdot(gamma_tilde.col(k), gamma.col(i)) for k in range(dv)) for i in range(dv)]
+    twist = [tight_pairs(support([vdot(gamma_tilde.col(k), gamma.col(i)) for k in range(dv)])) for i in range(dv)]
+    # B2(A w, A e_u) is A w dotted with G2 A e_u, and B1(w', e_u) is w' dotted with column u of G1
+    pulled, g1 = [t2.b0.image(a_map.col(u)) for u in range(n)], t1.b0.cols.support
+    xy1 = l1.xy_pairs
     for i in range(dv):
         for j in range(dv):
-            lhs_vec = a_map.matvec(l1.xy_table[i][j])
+            aw = combine(((1, xy1[i][j], a_cols.support),))
+            tw = dict(combine((x, ((j, 1),), xy1[k]) for k, x in twist[i]))
             for u in range(n):
-                lhs = t2.b0.value(lhs_vec, a_map.col(u))
-                rhs = t1.b0.value(l1.bracket_xy(twist[i], basis_vector(dv, j)), basis_vector(n, u))
-                if lhs != rhs:
+                lhs = sum(x * pulled[u][r] for r, x in aw if r in pulled[u])
+                if lhs != sum(x * tw[r] for r, x in g1[u] if r in tw):
                     return IsoRefusal("bracket-form-compatibility", (i, j, u))
     return LocalIsomorphism(a_map, gamma, gamma_tilde)
 

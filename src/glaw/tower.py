@@ -30,7 +30,6 @@ from .exactla import (
     SparseCols,
     Vector,
     ZERO,
-    bilinear,
     combine,
     dense,
     divided,
@@ -42,6 +41,7 @@ from .exactla import (
     sparse_kernel,
     support,
     tight,
+    tight_pairs,
 )
 from .liecore import (
     FundamentalTriplet,
@@ -111,9 +111,6 @@ class Tower:
         return max((n for n in range(1, len(self.components) + 1) if self.component(n).dim > 0), default=0)
 
 
-Sparse = dict[int, Exact]  # index -> coefficient; absent indices are zero
-
-
 def _unit(i: int) -> tuple[tuple[int, int]]:
     return ((i, 1),)
 
@@ -137,13 +134,13 @@ class _Graded:
         self.comps[d] = comp
         self.dims[d] = comp.dim
 
-    def act0(self, d: int, u, w, out: Sparse | list) -> Sparse | list:
-        """Add [u, w] into out, for u in g0 and w of degree d, each given by its nonzero (index, coefficient) pairs."""
+    def act0(self, d: int, u, w) -> tuple[tuple[int, Exact], ...]:
+        """[u, w] for u in g0 and w of degree d, each given, like the result, by its nonzero (index, coefficient)
+        pairs."""
         if d == 0:
-            table = self.g0.structure_pairs
-            return bilinear(u, w, lambda a, b: table[a][b], out)
+            return combine((u_a, w, self.g0.structure_pairs[a]) for a, u_a in u)
         mats = self.comps[d].act0
-        return bilinear(u, w, lambda a, l: mats[a].support[l], out)
+        return combine((u_a, w, mats[a].support) for a, u_a in u)
 
     def row(self, da: int, sa: int, db: int) -> tuple:
         if (hit := self.rows.get((da, sa, db))) is None:
@@ -447,7 +444,7 @@ class _WordLowering:
         key = (j, a, b)
         hit = self.acts.get(key)
         if hit is None:
-            out: Sparse = defaultdict(int)
+            out: dict[int, Exact] = defaultdict(int)
             for k, c in self.xy[a][j]:
                 for i, v in self.rho[k].support[b]:
                     out[i] -= c * v
@@ -693,12 +690,10 @@ def _check_subalgebra(g, sub: list[Vector]):
         raise Refusal("the given subspace is not closed under the bracket")
 
 
-def _common_kernel(dim: int, maps) -> list[Vector]:
+def _common_kernel(dim: int, maps: list[SparseCols]) -> list[Vector]:
     """Canonical basis of the common kernel of linear maps on a dim-dimensional
-    space, each map given by its dense value on the k-th basis vector (no maps:
-    everything)."""
-    rows = [row for f in maps for row in zip(*(f(k) for k in range(dim)))]
-    return sparse_kernel((dict(support(r)) for r in rows), dim)
+    space, each given by its sparse columns (no maps: everything)."""
+    return sparse_kernel((row for m in maps for row in m.row_dicts()), dim)
 
 
 def centralizer_graded(
@@ -708,10 +703,11 @@ def centralizer_graded(
     _check_towers("centralizer_graded", tp, tn, L)
     _check_subalgebra(L.triplet.g0, sub)
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
+    subs = [tight_pairs(support(s)) for s in sub]
     out: dict[int, list[Vector]] = {}
     for d in range(-max_degree, max_degree + 1):
         dim = (tp if d > 0 else tn).dim_at(abs(d)) if d else gr.dims[0]
-        maps = [lambda k, d=d, s=support(s): gr.act0(d, s, _unit(k), [ZERO] * gr.dims.get(d, 0)) for s in sub]
+        maps = [SparseCols(dim, dim, tuple(gr.act0(d, s, _unit(k)) for k in range(dim))) for s in subs]
         out[d] = _common_kernel(dim, maps)
     return out
 
@@ -722,9 +718,8 @@ def centralizer_in_degree_zero(
     """Elements of g0 commuting with a graded subspace (any degrees)."""
     _check_towers("centralizer_in_degree_zero", tp, tn, L)
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
-    maps = [
-        lambda k, d=d, s=support(s): gr.act0(d, _unit(k), s, [ZERO] * gr.dims.get(d, 0))
-        for d, vecs in sorted(graded_sub.items())
-        for s in vecs
-    ]
-    return _common_kernel(gr.dims[0], maps)
+    n, maps = gr.dims[0], []
+    for d, vecs in sorted(graded_sub.items()):
+        for s in map(tight_pairs, map(support, vecs)):
+            maps.append(SparseCols(gr.dims.get(d, 0), n, tuple(gr.act0(d, _unit(k), s) for k in range(n))))
+    return _common_kernel(n, maps)

@@ -18,7 +18,7 @@ from glaw import (
     gen_principal,
     gen_symplectic,
 )
-from glaw.exactla import bilinear, dense, tight
+from glaw.exactla import combine, dense
 from glaw.generators import find_symmetrizer, gen_glblock, gen_with_trivial_summand
 from glaw.liecore import basis_vector
 from glaw.tower import PnResult, _Graded, _unit, _WordLowering
@@ -308,11 +308,6 @@ def mixed_jacobi_failure(t: FundamentalTriplet) -> tuple[int, int, int] | None:
     return None
 
 
-def sparse_pairs(v: dict) -> tuple:
-    """The nonzero entries of a sparse vector in increasing index order, integral ones as ints."""
-    return tuple((k, x if type(x) is int else tight(x)) for k, x in sorted(v.items()) if x)
-
-
 class GradedOracle(_Graded):
     """The bracket definition, one basis pair at a time, over the stored maps of a ``_Graded``.
 
@@ -325,22 +320,21 @@ class GradedOracle(_Graded):
         super().__init__(g0, pos, neg)
         self.memo: dict[tuple[int, int, int, int], tuple] = {}
 
-    def gen_bracket(self, s: int, g, d: int, w, out=None):
-        """[g, w] for g of degree s = +-1 and w of degree d, added into out (a new sparse vector when omitted).
+    def gen_bracket(self, s: int, g, d: int, w) -> tuple:
+        """[g, w] for g of degree s = +-1 and w of degree d, as nonzero (index, coefficient) pairs.
 
         Degree 0 is the action, -rho_s(w) g; towards degree s the bracket raises through tower s's tensor
         coordinates; otherwise it lowers through tower -s's maps (at |d| = 1 these hold the local [X, Y]).
         """
-        out = defaultdict(int) if out is None else out
         if not self.dims.get(d + s):
-            return out
+            return ()
         if d == 0:
-            return self.act0(s, [(a, -x) for a, x in w], g, out)
+            return self.act0(s, [(a, -x) for a, x in w], g)
         if (d > 0) == (s > 0):
             coords, prev = self.comps[d + s].tensor_coords.support, self.dims[d]
-            return bilinear(g, w, lambda i, m: coords[i * prev + m], out)
+            return combine((x, w, coords[i * prev : (i + 1) * prev]) for i, x in g)
         lower = self.comps[d].lower
-        return bilinear(g, w, lambda i, m: lower[i].support[m], out)
+        return combine((x, w, lower[i].support) for i, x in g)
 
     def bracket_basis(self, da: int, sa: int, db: int, sb: int) -> tuple:
         key = (da, sa, db, sb)
@@ -353,16 +347,18 @@ class GradedOracle(_Graded):
         if abs(da) > 1 >= abs(db):
             return tuple((k, -x) for k, x in self.bracket_basis(db, sb, da, sa))
         if da == 0:
-            return sparse_pairs(self.act0(db, _unit(sa), _unit(sb), defaultdict(int)))
+            return self.act0(db, _unit(sa), _unit(sb))
         s = 1 if da > 0 else -1
         if da == s:
-            return sparse_pairs(self.gen_bracket(s, _unit(sa), db, _unit(sb)))
+            return self.gen_bracket(s, _unit(sa), db, _unit(sb))
         gen, prev_idx = self.comps[da].provenance[sa]
         out = self.gen_bracket(s, _unit(gen), da - s + db, self.bracket_basis(da - s, prev_idx, db, sb))
-        gw = [(k, -x) for k, x in sparse_pairs(self.gen_bracket(s, _unit(gen), db, _unit(sb)))]
-        if self.dims.get(da + db):
-            bilinear(_unit(prev_idx), gw, lambda p, q: self.bracket_basis(da - s, p, db + s, q), out)
-        return sparse_pairs(out)
+        if not self.dims.get(da + db):
+            return out
+        # out - [u, [g, w]], one term per nonzero entry of [g, w]
+        gw = self.gen_bracket(s, _unit(gen), db, _unit(sb))
+        u_gw = {q: self.bracket_basis(da - s, prev_idx, db + s, q) for q, _ in gw}
+        return combine(((1, _unit(0), (out,)), (-1, gw, u_gw)))
 
 
 def assembled_by_pairs(tp, tn, local) -> tuple:

@@ -1,6 +1,5 @@
 import pickle
 import random
-from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from glaw.exactla import (
     Matrix,
     SparseCols,
     _sparse_rref,
-    bilinear,
+    combine,
     dense,
     format_scalar,
     image_basis,
@@ -65,6 +64,34 @@ def test_a_malformed_scalar_is_refused_the_same_way_every_time():
         messages.append(str(err.value))
     assert messages == ["malformed rational '1/0'"] * 2
     assert parse_scalar("0") is parse_scalar("0") == 0
+
+
+def test_an_exponent_is_refused_before_fraction_reads_it(monkeypatch):
+    # Fraction("1e4000000") builds the power of ten in full before anything can refuse the text
+    def unreachable(*args):
+        raise AssertionError("Fraction was called")
+
+    monkeypatch.setattr("glaw.exactla.Fraction", unreachable)
+    for text in ("1e4000000", "1E4000000", "1.5e4000000", " 2.5 "):
+        with pytest.raises(ValueError, match=r"only p/q form is accepted"):
+            parse_scalar(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/.eE+-_ x", max_size=7))
+def test_parse_scalar_accepts_the_p_q_texts_that_fraction_reads(text):
+    # the accepted set: every text Fraction reads, short of a decimal point or an exponent
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if any(ch in text for ch in ".eE"):
+        expected = None
+    try:
+        got = parse_scalar(text)
+    except ValueError:
+        got = None
+    assert got == expected and type(got) is type(expected)
 
 
 def test_rank_identity_zero_and_dependent():
@@ -368,20 +395,53 @@ def test_repeated_single_entry_rows_change_no_result(system):
 @pytest.mark.parametrize(
     "xi, yj", [(1, 1), (-1, 1), (1, -1), (-1, -1), (2, 3), (F(1, 2), 2), (F(-1, 3), 3), (F(2, 3), F(1, 2))]
 )
-def test_bilinear_unit_coefficients_give_the_general_product(kind, xi, yj):
-    # x_i y_j = 1 or -1 adds or subtracts the entry without a multiply; every branch must equal c * e
-    entries = {(0, 1): ((0, kind(3)), (2, kind(-5))), (1, 1): ((1, kind(7)),)}
+def test_combine_unit_coefficients_give_the_general_product(kind, xi, yj):
+    # the sum of x_i y_j T[i][j] is one combine term (x_i, y, T[i]) per nonzero x_i
+    table = [[(), ((0, kind(3)), (2, kind(-5)))], [(), ((1, kind(7)),)]]
     x, y = ((0, xi), (1, kind(2))), ((1, yj),)
     expected = [F(0)] * 3
     for i, a in x:
         for j, b in y:
-            for k, e in entries[i, j]:
+            for k, e in table[i][j]:
                 expected[k] += F(a) * F(b) * F(e)
-    assert bilinear(x, y, lambda i, j: entries[i, j], [F(0)] * 3) == expected
-    got = bilinear(x, y, lambda i, j: entries[i, j], defaultdict(int))
-    assert [got[k] for k in range(3)] == expected
+    got = combine((x_i, y, table[i]) for i, x_i in x)
+    assert dense(got, 3) == tuple(expected)
     if kind is int and type(xi) is type(yj) is int:
-        assert all(type(v) is int for v in got.values())
+        assert all(type(v) is int for _, v in got)
+
+
+SCALARS = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def combine_terms(draw):
+    """(rows, terms, s) for combine: Fraction and int multipliers, coefficients and entries, empty
+    coefs, indices repeated within coefs and within a column, and divisors s >= 1."""
+    rows = draw(st.integers(1, 5))
+    column = st.lists(st.tuples(st.integers(0, rows - 1), SCALARS), max_size=3).map(tuple)
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        cols = draw(st.lists(column, min_size=1, max_size=4))
+        coefs = draw(st.lists(st.tuples(st.integers(0, len(cols) - 1), SCALARS), max_size=4))
+        terms.append((draw(SCALARS), coefs, cols))
+    return rows, terms, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(combine_terms())
+@example((2, [(F(1, 2), [(0, 2), (0, 2)], [((1, 3),)]), (-1, [(0, F(2, 3))], [((0, F(3, 2)),)])], 2))
+def test_combine_matches_a_dense_fraction_oracle(case):
+    # the sum over terms of m c cols[k], divided by s: its nonzero entries in index order, each an int
+    # exactly when it is integral
+    rows, terms, s = case
+    expected = [F(0)] * rows
+    for m, coefs, cols in terms:
+        for k, c in coefs:
+            for r, x in cols[k]:
+                expected[r] += F(m) * F(c) * F(x)
+    got = combine(terms, s)
+    assert got == tuple((r, v / s) for r, v in enumerate(expected) if v)
+    assert all(type(v) is (int if v.denominator == 1 else F) for _, v in got)
 
 
 def only_fractions(*vectors) -> bool:

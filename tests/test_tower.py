@@ -4,7 +4,6 @@ import json
 import pickle
 import random
 import sys
-from collections import defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -42,7 +41,7 @@ from glaw import (
     validate,
 )
 from glaw import cli
-from glaw.exactla import SparseCols, rank, vadd, vis_zero, vneg, vscale, vzero
+from glaw.exactla import SparseCols, combine, rank, vadd, vis_zero, vneg, vscale, vzero
 from glaw.liecore import basis_vector, center as lie_center, killing_form
 import glaw.localg
 import glaw.tower
@@ -63,7 +62,6 @@ from helpers import (
     random_rational_vector,
     root_height_counts,
     same_span,
-    sparse_pairs,
 )
 
 F = Fraction
@@ -226,6 +224,9 @@ def test_growth_map_equivariance_at_degree_two():
                     assert tuple(got) == tuple(x - y for x, y in zip(acted, corr))
 
 
+SUM = ((0, 1), (1, 1))  # combine's coefficients for the sum of two vectors
+
+
 def bracket_growth_map(gr, n):
     """The columns of Phi into degree n + 1 by the definition, one bracket at a time through GradedOracle."""
     unit = glaw.tower._unit
@@ -237,9 +238,8 @@ def bracket_growth_map(gr, n):
             col = []
             for j in range(dv):
                 # [[y_j, x_i], u_l] + [x_i, [y_j, u_l]]
-                block = gr.act0(n, yx[j].support[i], unit(l), defaultdict(int))
-                gr.gen_bracket(1, unit(i), n - 1, lower[j].support[l], block)
-                col.extend((j * dim + k, x) for k, x in sparse_pairs(block))
+                block = gr.act0(n, yx[j].support[i], unit(l)), gr.gen_bracket(1, unit(i), n - 1, lower[j].support[l])
+                col.extend((j * dim + k, x) for k, x in combine(((1, SUM, block),)))
             cols.append(col)
     return cols
 
@@ -251,8 +251,8 @@ def bracket_lifted_action(gr, d):
     cols = []
     for a in range(gr.dims[0]):
         for i, l in gr.comps[d].provenance:
-            col = gr.gen_bracket(1, rho[a].support[i], d - 1, unit(l))
-            cols.append(sparse_pairs(gr.gen_bracket(1, unit(i), d - 1, prev[a].support[l], col)))
+            raised = gr.gen_bracket(1, rho[a].support[i], d - 1, unit(l))
+            cols.append(combine(((1, SUM, (raised, gr.gen_bracket(1, unit(i), d - 1, prev[a].support[l]))),)))
     return cols
 
 
