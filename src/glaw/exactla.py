@@ -143,7 +143,7 @@ def numerators(cols: Iterable[Pairs]) -> tuple[int, list[tuple[tuple[int, int], 
 def combine(terms: Iterable[tuple[int, Pairs, Sequence[Pairs]]], s: int = 1) -> tuple[tuple[int, Exact], ...]:
     """The sum over terms (m, coefs, cols) of m c cols[k] for each (k, c) in coefs, divided by s: its nonzero
     entries in index order.  On int coefficients and columns it accumulates ints and divides each entry once.
-    A bilinear sum of x_i y_j T[i][j] is one term (x_i, y, T[i]) per nonzero x_i."""
+    The sum of x_i y_j T[i][j] over two supports is one term (x_i, y, T[i]) per nonzero x_i."""
     acc: dict[int, int] = {}
     get = acc.get
     for m, coefs, cols in terms:
