@@ -47,10 +47,8 @@ from .liecore import (
     center,
     check_lengths,
     dual_rep,
-    grading_element,
     rep_kernel,
     restrict_algebra,
-    AmbiguousGrading,
 )
 
 
@@ -199,24 +197,16 @@ class TransitivityReport:
     faithful: bool
     spans_v: bool
     spans_v_dual: bool
-    via_grading_element: bool
 
 
 def transitivity_check(L: LocalAlgebra) -> TransitivityReport:
-    """Faithfulness plus the two span conditions; short-circuits when a
-    grading element exists (then the span conditions hold automatically)."""
+    """Faithfulness plus the two span conditions."""
     t = L.triplet
     faithful = not rep_kernel(t.rho, t.g0)
-    try:
-        h0 = grading_element(t)
-    except AmbiguousGrading:
-        h0 = None
-    if h0 is not None:
-        return TransitivityReport(faithful, faithful, True, True, True)
     # g0.V spans V exactly when no nonzero covector is g0-invariant, and g0.V* spans V* likewise
     spans_v = not _trivial_component(L.dual_action)
     spans_w = not _trivial_component(t.rho)
-    return TransitivityReport(faithful and spans_v and spans_w, faithful, spans_v, spans_w, False)
+    return TransitivityReport(faithful and spans_v and spans_w, faithful, spans_v, spans_w)
 
 
 def _component_scaling(t: FundamentalTriplet, ideal_bases: list[list[Vector]], scales: list[Fraction]) -> SparseCols:

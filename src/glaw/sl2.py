@@ -256,14 +256,13 @@ def complete_triple(t: FundamentalTriplet, x: Vector) -> Sl2Certificate:
     h = assumption_h_check(t)
     if not h.ok:
         raise Refusal("; ".join(h.failures))
-    if not property_p_test(t, x):
-        raise NoTriple("the candidate lies in the span of the derived algebra applied to it")
     der = derived_subalgebra(t.g0)
-    # the covector y with (rho(u) x) . y = 0 for each u in der and x . y = 1: the system with those rows
+    # the covector y with (rho(u) x) . y = 0 for each u in der and x . y = 1: the system with those rows,
+    # solvable exactly when x lies outside the span of the rho(u) x (property (P), by the Fredholm alternative)
     rows = SparseCols.from_vectors([t.rho.act(u, x) for u in der] + [x], t.dim_v).transpose()
     (y,) = solve_pairs(rows, [((len(der), 1),)])
     if y is None:
-        raise NoTriple("no covector annihilates the derived orbit direction while pairing with the candidate")
+        raise NoTriple("the candidate lies in the span of the derived algebra applied to it")
     y = dense(y, t.dim_v)
     L = build_local(t)
     br = L.bracket_yx(y, x)

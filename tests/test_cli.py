@@ -392,21 +392,21 @@ def count_calls(monkeypatch, *fns) -> Counter:
 
 
 def test_assemble_reads_the_killing_rank_and_center_off_one_sparse_elimination(monkeypatch):
-    # a count guard, no timing: the Killing rows go through no dense matrix, and a zero Killing radical proves
-    # the assembled center zero; the one center left is g0's, which the transitivity check's grading element reads
+    # a count guard, no timing: the Killing rows go through no dense matrix, a zero Killing radical proves
+    # the assembled center zero, and the transitivity check reads the two span conditions, not g0's center
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
-    calls = count_calls(monkeypatch, liecore.center, exactla.rref, liecore.killing_form)
+    calls = count_calls(monkeypatch, liecore.center, exactla.rref, liecore.killing_form, liecore.grading_element)
     monkeypatch.setenv("GLAW_MAX_DEGREE", "12")
-    for name, gen_args, degree, dim_g0 in (
-        ("assemble-e6", ["cartan", "--matrix", E6_CARTAN], "12", 6),
-        ("assemble-g2-cubic", ["sp", "--n", "2", "--p", "3", "--lambda", "1", "--form", "g2"], "4", 4),
+    for name, gen_args, degree in (
+        ("assemble-e6", ["cartan", "--matrix", E6_CARTAN], "12"),
+        ("assemble-g2-cubic", ["sp", "--n", "2", "--p", "3", "--lambda", "1", "--form", "g2"], "4"),
     ):
         code, spec, _ = run_main(["gen", *gen_args])
         assert code == 0
         calls.clear()
         code, out, err = run_main(["assemble", "-", "--max-degree", degree], stdin=spec)
         assert code == 0, err
-        assert calls == {("center", dim_g0): 1}, name
+        assert calls == {}, name
         got = json.dumps(strip_timings(json.loads(out)), sort_keys=True, separators=(",", ":")) + "\n"
         assert hashlib.sha256(got.encode()).hexdigest() == digests[name]
     # g2 cubic plus a two-dimensional trivial summand: a degenerate Killing form, so the center is sought once
@@ -414,6 +414,20 @@ def test_assemble_reads_the_killing_rank_and_center_off_one_sparse_elimination(m
     calls.clear()
     assert liecore.killing_rank_and_center_dim(algebra) == (14, 4)
     assert calls == {("center", 18): 1}
+
+
+def test_one_sl2_command_derives_g0_twice_and_solves_twice(monkeypatch):
+    # a count guard, no timing: assumption (H) and the completion each take the derived algebra once, and the
+    # completion's covector solve is the one decision of property (P)
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    code, spec, _ = run_main(["gen", "sp", "--n", "3", "--p", "2", "--lambda", "2"])
+    assert code == 0
+    calls = count_calls(monkeypatch, liecore.derived_subalgebra, exactla.solve_pairs)
+    code, out, err = run_main(["sl2", "-", "--poly", "x0^2+x1^2+x2^2"], stdin=spec)
+    assert code == 0, err
+    assert calls == {("derived_subalgebra", 9): 2, ("solve_pairs", None): 2}
+    got = json.dumps(strip_timings(json.loads(out)), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(got.encode()).hexdigest() == digests["sl2-sym-square-3"]
 
 
 def test_centralizer_of_the_zero_subalgebra_is_everything():

@@ -32,8 +32,23 @@ from glaw.generators import (
     gen_with_trivial_summand,
     monomial_basis,
 )
-from glaw.liecore import StructureError, basis_vector, direct_sum_with_zero_factor, dual_rep, restrict_algebra
-from glaw.localg import IsoRefusal, LocalForm, LocalIsomorphism, local_iso_check, scale_by_components
+from glaw.liecore import (
+    AmbiguousGrading,
+    StructureError,
+    basis_vector,
+    direct_sum_with_zero_factor,
+    dual_rep,
+    rep_kernel,
+    restrict_algebra,
+)
+from glaw.localg import (
+    IsoRefusal,
+    LocalForm,
+    LocalIsomorphism,
+    _trivial_component,
+    local_iso_check,
+    scale_by_components,
+)
 from glaw.sl2 import PolyInvariant
 from glaw.tower import centralizer_graded, grow_both
 
@@ -438,13 +453,28 @@ def test_local_form_nondegenerate_on_the_whole_local_part():
 
 def test_transitivity_reports():
     assert transitivity_check(build_local(gen_symplectic(2, 2, 2, "trace"))).transitive
-    assert transitivity_check(build_local(gen_symplectic(2, 3, 1, "g2"))).via_grading_element
+    assert transitivity_check(build_local(gen_symplectic(2, 3, 1, "g2"))).transitive
     rep = transitivity_check(build_local(gen_with_trivial_summand(gl_standard_triplet(2), 1)))
     assert not rep.transitive and rep.faithful and not rep.spans_v
     t = gl_standard_triplet(2)
     zero_rho = Representation.from_matrices(2, tuple(Matrix.zeros(2, 2) for _ in range(4)))
     rep = transitivity_check(build_local(FundamentalTriplet(t.g0, t.b0, zero_rho)))
     assert not rep.transitive and not rep.faithful
+
+
+@settings(max_examples=20, deadline=None)
+@given(generator_triplets())
+def test_a_grading_element_leaves_transitivity_to_faithfulness(t):
+    # rho(H0) = 2 Id kills no nonzero vector and rho*(H0) = -2 Id no covector, so both span conditions hold
+    try:
+        h0 = grading_element(t)
+    except AmbiguousGrading:
+        h0 = None
+    assume(h0 is not None)
+    L = build_local(t)
+    assert _trivial_component(t.rho) == [] and _trivial_component(L.dual_action) == []
+    rep = transitivity_check(L)
+    assert rep.transitive == rep.faithful == (not rep_kernel(t.rho, t.g0))
 
 
 def glblock_ideals(n):

@@ -212,6 +212,20 @@ def test_criterion_soundness_no_solution_when_property_fails():
         assert dense_solve(rows, rhs) is None
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 1, 3, "sl-shifted"), (2, 2, 2, "trace"), (3, 2, 1, "sl-shifted"), (2, 3, 1, "g2")]), st.data())
+def test_completion_refuses_exactly_when_property_p_fails(params, data):
+    # the completion's covector solve is solvable exactly when x lies outside the derived span applied to x
+    t = gen_symplectic(*params)
+    x = tuple(F(v) for v in data.draw(st.lists(st.integers(-1, 1), min_size=t.dim_v, max_size=t.dim_v)))
+    try:
+        complete_triple(t, x)
+        completes = True
+    except NoTriple:
+        completes = False
+    assert completes == property_p_test(t, x)
+
+
 def test_property_p_is_form_independent():
     base = gen_symplectic(2, 2, 2, "trace")
     ident = tuple(F(1) if a == b else F(0) for a in range(2) for b in range(2))
