@@ -383,10 +383,17 @@ def cmd_gen(args) -> int:
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SpecError, which main writes as a JSON parse error; subparsers inherit this."""
+
+    def error(self, message):
+        raise SpecError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glaw",
         description="exact-arithmetic workbench for graded Lie algebras built from fundamental triplets",
     )
@@ -463,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse argv, run one command and write its report or its JSON error."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "gen":
             return cmd_gen(args)
         started = time.time()

@@ -631,6 +631,28 @@ def test_an_unexpected_exception_is_an_internal_json_error(monkeypatch):
     assert json.loads(err) == {"error": "RuntimeError: boom", "kind": "internal"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grow", "spec", "--max-degree", "abc"],
+        ["pn-check", "spec"],
+        ["frobnicate", "spec"],
+        [],
+        ["gen", "cartan", "--symmetrizer", "-1,-1"],
+    ],
+    ids=["bad-int", "missing-option", "unknown-command", "no-arguments", "option-like-value"],
+)
+def test_usage_errors_are_json_parse_errors(argv):
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["kind"] == "parse"
+
+
+def test_help_exits_zero_with_its_text():
+    proc = run_cli("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: glaw") and proc.stderr == ""
+
+
 def fuzz_bases() -> list[dict]:
     """Small generator specs with their metadata: gl(2) on quadrics and on lines, gl(1) on quadrics."""
     specs = []
