@@ -377,8 +377,7 @@ def triplet_iso_extend(
     # row j of gamma^-T is column j of gamma^-1
     gamma_tilde = Matrix.from_rows([dense(col, dv) for col in gamma_inv])
     # post-verification of the full local criterion on basis elements
-    l1 = build_local(t1)
-    l2 = l1 if t2 == t1 else build_local(t2)
+    l1, l2 = build_local(t1), build_local(t2)
     tilde_cols = SparseCols.from_matrix(gamma_tilde).support
     for a in range(n):
         if not _intertwines(l1.dual_action, l2.dual_action, a, a_map.col(a), tilde_cols):
@@ -412,8 +411,7 @@ def local_iso_check(
         raise Refusal("all three maps must be invertible")
     if (ij := _lie_homomorphism_failure(t1.g0, t2.g0, a_map)) is not None:
         return IsoRefusal("lie-homomorphism", ij)
-    l1 = build_local(t1)
-    l2 = l1 if t2 == t1 else build_local(t2)
+    l1, l2 = build_local(t1), build_local(t2)
     for a in range(n):
         col = a_map.col(a)
         if not _intertwines(t1.rho, t2.rho, a, col, gamma_cols.support):

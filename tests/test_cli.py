@@ -418,7 +418,8 @@ def test_assemble_reads_the_killing_rank_and_center_off_one_sparse_elimination(m
 
 def test_one_sl2_command_derives_g0_twice_and_solves_twice(monkeypatch):
     # a count guard, no timing: assumption (H) and the completion each take the derived algebra once, and the
-    # completion's covector solve is the one decision of property (P)
+    # completion's covector solve is the one decision of property (P). Two derived algebras is today's count, not
+    # a target: complete_triple could reuse the basis assumption_h_check already derived
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
     code, spec, _ = run_main(["gen", "sp", "--n", "3", "--p", "2", "--lambda", "2"])
     assert code == 0
