@@ -33,7 +33,7 @@ except TransitivityRequired as exc:
     print("grow refused:", exc)
 print()
 
-red = reduce_triplet(t, assert_completely_reducible=True)
+red = reduce_triplet(t)
 print("trivial summand dim:", len(red.v0), " kernel dim:", len(red.g0_kernel))
 print("core module dim:", red.transitive_part.dim_v)
 
@@ -42,6 +42,6 @@ print("glued algebra dim:", asm.algebra.dim, "(core 8 + summand and its dual)")
 print("glued center dim:", len(center(asm.algebra)), "(the summand and its dual)")
 print()
 
-report = finiteness_report(build_local(base), 4, completely_reducible=True, irreducible_components=1)
+report = finiteness_report(build_local(base), 4, irreducible_components=1)
 print("core finiteness:", report.advisory)
 print("  dims:", report.dims_pos, " Killing nondegenerate:", report.killing_nondegenerate)

@@ -344,7 +344,7 @@ def cmd_assemble(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[di
 
 
 def cmd_reduce(t: FundamentalTriplet, name: str, meta: dict, args) -> tuple[dict, int]:
-    red = reduce_triplet(t, assert_completely_reducible=True)
+    red = reduce_triplet(t)
     return {
         "v0_dim": len(red.v0),
         "kernel_dim": len(red.g0_kernel),
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = gsub.add_parser("cartan", help="principal grading data of a symmetrizable matrix")
     g.add_argument("--matrix", required=True, help="rows separated by ';', entries by ','")
-    g.add_argument("--symmetrizer", help="comma-separated positive rationals")
+    g.add_argument("--symmetrizer", help="comma-separated nonzero rationals")
     g.add_argument("--name")
 
     g = gsub.add_parser("trivial-summand", help="append a zero-action summand to a spec")

@@ -19,16 +19,19 @@ index; the reduced row echelon form is unique, so that choice only changes
 fill-in and never a result.  The bases produced here are canonical:
 null-space bases set each free variable to 1 in increasing column order,
 column-space bases are the pivot columns in left-to-right order.  Every
-solve, kernel and column space of glaw runs on sparse input: linear systems
-sharing a matrix (given as ``SparseCols``) are solved together by
-``solve_pairs``, which eliminates [a | b_0 | b_1 | ...] once on sparse
-right-hand sides, and ``inverse_pairs`` is its solve against the unit
-vectors.  ``Matrix`` is the dense form of parsing, reports and tests, and of
-``rref`` and ``rank``.  ``combine`` is the one sparse linear-combination
-kernel: every sum of sparse columns (a bracket, a form image, a map applied to
-a vector) goes through it, except three hot loops that measured slower through
-it and write it inline (the growth map, ``build_local``'s mixed-Jacobi check
-and assembly's row recursion).
+solve, kernel and column space of glaw runs on sparse input.
+``common_kernel`` is the one layout of a kernel system from maps given by
+their columns (the center, the kernel of rho, the trivial component,
+centralizers and stabilizers); ``sparse_kernel`` takes systems that arrive
+as rows.  Linear systems sharing a matrix (given as ``SparseCols``) are
+solved together by ``solve_pairs``, which eliminates [a | b_0 | b_1 | ...]
+once on sparse right-hand sides, and ``inverse_pairs`` is its solve against
+the unit vectors.  ``Matrix`` is the dense form of parsing, reports and
+tests, and of ``rref`` and ``rank``.  ``combine`` is the one sparse
+linear-combination kernel: every sum of sparse columns (a bracket, a form
+image, a map applied to a vector) goes through it, except three hot loops
+that measured slower through it and write it inline (the growth map,
+``build_local``'s mixed-Jacobi check and assembly's row recursion).
 """
 
 from __future__ import annotations
@@ -438,6 +441,20 @@ def sparse_kernel(rows: Iterable[dict[int, Exact]], ncols: int) -> list[Vector]:
                 v[pc] = frac(-row[free])
         basis.append(tuple(v))
     return basis
+
+
+def common_kernel(dim: int, maps: Iterable[Sequence[Pairs]]) -> list[Vector]:
+    """Canonical basis of the vectors of Q^dim that every map kills (all of Q^dim for no maps), each map
+    given by its dim columns as (row, value) pairs.  Row (m, r) of the system is row r of map m, gathered
+    from the nonzero entries only."""
+    rows: list[dict[int, Exact]] = []
+    for cols in maps:
+        at: dict[int, dict[int, Exact]] = {}
+        for j, col in enumerate(cols):
+            for r, x in col:
+                at.setdefault(r, {})[j] = x
+        rows += at.values()
+    return sparse_kernel(rows, dim)
 
 
 def solve_pairs(a: SparseCols, bs: Sequence[Pairs]) -> list[tuple[tuple[int, Exact], ...] | None]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactla import ZERO, Matrix, SparseCols, Vector, dense, frac, rank, record, sparse_kernel, vscale
+from .exactla import ZERO, Matrix, SparseCols, Vector, common_kernel, dense, frac, rank, record, vscale
 from .liecore import (
     FundamentalTriplet,
     LieAlgebraData,
@@ -258,15 +258,11 @@ def stabilizer_of_poly(n: int, p: PolyInvariant) -> list[Vector]:
         raise Refusal("the polynomial must be homogeneous (the stabilizer is read in its one degree)")
     target = monomial_basis(n, p.degree())
     index = {alpha: k for k, alpha in enumerate(target.exponents)}
-    # row k holds the coefficient of the k-th monomial in E_ab.p at column a * n + b
-    rows: list[dict[int, Fraction]] = [{} for _ in target.exponents]
-    for a in range(n):
-        for b in range(n):
-            # E_ab acts as x_a d/dx_b, the flow of E_ba: its one entry is row b of column a
-            e_ba = SparseCols(n, n, tuple(((b, 1),) if i == a else () for i in range(n)))
-            for e, c in directional_derivative(p, e_ba).terms:
-                rows[index[e]][a * n + b] = c
-    return sparse_kernel(rows, n * n)
+    # column a * n + b is E_ab.p by target monomial: E_ab acts as x_a d/dx_b, the flow of E_ba, whose one entry
+    # is row b of column a
+    flows = (SparseCols(n, n, tuple(((b, 1),) if i == a else () for i in range(n))) for a in range(n) for b in range(n))
+    cols = [[(index[e], c) for e, c in directional_derivative(p, m).terms] for m in flows]
+    return common_kernel(n * n, [cols])
 
 
 def gen_stabilizer_triplet(p: PolyInvariant, center_scale) -> FundamentalTriplet:

@@ -28,6 +28,7 @@ from .exactla import (
     ZERO,
     as_vector,
     combine,
+    common_kernel,
     dense,
     frac,
     image_basis,
@@ -359,29 +360,16 @@ def derived_subalgebra(g: LieAlgebraData) -> list[Vector]:
 
 
 def center(g: LieAlgebraData) -> list[Vector]:
-    """Canonical basis of the center: the x with sum_i x_i c[i][j][k] = 0.
-
-    Row (j, k) of that system holds c[i][j][k] at column i; the rows are
-    gathered from ``structure_pairs``, so only nonzero constants are read.
-    The center lies in the Killing radical, so ``killing_rank_and_center_dim``
-    solves this system only when that radical is nonzero.
+    """Canonical basis of the center: the common kernel of every ad(e_j), whose column i is
+    [e_j, e_i], read off ``structure_pairs``.  The center lies in the Killing radical, so
+    ``killing_rank_and_center_dim`` solves this system only when that radical is nonzero.
     """
-    rows: dict[tuple[int, int], dict[int, Exact]] = defaultdict(dict)
-    for i, row in enumerate(g.structure_pairs):
-        for j, pairs in enumerate(row):
-            for k, x in pairs:
-                rows[j, k][i] = x
-    return sparse_kernel(rows.values(), g.dim)
+    return common_kernel(g.dim, g.structure_pairs)
 
 
 def rep_kernel(r: Representation, g: LieAlgebraData) -> list[Vector]:
-    """Canonical basis of the kernel of rho: row (p, q) holds rho_i[p][q] at column i."""
-    rows: dict[tuple[int, int], dict[int, Exact]] = defaultdict(dict)
-    for i, a in enumerate(r.action_cols):
-        for q, col in enumerate(a.support):
-            for p, x in col:
-                rows[p, q][i] = x
-    return sparse_kernel(rows.values(), g.dim)
+    """Canonical basis of the kernel of rho: the common kernel of the maps u -> rho(u) x_q."""
+    return common_kernel(g.dim, ([a.support[q] for a in r.action_cols] for q in range(r.dim_v)))
 
 
 def grading_element(t: FundamentalTriplet) -> Vector | None:

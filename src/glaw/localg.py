@@ -23,6 +23,7 @@ from .exactla import (
     Vector,
     ZERO,
     combine,
+    common_kernel,
     dense,
     divided,
     image_basis,
@@ -443,15 +444,13 @@ class ReductionResult:
     g0_faithful: tuple[Vector, ...]
 
 
-def reduce_triplet(t: FundamentalTriplet, assert_completely_reducible: bool) -> ReductionResult:
+def reduce_triplet(t: FundamentalTriplet) -> ReductionResult:
     """Split off the representation kernel and the trivial isotypic component.
 
-    Reductivity of g0 is the caller's assertion; every consequence actually
-    used is verified (orthogonal ideal split, V0 + V1 = V, nondegeneracy of
-    the restricted forms).
+    Reductivity of g0 and complete reducibility of V are assumed, and every
+    consequence actually used is verified (orthogonal ideal split,
+    V0 + V1 = V, nondegeneracy of the restricted forms).
     """
-    if not assert_completely_reducible:
-        raise Refusal("reduction requires the caller to assert complete reducibility")
     n, dv = t.dim_g0, t.dim_v
     k_basis = rep_kernel(t.rho, t.g0)
     zc = center(t.g0)
@@ -486,12 +485,12 @@ def reduce_triplet(t: FundamentalTriplet, assert_completely_reducible: bool) -> 
 
 
 def _trivial_component(r: Representation) -> list[Vector]:
-    """Canonical basis of the vectors every rho(e_a) kills, from the rows of every rho(e_a)."""
-    return sparse_kernel((dict(row) for m in r.action_cols for row in m.transpose().support), r.dim_v)
+    """Canonical basis of the vectors every rho(e_a) kills."""
+    return common_kernel(r.dim_v, (m.support for m in r.action_cols))
 
 
 def _intersect_spans(a: list[Vector], b: list[Vector], dim: int) -> list[Vector]:
     """The nonzero vectors A x for the canonical kernel basis of [A | -B], A and B the columns a and b."""
     m = SparseCols.from_vectors(a + [vneg(v) for v in b], dim)
-    vecs = [combine(((1, support(x[: len(a)]), m.support),)) for x in sparse_kernel(m.row_dicts(), m.cols)]
+    vecs = [combine(((1, support(x[: len(a)]), m.support),)) for x in common_kernel(m.cols, (m.support,))]
     return [dense(v, dim) for v in vecs if v]

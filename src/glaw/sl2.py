@@ -215,6 +215,7 @@ class AssumptionHReport:
     ok: bool
     h0: Vector | None
     failures: tuple[str, ...]
+    derived: tuple[Vector, ...]  # the basis of the derived algebra the check read
 
 
 def assumption_h_check(t: FundamentalTriplet) -> AssumptionHReport:
@@ -229,18 +230,15 @@ def assumption_h_check(t: FundamentalTriplet) -> AssumptionHReport:
         failures.append("g0 is not the direct sum of its center and derived algebra")
     h0 = None
     if len(z) == 1:
-        m = t.rho.matrix_of(z[0])
-        lam = m.entries[0][0]
-        scalar = all(
-            m.entries[i][j] == (lam if i == j else 0) for i in range(t.dim_v) for j in range(t.dim_v)
-        )
-        if not scalar:
+        cols = t.rho.cols_of(z[0]).support
+        lam = dict(cols[0]).get(0, 0)
+        if not all(col == (((l, lam),) if lam else ()) for l, col in enumerate(cols)):
             failures.append("the center does not act by a scalar")
         elif lam == 0:
             failures.append("the center acts trivially")
         else:
             h0 = vscale(Fraction(2) / lam, z[0])
-    return AssumptionHReport(not failures, h0, tuple(failures))
+    return AssumptionHReport(not failures, h0, tuple(failures), tuple(der))
 
 
 def property_p_test(t: FundamentalTriplet, x: Vector) -> bool:
@@ -256,7 +254,7 @@ def complete_triple(t: FundamentalTriplet, x: Vector) -> Sl2Certificate:
     h = assumption_h_check(t)
     if not h.ok:
         raise Refusal("; ".join(h.failures))
-    der = derived_subalgebra(t.g0)
+    der = h.derived
     # the covector y with (rho(u) x) . y = 0 for each u in der and x . y = 1: the system with those rows,
     # solvable exactly when x lies outside the span of the rho(u) x (property (P), by the Fredholm alternative)
     rows = SparseCols.from_vectors([t.rho.act(u, x) for u in der] + [x], t.dim_v).transpose()

@@ -31,6 +31,7 @@ from .exactla import (
     Vector,
     ZERO,
     combine,
+    common_kernel,
     dense,
     divided,
     image_basis,
@@ -38,7 +39,6 @@ from .exactla import (
     rank,
     record,
     solve_pairs,
-    sparse_kernel,
     support,
     tight,
     tight_pairs,
@@ -621,8 +621,10 @@ def assemble_nontransitive(t: FundamentalTriplet, max_degree: int) -> AssembledA
     Splits off the trivial component and the representation kernel, grows the
     transitive part, and glues the pieces back with the zero brackets the
     reduction prescribes: [V0, V0*] = 0 and the kernel commutes with all of V.
+    The glued V0 is labelled degree 1, V0* degree -1 and the kernel degree 0;
+    ``blocks`` covers the transitive core only.
     """
-    red = reduce_triplet(t, assert_completely_reducible=True)
+    red = reduce_triplet(t)
     L = build_local(red.transitive_part)
     core = assemble(*grow_both(L, max_degree), L)
     k = len(red.v0)
@@ -653,12 +655,12 @@ class FinitenessReport:
 def finiteness_report(
     L: LocalAlgebra,
     max_degree: int,
-    completely_reducible: bool = False,
     irreducible_components: int | None = None,
 ) -> FinitenessReport:
     """Advisory finiteness analysis: growth observation, the center-dimension
-    bound (caller supplies the irreducible count), and the semisimplicity
-    consistency checks when the towers terminate."""
+    bound (a caller that supplies the irreducible count asserts the
+    decomposition of V into that many irreducible summands), and the
+    semisimplicity consistency checks when the towers terminate."""
     tp, tn = grow_both(L, max_degree)
     z = len(algebra_center(L.triplet.g0))
     terminated = tp.terminated and tn.terminated
@@ -669,7 +671,7 @@ def finiteness_report(
         killing_rank, asm_center = killing_rank_and_center_dim(asm.algebra)
         killing_ok = killing_rank == asm.algebra.dim
         advisory = "terminated: finite-dimensional minimal algebra"
-    elif completely_reducible and irreducible_components is not None and z < irreducible_components:
+    elif irreducible_components is not None and z < irreducible_components:
         advisory = "infinite: the center is smaller than the number of irreducible components"
     else:
         advisory = f"not terminated within degree budget {max_degree}: infinite or larger than the budget"
@@ -690,12 +692,6 @@ def _check_subalgebra(g, sub: list[Vector]):
         raise Refusal("the given subspace is not closed under the bracket")
 
 
-def _common_kernel(dim: int, maps: list[SparseCols]) -> list[Vector]:
-    """Canonical basis of the common kernel of linear maps on a dim-dimensional
-    space, each given by its sparse columns (no maps: everything)."""
-    return sparse_kernel((row for m in maps for row in m.row_dicts()), dim)
-
-
 def centralizer_graded(
     tp: Tower, tn: Tower, L: LocalAlgebra, sub: list[Vector], max_degree: int
 ) -> dict[int, list[Vector]]:
@@ -707,8 +703,7 @@ def centralizer_graded(
     out: dict[int, list[Vector]] = {}
     for d in range(-max_degree, max_degree + 1):
         dim = (tp if d > 0 else tn).dim_at(abs(d)) if d else gr.dims[0]
-        maps = [SparseCols(dim, dim, tuple(gr.act0(d, s, _unit(k)) for k in range(dim))) for s in subs]
-        out[d] = _common_kernel(dim, maps)
+        out[d] = common_kernel(dim, [[gr.act0(d, s, _unit(k)) for k in range(dim)] for s in subs])
     return out
 
 
@@ -718,8 +713,6 @@ def centralizer_in_degree_zero(
     """Elements of g0 commuting with a graded subspace (any degrees)."""
     _check_towers("centralizer_in_degree_zero", tp, tn, L)
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
-    n, maps = gr.dims[0], []
-    for d, vecs in sorted(graded_sub.items()):
-        for s in map(tight_pairs, map(support, vecs)):
-            maps.append(SparseCols(gr.dims.get(d, 0), n, tuple(gr.act0(d, _unit(k), s) for k in range(n))))
-    return _common_kernel(n, maps)
+    n = gr.dims[0]
+    subs = [(d, tight_pairs(support(s))) for d, vecs in sorted(graded_sub.items()) for s in vecs]
+    return common_kernel(n, [[gr.act0(d, _unit(k), s) for k in range(n)] for d, s in subs])

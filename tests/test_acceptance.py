@@ -338,7 +338,7 @@ def test_criterion_10_non_transitive_suite():
         grow(local, POSITIVE, 2)
     except TransitivityRequired:
         refused = True
-    red = reduce_triplet(t, assert_completely_reducible=True)
+    red = reduce_triplet(t)
     round_trips = (
         red.transitive_part.g0.structure == base.g0.structure
         and red.transitive_part.b0.gram.entries == base.b0.gram.entries

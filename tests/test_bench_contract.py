@@ -3,39 +3,64 @@
 The traced pass wraps glaw functions by module and name: perfbench/spans.py
 lists them in LAYERS, and a renamed or moved function would only show up as a
 failure of a traced benchmark run, so check here that every listed (module,
-function) still resolves.  Every job that the benchmark expects to succeed is
+function) still resolves.  Its SIZES functions read the arguments and result
+of a wrapped call (a Matrix's shape, a Tower's growth maps, an exit code), so
+each is called here on one real call.  Every job that the benchmark expects to succeed is
 replayed in-process through perfbench/child.py's own set-up and oracle, so a
 report that no longer matches its digest in perfbench/digests.json fails here.
 """
 
 import importlib
 import importlib.util
+import io
 import signal
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from glaw import cli
+from glaw import build_local, cli, gen_symplectic
+from glaw.exactla import Matrix, rref
+from glaw.tower import POSITIVE, grow
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def load_layers() -> dict:
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 def test_every_traced_layer_resolves_in_glaw():
-    layers = load_layers()
+    layers = load_spans().LAYERS
     assert layers
     for span_name, (module_name, functions) in layers.items():
         module = importlib.import_module(module_name)
         for fn_name in functions:
             fn = getattr(module, fn_name, None)
             assert callable(fn), f"{span_name}: {module_name}.{fn_name} is missing"
+
+
+def test_every_size_reader_reads_one_real_call():
+    spans = load_spans()
+    sizes = spans.SIZES
+    assert set(sizes) == {"exactla.rref", "tower.grow", "cli.main"}
+    assert set(sizes) <= set(spans.LAYERS)
+    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    assert sizes["exactla.rref"]((m,), rref(m)) == {"cells": 6}
+    # the g2 cubic grows [4, 1, 0] from 16 and 4 candidates: kept 1 + 0 of 20
+    args = (build_local(gen_symplectic(2, 3, 1, "g2")), POSITIVE, 4)
+    assert sizes["tower.grow"](args, grow(*args)) == {"kept": 1, "candidates": 20}
+    for argv, refusals in (
+        (["gen", "cartan", "--matrix", "2,-1;-1,2"], 0),
+        (["gen", "cartan", "--matrix", "2,-1;-1,2", "--symmetrizer=0,1"], 1),
+    ):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert sizes["cli.main"]((argv,), code) == {"refusals": refusals}
 
 
 def load_perfbench(*names: str) -> list:

@@ -416,17 +416,16 @@ def test_assemble_reads_the_killing_rank_and_center_off_one_sparse_elimination(m
     assert calls == {("center", 18): 1}
 
 
-def test_one_sl2_command_derives_g0_twice_and_solves_twice(monkeypatch):
-    # a count guard, no timing: assumption (H) and the completion each take the derived algebra once, and the
-    # completion's covector solve is the one decision of property (P). Two derived algebras is today's count, not
-    # a target: complete_triple could reuse the basis assumption_h_check already derived
+def test_one_sl2_command_derives_g0_once_and_solves_twice(monkeypatch):
+    # a count guard, no timing: assumption (H) derives g0 and hands the basis on to the completion, whose
+    # covector solve is the one decision of property (P)
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
     code, spec, _ = run_main(["gen", "sp", "--n", "3", "--p", "2", "--lambda", "2"])
     assert code == 0
     calls = count_calls(monkeypatch, liecore.derived_subalgebra, exactla.solve_pairs)
     code, out, err = run_main(["sl2", "-", "--poly", "x0^2+x1^2+x2^2"], stdin=spec)
     assert code == 0, err
-    assert calls == {("derived_subalgebra", 9): 2, ("solve_pairs", None): 2}
+    assert calls == {("derived_subalgebra", 9): 1, ("solve_pairs", None): 2}
     got = json.dumps(strip_timings(json.loads(out)), sort_keys=True, separators=(",", ":")) + "\n"
     assert hashlib.sha256(got.encode()).hexdigest() == digests["sl2-sym-square-3"]
 
@@ -647,6 +646,15 @@ def test_usage_errors_are_json_parse_errors(argv):
     code, out, err = run_main(argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["kind"] == "parse"
+
+
+def test_a_negative_symmetrizer_negates_the_form_and_a_zero_entry_is_refused():
+    # --symmetrizer takes any nonzero rationals: on A2, -1,-1 gives a valid triplet whose form is the negated one
+    code, out, err = run_main(["gen", "cartan", "--matrix", "2,-1;-1,2", "--symmetrizer=-1,-1"])
+    assert code == 0, err
+    assert json.loads(out)["B0"] == [["-2", "1"], ["1", "-2"]]
+    code, out, err = run_main(["gen", "cartan", "--matrix", "2,-1;-1,2", "--symmetrizer=0,1"])
+    assert (code, out, json.loads(err)["kind"]) == (3, "", "precondition")
 
 
 def test_help_exits_zero_with_its_text():

@@ -10,6 +10,7 @@ from glaw.exactla import (
     SparseCols,
     _sparse_rref,
     combine,
+    common_kernel,
     dense,
     format_scalar,
     image_basis,
@@ -26,7 +27,7 @@ from glaw.exactla import (
 from glaw.liecore import LieAlgebraData, StructureError, ValidationReport
 from glaw.localg import build_local
 from glaw.tower import GradedComponent
-from helpers import gl_standard_triplet, sl2_triplet
+from helpers import dense_kernel, gl_standard_triplet, sl2_triplet
 
 F = Fraction
 
@@ -442,6 +443,37 @@ def test_combine_matches_a_dense_fraction_oracle(case):
     got = combine(terms, s)
     assert got == tuple((r, v / s) for r, v in enumerate(expected) if v)
     assert all(type(v) is (int if v.denominator == 1 else F) for _, v in got)
+
+
+@st.composite
+def map_families(draw):
+    """(dim, maps) for common_kernel: up to four maps on Q^dim, each with up to five rows and given as (rows,
+    columns), with int and Fraction entries, zero columns, and maps that repeat an earlier one."""
+    dim = draw(st.integers(0, 6))
+    maps = []
+    for _ in range(draw(st.integers(0, 4))):
+        if maps and draw(st.booleans()):
+            maps.append(draw(st.sampled_from(maps)))
+            continue
+        rows = draw(st.integers(1, 5))
+        entries = st.dictionaries(st.integers(0, rows - 1), SCALARS.filter(bool), max_size=3)
+        maps.append((rows, draw(st.lists(entries.map(lambda d: tuple(sorted(d.items()))), min_size=dim, max_size=dim))))
+    return dim, maps
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_families())
+@example((3, []))
+@example((2, [(2, [(), ()])]))
+@example((3, [(2, [((0, 1),), (), ((0, F(1, 2)), (1, -3))])] * 2))
+def test_common_kernel_matches_the_dense_kernel_of_the_stacked_maps(case):
+    # the vectors every map kills: with no maps all of Q^dim, a zero column a free variable, a repeated map no
+    # new condition
+    dim, maps = case
+    stacked = [[dict(col).get(r, 0) for col in cols] for rows, cols in maps for r in range(rows)]
+    got = common_kernel(dim, [cols for _, cols in maps])
+    assert got == dense_kernel(stacked, dim)
+    assert only_fractions(*got)
 
 
 def only_fractions(*vectors) -> bool:

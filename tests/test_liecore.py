@@ -466,7 +466,7 @@ def test_killing_rank_and_center_dim_match_the_dense_route_on_generator_algebras
         extra = LieAlgebraData.abelian(1) if kernel == "abelian" else sl2_algebra()
         t = direct_sum_with_zero_factor(t, extra, QuadraticForm(Matrix.identity(extra.dim)))
     algebras = [t.g0]
-    part = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    part = build_local(reduce_triplet(t).transitive_part)
     for b in range(2, 7):
         tp = grow(part, POSITIVE, b)
         if tp.terminated or max(tp.dims()) > 40:
@@ -526,7 +526,7 @@ def test_no_library_layer_builds_the_dense_action(t):
     transitivity_check(L)
     if L.transitivity.transitive:
         grow_both(L, 2)
-    part = reduce_triplet(t, assert_completely_reducible=True).transitive_part
+    part = reduce_triplet(t).transitive_part
     assert all("action" not in r.__dict__ for r in (t.rho, L.dual_action, part.rho))
 
 
@@ -551,7 +551,7 @@ def test_every_sparse_store_keeps_the_one_rule_and_every_dense_view_fractions(t,
     parsed = parse_triplet_spec(emit_triplet_spec(t, "t"))[0].g0.structure_pairs
     assert parsed == g.structure_pairs and one_rule(pair_values(parsed))
     # the assembled algebra, when the transitive part terminates within the budget at a small size
-    part = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    part = build_local(reduce_triplet(t).transitive_part)
     for b in range(2, budget + 1):
         tp = grow(part, POSITIVE, b)
         if tp.terminated or max(tp.dims()) > 40:

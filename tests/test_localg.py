@@ -652,14 +652,14 @@ def test_box_rescale_refuses_non_central_part():
 
 def test_reduce_already_transitive_is_identity():
     t = gen_symplectic(2, 2, 2, "trace")
-    red = reduce_triplet(t, assert_completely_reducible=True)
+    red = reduce_triplet(t)
     assert red.transitive_part is t
     assert red.v0 == () and red.g0_kernel == ()
 
 
 def test_reduce_round_trip_after_trivial_summand():
     base = gl_standard_triplet(2)
-    red = reduce_triplet(gen_with_trivial_summand(base, 1), assert_completely_reducible=True)
+    red = reduce_triplet(gen_with_trivial_summand(base, 1))
     assert len(red.v0) == 1 and len(red.g0_kernel) == 0
     assert red.transitive_part.g0.structure == base.g0.structure
     assert red.transitive_part.b0.gram.entries == base.b0.gram.entries
@@ -671,7 +671,7 @@ def test_reduce_round_trip_after_trivial_summand():
 def test_reduce_extracts_representation_kernel():
     base = gl_standard_triplet(2)
     t = direct_sum_with_zero_factor(base, gl_standard_triplet(2).g0, base.b0)
-    red = reduce_triplet(t, assert_completely_reducible=True)
+    red = reduce_triplet(t)
     assert len(red.g0_kernel) == 4
     assert red.transitive_part.dim_g0 == 4
     assert validate(red.transitive_part).ok
@@ -682,7 +682,7 @@ def test_reduce_zero_brackets_of_split_pieces():
     base = gl_standard_triplet(2)
     t = gen_with_trivial_summand(direct_sum_with_zero_factor(base, LieAlgebraData.abelian(1), QuadraticForm(Matrix.identity(1))), 1)
     L = build_local(t)
-    red = reduce_triplet(t, assert_completely_reducible=True)
+    red = reduce_triplet(t)
     for x0 in red.v0:
         for j in range(t.dim_v):
             assert vis_zero(L.bracket_xy(x0, basis_vector(t.dim_v, j)))
@@ -697,9 +697,7 @@ def test_reduce_refuses_non_reducible_action():
     rho = Representation.from_matrices(2, (Matrix.from_rows([[0, 1], [0, 0]]),))
     t = FundamentalTriplet(g, QuadraticForm(Matrix.identity(1)), rho)
     with pytest.raises(Refusal):
-        reduce_triplet(t, assert_completely_reducible=True)
-    with pytest.raises(Refusal):
-        reduce_triplet(gl_standard_triplet(2), assert_completely_reducible=False)
+        reduce_triplet(t)
 
 
 def _gl2_centralizer(sub):

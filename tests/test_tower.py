@@ -292,7 +292,7 @@ def test_the_int_kernel_matches_the_bracket_definition_of_every_growth_map_and_l
 @given(generator_triplets(), st.integers(2, 4))
 def test_the_int_kernel_matches_the_bracket_definition_across_the_generator_families(t, budget):
     # both sides, the budget lowered until no growth map reads a degree above 40 dimensions
-    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    local = build_local(reduce_triplet(t).transitive_part)
     for side in (POSITIVE, NEGATIVE):
         tower = grow(local, side, budget)
         while len(tower.components) > 1 and tower.components[-2].dim > 40:
@@ -382,7 +382,7 @@ def test_grow_wide_command_lifts_one_action(monkeypatch):
 @given(generator_triplets(), st.integers(1, 3))
 def test_a_lazily_read_action_equals_the_one_read_by_growth(t, budget):
     # in the tower grown one degree further, the growth map has read every action up to the budget
-    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    local = build_local(reduce_triplet(t).transitive_part)
     lazy, eager = grow(local, POSITIVE, budget), grow(local, POSITIVE, budget + 1)
     for n, comp in enumerate(lazy.components, 1):
         assert comp.act0 == eager.component(n).act0
@@ -465,7 +465,7 @@ def test_assembly_by_rows_matches_the_per_pair_recursion(make, budget):
 @settings(max_examples=20, deadline=None)
 @given(generator_triplets(min_n=2))
 def test_assembly_by_rows_matches_the_per_pair_recursion_across_the_generator_families(t):
-    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    local = build_local(reduce_triplet(t).transitive_part)
     for budget in range(2, 7):
         tp = grow(local, POSITIVE, budget)
         if tp.terminated or max(tp.dims()) > 40:
@@ -507,7 +507,7 @@ def test_tower_pairs_from_the_wrong_sides_or_another_local_algebra_are_refused(m
 @given(generator_triplets())
 def test_both_orders_of_a_basis_pair_bracket_to_negatives(t):
     # assembly fills [e_j, e_i] as -[e_i, e_j]; here each order runs the per-pair recursion with its own memo
-    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    local = build_local(reduce_triplet(t).transitive_part)
     for budget in range(2, 7):
         tp = grow(local, POSITIVE, budget)
         if tp.terminated or max(tp.dims()) > 40:
@@ -1086,6 +1086,16 @@ def test_assembled_extended_form_invariance():
         assert form_value(asm.algebra.bracket(x, y), z) == form_value(x, asm.algebra.bracket(y, z))
 
 
+def test_assemble_nontransitive_labels_the_glued_summand_and_blocks_only_the_core():
+    # the g2 cubic plus a two-dimensional trivial summand: the core keeps its labels and blocks, the glued V0 is
+    # labelled 1 and V0* -1, and blocks covers the transitive core only
+    asm = assemble_nontransitive(gen_with_trivial_summand(gen_symplectic(2, 3, 1, "g2"), 2), 4)
+    core = (-2,) + (-1,) * 4 + (0,) * 4 + (1,) * 4 + (2,)
+    assert asm.degrees == core + (1, 1, -1, -1)
+    assert asm.blocks == {-2: (0, 1), -1: (1, 4), 0: (5, 4), 1: (9, 4), 2: (13, 1)}
+    assert asm.algebra.dim == 18
+
+
 def test_assemble_nontransitive_center_decomposition():
     from glaw.liecore import direct_sum_with_zero_factor
 
@@ -1106,13 +1116,11 @@ def test_assemble_nontransitive_center_decomposition():
 
 
 def test_finiteness_report_cases():
-    rep = finiteness_report(build_local(gen_symplectic(2, 3, 1, "g2")), 4,
-                            completely_reducible=True, irreducible_components=1)
+    rep = finiteness_report(build_local(gen_symplectic(2, 3, 1, "g2")), 4, irreducible_components=1)
     assert rep.terminated and rep.killing_nondegenerate and rep.assembled_center_dim == 0
     assert rep.dims_pos == (4, 1, 0)
 
-    rep = finiteness_report(build_local(gen_glblock(2, 1, 2)), 3,
-                            completely_reducible=True, irreducible_components=1)
+    rep = finiteness_report(build_local(gen_glblock(2, 1, 2)), 3, irreducible_components=1)
     assert not rep.terminated
     assert "not terminated" in rep.advisory
 
@@ -1128,7 +1136,7 @@ def test_finiteness_report_cases():
     from glaw import FundamentalTriplet, Representation
 
     t2 = FundamentalTriplet(t.g0, t.b0, Representation.from_matrices(2 * t.dim_v, doubled_action))
-    rep = finiteness_report(build_local(t2), 2, completely_reducible=True, irreducible_components=2)
+    rep = finiteness_report(build_local(t2), 2, irreducible_components=2)
     assert not rep.terminated
     assert "infinite" in rep.advisory
 
@@ -1155,7 +1163,7 @@ def extended_form(asm, tp, tn, local) -> QuadraticForm:
 def test_a_terminating_tower_assembles_to_a_valid_algebra_matching_its_finiteness_report(t):
     # rational lambdas and form scales mix int and Fraction values in the maps; the assembled
     # algebra with its extended form, acting on itself by ad, must pass every check of validate
-    local = build_local(reduce_triplet(t, assert_completely_reducible=True).transitive_part)
+    local = build_local(reduce_triplet(t).transitive_part)
     for budget in range(2, 7):
         tp = grow(local, POSITIVE, budget)
         if tp.terminated or max(tp.dims()) > 40:

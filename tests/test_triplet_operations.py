@@ -84,7 +84,7 @@ def kernel_and_trivial_triplet():
 
 
 def reduction(t):
-    r = reduce_triplet(t, assert_completely_reducible=True)
+    r = reduce_triplet(t)
     return {
         "transitive_part": r.transitive_part,
         "v0": r.v0,
