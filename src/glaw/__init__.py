@@ -29,7 +29,6 @@ from .liecore import (
 )
 from .localg import (
     LocalAlgebra,
-    LocalForm,
     LocalIsomorphism,
     IsoRefusal,
     ReductionResult,
@@ -53,7 +52,6 @@ from .tower import (
     Tower,
     assemble,
     assemble_nontransitive,
-    candidate_pairing_rank,
     centralizer_graded,
     centralizer_in_degree_zero,
     finiteness_report,

@@ -9,7 +9,7 @@ pairs and action columns, the local table, the tower's maps, reduced rows)
 an integral value is an ``int`` (``tight``) and any other a ``Fraction``:
 both compare, hash, print and expose numerator and denominator alike, and
 int multiply-adds are far cheaper.  Every dense result (``Matrix``, the dense
-views of ``SparseCols`` and ``ImageBasis``, kernels) holds only
+views of ``SparseCols``, ``ImageBasis.basis``, kernels) holds only
 Fractions, converted by ``frac`` where it is built.  Elimination runs on
 sparse integer rows ({column: int}, denominators cleared, each row divided
 by the gcd of its entries) and divides each reduced row by its pivot at the
@@ -26,8 +26,8 @@ centralizers and stabilizers); ``sparse_kernel`` takes systems that arrive
 as rows.  Linear systems sharing a matrix (given as ``SparseCols``) are
 solved together by ``solve_pairs``, which eliminates [a | b_0 | b_1 | ...]
 once on sparse right-hand sides, and ``inverse_pairs`` is its solve against
-the unit vectors.  ``Matrix`` is the dense form of parsing, reports and
-tests, and of ``rref`` and ``rank``.  ``combine`` is the one sparse
+the unit vectors.  ``Matrix`` is the dense form of parsing and reports,
+and of ``rref`` and ``rank``.  ``combine`` is the one sparse
 linear-combination kernel: every sum of sparse columns (a bracket, a form
 image, a map applied to a vector) goes through it, except three hot loops
 that measured slower through it and write it inline (the growth map,
@@ -242,37 +242,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
-
-    def matvec(self, v: Sequence) -> Vector:
-        v = as_vector(v)
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(vdot(r, v) for r in self.entries)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = []
-        for r in self.entries:
-            acc = [ZERO] * other.cols
-            for k, x in enumerate(r):
-                if x:
-                    for j, y in enumerate(other.entries[k]):
-                        if y:
-                            acc[j] += x * y
-            out.append(tuple(acc))
-        return Matrix(self.rows, other.cols, tuple(out))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(vadd(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(vneg(r) for r in self.entries))
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
@@ -499,8 +468,8 @@ class ImageBasis:
 
     Both are stored sparse: column k of ``basis_cols`` is the pivot column
     ``pivots[k]``, and column j of ``coord_cols`` expresses column j in that
-    basis, with an integral value as an int.  ``basis`` and ``coords`` are
-    their dense (Fraction) views.
+    basis, with an integral value as an int.  ``basis`` is the dense
+    (Fraction) view of ``basis_cols``.
     """
 
     pivots: tuple[int, ...]
@@ -510,10 +479,6 @@ class ImageBasis:
     @property
     def basis(self) -> tuple[Vector, ...]:
         return tuple(self.basis_cols.columns())
-
-    @property
-    def coords(self) -> tuple[Vector, ...]:
-        return tuple(self.coord_cols.columns())
 
 
 def image_basis(m: Matrix | SparseCols) -> ImageBasis:

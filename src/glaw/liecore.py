@@ -134,10 +134,6 @@ class LieAlgebraData:
         table, ys = self.structure_pairs, tight_pairs(support(y))
         return dense(combine((x_i, ys, table[i]) for i, x_i in tight_pairs(support(x))), self.dim)
 
-    def ad_matrix(self, x: Vector) -> Matrix:
-        cols = [self.bracket(x, basis_vector(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_cols(cols, nrows=self.dim)
-
     def direct_sum(self, other: "LieAlgebraData") -> "LieAlgebraData":
         """self + other with other's basis after self's; cross brackets are zero."""
         n, m = self.dim, other.dim
@@ -249,10 +245,6 @@ class Representation:
         check_lengths(len(self.action_cols), u)
         n, us, cols = self.dim_v, tight_pairs(support(u)), [m.support for m in self.action_cols]
         return SparseCols(n, n, tuple(combine((u_a, ((l, 1),), cols[a]) for a, u_a in us) for l in range(n)))
-
-    def matrix_of(self, u: Vector) -> Matrix:
-        """rho(u) as a dense matrix."""
-        return self.cols_of(u).to_matrix()
 
 
 @record

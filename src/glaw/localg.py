@@ -21,7 +21,6 @@ from .exactla import (
     Pairs,
     SparseCols,
     Vector,
-    ZERO,
     combine,
     common_kernel,
     dense,
@@ -80,12 +79,6 @@ class LocalAlgebra:
         table = tuple(tuple(tuple((k, -x) for k, x in xy[j][i]) for j in range(dv)) for i in range(dv))
         return LocalAlgebra(FundamentalTriplet(t.g0, t.b0, self.dual_action), t.rho, table)
 
-    def act_v(self, u: Vector, x: Vector) -> Vector:
-        return self.triplet.rho.act(u, x)
-
-    def act_v_dual(self, u: Vector, y: Vector) -> Vector:
-        return self.dual_action.act(u, y)
-
     @cached_property
     def transitivity(self) -> TransitivityReport:
         """transitivity_check of this local algebra, computed once."""
@@ -97,6 +90,7 @@ class LocalAlgebra:
         return tuple(tuple(dense(p, self.dim_g0) for p in row) for row in self.xy_pairs)
 
     def bracket_xy(self, x: Vector, y: Vector) -> Vector:
+        check_lengths(self.dim_v, x, y)
         table, ys = self.xy_pairs, tight_pairs(support(y))
         return dense(combine((x_i, ys, table[i]) for i, x_i in tight_pairs(support(x))), self.dim_g0)
 
@@ -169,27 +163,6 @@ def build_local(t: FundamentalTriplet) -> LocalAlgebra:
     de = d * e
     xy = [tuple(divided(p, de) for p in row) for row in xy]
     return LocalAlgebra(t, dual_action, tuple(xy))
-
-
-@record
-class LocalForm:
-    """Block description of the invariant form on V* + g0 + V.
-
-    On g0 x g0 it is the triplet form, the (V, V*) pairing is the dual
-    evaluation Y(X), and all cross blocks vanish.
-    """
-
-    local: LocalAlgebra
-
-    def value(self, a: tuple[int, Vector], b: tuple[int, Vector]) -> Fraction:
-        da, va = a
-        db, vb = b
-        if da + db != 0:
-            return ZERO
-        if da == 0:
-            return self.local.triplet.b0.value(va, vb)
-        x, y = (va, vb) if da == 1 else (vb, va)
-        return vdot(x, y)
 
 
 @record

@@ -116,6 +116,8 @@ class PolyInvariant:
         return PolyInvariant.from_dict(self.nvars, data)
 
     def eval(self, point) -> Fraction:
+        if len(point) != self.nvars:
+            raise ValueError(f"a point with {len(point)} coordinates for a polynomial in {self.nvars} variables")
         total = ZERO
         for e, c in self.terms:
             v = c
@@ -204,8 +206,8 @@ class Sl2Certificate:
 
 def _certificate(L: LocalAlgebra, y: Vector, h0: Vector, x: Vector) -> Sl2Certificate:
     two = Fraction(2)
-    r1 = vsub(L.act_v(h0, x), vscale(two, x))
-    r2 = vadd(L.act_v_dual(h0, y), vscale(two, y))
+    r1 = vsub(L.triplet.rho.act(h0, x), vscale(two, x))
+    r2 = vadd(L.dual_action.act(h0, y), vscale(two, y))
     r3 = vsub(L.bracket_yx(y, x), h0)
     return Sl2Certificate(x, h0, y, (r1, r2, r3))
 

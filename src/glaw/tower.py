@@ -36,7 +36,6 @@ from .exactla import (
     divided,
     image_basis,
     numerators,
-    rank,
     record,
     solve_pairs,
     support,
@@ -323,30 +322,6 @@ def pairing_table(tp: Tower, tn: Tower, up_to: int) -> list[Matrix]:
     return tables
 
 
-def candidate_pairing_rank(tp: Tower, tn: Tower, n: int) -> int:
-    """Rank of the pairing between all degree-(n+1) candidates on both sides.
-
-    This is the form-radical route to dim g_{n+1}: candidates pair through
-    B([x,u],[y,v]) = -B(Phi(x(x)u)(y), v), and the radical is exactly the
-    growth kernel.
-    """
-    if n < 1 or n >= len(tp.components) or n >= len(tn.components):
-        raise Refusal("towers are too short for this candidate degree")
-    dim_n = tp.dim_at(n)
-    pair = pairing(tp, tn, n)
-    width = pair.cols
-    phi = tp.phis[n - 1]
-    rows = []
-    for col in phi.support:
-        row = [ZERO] * (phi.rows // dim_n * width)
-        for r, x in col:
-            j, m = divmod(r, dim_n)
-            for v, p in support(pair.entries[m]):
-                row[j * width + v] -= x * p
-        rows.append(tuple(row))
-    return rank(Matrix.from_rows(rows)) if rows else 0
-
-
 # ---------------------------------------------------------------------------
 # universal vanishing identities
 
@@ -392,17 +367,6 @@ def pn_expand(n: int) -> PnExpansion:
     for j in reversed(range(n - 1)):
         words = [w2 for w in words for w2 in _lower_symbolic(("Y", j), w)]
     return PnExpansion(n, tuple(w[0] for w in words))
-
-
-def eval_term(L: LocalAlgebra, ast, xs: list[Vector], ys: list[Vector]) -> tuple[int, Vector]:
-    kind = ast[0]
-    if kind == "X":
-        return 1, xs[ast[1]]
-    if kind == "Y":
-        return -1, ys[ast[1]]
-    da, va = eval_term(L, ast[1], xs, ys)
-    db, vb = eval_term(L, ast[2], xs, ys)
-    return da + db, L.bracket(da, va, db, vb)
 
 
 class _WordLowering:

@@ -17,8 +17,9 @@ from glaw import (
     Representation,
     gen_principal,
     gen_symplectic,
+    pairing,
 )
-from glaw.exactla import combine, dense
+from glaw.exactla import SparseCols, combine, dense
 from glaw.generators import find_symmetrizer, gen_glblock, gen_with_trivial_summand
 from glaw.liecore import basis_vector
 from glaw.tower import PnResult, _Graded, _unit, _WordLowering
@@ -71,6 +72,49 @@ def glblock_pairs(n: int) -> list[tuple[Matrix, Matrix]]:
     )
 
 
+def mat_mul(*ms: Matrix) -> Matrix:
+    """The product of dense matrices, left to right, by the triple sum over the nonzero entries."""
+    out = ms[0]
+    for m in ms[1:]:
+        if out.cols != m.rows:
+            raise ValueError("inner dimensions do not match")
+        rows = []
+        for r in out.entries:
+            acc = [F(0)] * m.cols
+            for k, x in enumerate(r):
+                if x:
+                    acc = [a + x * y for a, y in zip(acc, m.entries[k])]
+            rows.append(tuple(acc))
+        out = Matrix(out.rows, m.cols, tuple(rows))
+    return out
+
+
+def mat_add(*ms: Matrix) -> Matrix:
+    """The entrywise sum of dense matrices of one shape."""
+    rows = [tuple(sum(xs, F(0)) for xs in zip(*rs, strict=True)) for rs in zip(*(m.entries for m in ms), strict=True)]
+    return Matrix(ms[0].rows, ms[0].cols, tuple(rows))
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return mat_add(a, b.scale(-1))
+
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def mat_vec(m: Matrix, v) -> tuple:
+    """m v for a dense matrix and a vector of its column count."""
+    if len(v) != m.cols:
+        raise ValueError("vector length does not match column count")
+    return tuple(sum((x * F(y) for x, y in zip(r, v)), F(0)) for r in m.entries)
+
+
+def ad(g: LieAlgebraData, i: int) -> Matrix:
+    """ad(e_i) as a dense matrix: its column j is [e_i, e_j]."""
+    return SparseCols(g.dim, g.dim, g.structure_pairs[i]).to_matrix()
+
+
 def random_rational_vector(rng: random.Random, dim: int, span: int = 4) -> tuple:
     return tuple(F(rng.randint(-span, span)) for _ in range(dim))
 
@@ -98,8 +142,8 @@ def random_gl2_triplet(rng: random.Random) -> FundamentalTriplet:
     while True:
         a, b = rng.randint(1, 3), rng.randint(-2, 2)
         gram = symplectic_form_gram(2, "trace").scale(a)
-        shifted = symplectic_form_gram(2, "sl-shifted") - symplectic_form_gram(2, "trace")
-        gram = gram + shifted.scale(b)
+        shifted = mat_sub(symplectic_form_gram(2, "sl-shifted"), symplectic_form_gram(2, "trace"))
+        gram = mat_add(gram, shifted.scale(b))
         if rank(gram) == 4:
             lam = F(rng.randint(1, 4))
             return gen_symplectic(2, p, lam, gram)
@@ -419,3 +463,46 @@ def pn_check_by_tuples(L, n: int) -> PnResult:
             if val := kernel.value(jx, ix):
                 return PnResult(n, False, (jx, ix), dense(val.items(), dv))
     return PnResult(n, True, None, None)
+
+
+def local_form(L, a, b) -> Fraction:
+    """The invariant form of V* + g0 + V on (degree, vector) pairs: B0 on g0 x g0, the dual evaluation
+    Y(X) between V and V*, zero on every other pair of degrees."""
+    (da, va), (db, vb) = a, b
+    if da + db != 0:
+        return F(0)
+    if da == 0:
+        return L.triplet.b0.value(va, vb)
+    return sum((x * y for x, y in zip(va, vb, strict=True)), F(0))
+
+
+def eval_term(L, ast, xs, ys) -> tuple:
+    """(degree, value) of a ``pn_expand`` term at the degree-1 arguments xs and degree-(-1) arguments ys,
+    one ``LocalAlgebra.bracket`` per bracket node."""
+    kind = ast[0]
+    if kind == "X":
+        return 1, xs[ast[1]]
+    if kind == "Y":
+        return -1, ys[ast[1]]
+    da, va = eval_term(L, ast[1], xs, ys)
+    db, vb = eval_term(L, ast[2], xs, ys)
+    return da + db, L.bracket(da, va, db, vb)
+
+
+def candidate_pairing_rank(tp, tn, n: int) -> int:
+    """Rank of the pairing between all degree-(n+1) candidates on both sides, by ``dense_rank``.
+
+    The form-radical route to dim g_{n+1}: candidates pair through B([x,u],[y,v]) = -B(Phi(x(x)u)(y), v),
+    read off the stored growth map ``tp.phis[n - 1]``, and the radical is exactly the growth kernel.
+    """
+    dim_n, pair, phi = tp.dim_at(n), pairing(tp, tn, n), tp.phis[n - 1]
+    width = phi.rows // dim_n * pair.cols
+    rows = []
+    for col in phi.support:
+        row = [F(0)] * width
+        for r, x in col:
+            j, m = divmod(r, dim_n)
+            for v, p in enumerate(pair.entries[m]):
+                row[j * pair.cols + v] -= x * p
+        rows.append(row)
+    return dense_rank(rows, width)

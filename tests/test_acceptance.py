@@ -33,7 +33,6 @@ from glaw import (
     assemble_nontransitive,
     box_rescale_rep,
     build_local,
-    candidate_pairing_rank,
     centralizer_graded,
     centralizer_in_degree_zero,
     complete_triple,
@@ -69,8 +68,12 @@ from glaw.sl2 import PolyInvariant
 from glaw.tower import NEGATIVE, POSITIVE
 
 from helpers import (
+    candidate_pairing_rank,
     gl_standard_triplet,
     jacobi_holds_everywhere,
+    mat_add,
+    mat_mul,
+    mat_sub,
     random_rational_vector,
     root_height_counts,
     same_span,
@@ -177,9 +180,9 @@ def test_criterion_04_block_family_dichotomy():
         xp = Matrix.from_rows([[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)])
         y = Matrix.from_rows([[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)])
         got = pn_evaluate(local2, [as_vec(y.transpose())], [as_vec(x), as_vec(xp)])
-        inner = (x @ y @ xp) - (xp @ y @ x)
-        extra = (x.scale(tr(y @ xp)) - xp.scale(tr(y @ x))).scale((l2 - l1) / (n * (l1 + l2)))
-        expected = (inner + extra).scale(F(1) / l2 - F(1) / l1)
+        inner = mat_sub(mat_mul(x, y, xp), mat_mul(xp, y, x))
+        extra = mat_sub(x.scale(tr(mat_mul(y, xp))), xp.scale(tr(mat_mul(y, x)))).scale((l2 - l1) / (n * (l1 + l2)))
+        expected = mat_add(inner, extra).scale(F(1) / l2 - F(1) / l1)
         ok = ok and got == as_vec(expected)
     elapsed = time.time() - started
     report("C4", ok and elapsed < 10.0, f"dichotomy and closed-form residual, {elapsed:.2f}s")

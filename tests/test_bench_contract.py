@@ -13,6 +13,7 @@ report that no longer matches its digest in perfbench/digests.json fails here.
 import importlib
 import importlib.util
 import io
+import re
 import signal
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,11 +21,13 @@ from pathlib import Path
 
 import pytest
 
+import glaw
 from glaw import build_local, cli, gen_symplectic
 from glaw.exactla import Matrix, rref
 from glaw.tower import POSITIVE, grow
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -42,6 +45,21 @@ def test_every_traced_layer_resolves_in_glaw():
         for fn_name in functions:
             fn = getattr(module, fn_name, None)
             assert callable(fn), f"{span_name}: {module_name}.{fn_name} is missing"
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # read means a word-boundary match in src/glaw (past the package's export list and the name's own
+    # def or class line), in demos/, in README.md or in a LAYERS entry; a name only tests read is a helper
+    layers = " ".join(f"{module} {' '.join(fns)}" for module, fns in load_spans().LAYERS.values())
+    texts = [p.read_text() for p in (ROOT / "demos").glob("*.py")] + [(ROOT / "README.md").read_text(), layers]
+    modules = [p for p in (ROOT / "src" / "glaw").glob("*.py") if p.name != "__init__.py"]
+    src = [line for p in modules for line in p.read_text().splitlines()]
+    unread = []
+    for name in glaw.__all__:
+        word, own = re.compile(rf"\b{name}\b"), re.compile(rf"\s*(def|class) {name}\b")
+        if not any(word.search(text) for text in texts) and not any(word.search(l) and not own.match(l) for l in src):
+            unread.append(name)
+    assert unread == []
 
 
 def test_every_size_reader_reads_one_real_call():

@@ -28,7 +28,7 @@ from glaw.generators import _gl_structure, find_symmetrizer, symplectic_form_gra
 from glaw.liecore import LieAlgebraData, QuadraticForm, basis_vector, direct_sum_with_zero_factor
 from glaw.sl2 import PolyInvariant
 
-from helpers import glblock_pairs, same_span, small_rationals
+from helpers import commutator, glblock_pairs, mat_mul, mat_sub, same_span, small_rationals
 
 F = Fraction
 
@@ -281,9 +281,10 @@ def test_glblock_matches_the_dense_block_model(n, l1, l2):
             got = [F(0)] * (2 * n * n)
             for k, c in t.g0.structure_pairs[p][q]:
                 got = [x + c * y for x, y in zip(got, flat(*pairs[k]))]
-            assert got == flat(ap @ aq - aq @ ap, bp @ bq - bq @ bp)
-            assert t.b0.gram.entries[p][q] == l1 * tr(ap @ aq) + l2 * tr(bp @ bq)
-        assert [list(col) for col in zip(*t.rho.action[p].entries)] == [flat(ap @ x - x @ bp) for x in units]
+            assert got == flat(commutator(ap, aq), commutator(bp, bq))
+            assert t.b0.gram.entries[p][q] == l1 * tr(mat_mul(ap, aq)) + l2 * tr(mat_mul(bp, bq))
+        expected = [flat(mat_sub(mat_mul(ap, x), mat_mul(x, bp))) for x in units]
+        assert [list(col) for col in zip(*t.rho.action[p].entries)] == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -296,7 +297,7 @@ def test_gl_structure_matches_matrix_commutators(n):
         return [m.entries[i][j] for i in range(n) for j in range(n)]
 
     reference = tuple(
-        tuple(tuple(support(flat(unit(p) @ unit(q) - unit(q) @ unit(p)))) for q in range(n * n)) for p in range(n * n)
+        tuple(tuple(support(flat(commutator(unit(p), unit(q))))) for q in range(n * n)) for p in range(n * n)
     )
     assert _gl_structure(n).structure_pairs == reference
 

@@ -35,11 +35,13 @@ from glaw.tower import POSITIVE, assemble, assemble_nontransitive, grow, grow_bo
 
 from helpers import (
     E6_CARTAN,
+    ad,
     dense_kernel,
     generator_triplets,
     in_dense_span,
     gl_standard_triplet,
     jacobi_holds_everywhere,
+    mat_mul,
     random_rational_vector,
     sl2_algebra,
     sl2_triplet,
@@ -136,7 +138,7 @@ def test_structure_errors_are_distinct_from_invariant_violations():
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
-@pytest.mark.parametrize("method", ["bracket", "act", "matrix_of", "value"])
+@pytest.mark.parametrize("method", ["bracket", "act", "cols_of", "value", "bracket_xy"])
 def test_dense_entry_points_refuse_a_vector_of_the_wrong_length(method, extra):
     # gl(2) on V = Q^2: a short vector used to read as zero-padded, a long one raised IndexError
     t = gl_standard_triplet(2)
@@ -147,8 +149,9 @@ def test_dense_entry_points_refuse_a_vector_of_the_wrong_length(method, extra):
     call = {
         "bracket": lambda: t.g0.bracket(ones(4 + extra), ones(4)),
         "act": lambda: t.rho.act(ones(4), ones(2 + extra)),
-        "matrix_of": lambda: t.rho.matrix_of(ones(4 + extra)),
+        "cols_of": lambda: t.rho.cols_of(ones(4 + extra)),
         "value": lambda: t.b0.value(ones(4), ones(4 + extra)),
+        "bracket_xy": lambda: build_local(t).bracket_xy(ones(2 + extra), ones(2)),
     }[method]
     with pytest.raises(StructureError):
         call()
@@ -222,7 +225,7 @@ def test_dual_rep_is_minus_the_transpose_with_matching_columns(n, data):
     r = Representation.from_matrices(n, mats)
     assert r.action == mats and r.action_cols == tuple(SparseCols.from_matrix(m) for m in mats)
     d = dual_rep(r)
-    assert d.action == tuple(-a.transpose() for a in r.action)
+    assert d.action == tuple(a.transpose().scale(-1) for a in r.action)
     assert d.action_cols == tuple(SparseCols.from_matrix(m) for m in d.action)
 
 
@@ -305,7 +308,7 @@ def test_gram_on_is_the_dense_product_of_the_basis_columns(t, data):
     n = t.dim_g0
     vectors = st.lists(st.tuples(*[small_rationals] * n), max_size=4)
     us, vs = data.draw(vectors), data.draw(vectors)
-    expected = Matrix.from_cols(us, nrows=n).transpose() @ t.b0.gram @ Matrix.from_cols(vs, nrows=n)
+    expected = mat_mul(Matrix.from_cols(us, nrows=n).transpose(), t.b0.gram, Matrix.from_cols(vs, nrows=n))
     got = t.b0.gram_on(us, vs)
     assert got.entries == expected.entries and all(type(x) is F for row in got.entries for x in row)
     assert t.b0.gram_on(us).entries == t.b0.gram_on(us, us).entries
@@ -369,7 +372,7 @@ def test_killing_form_of_sl2():
 def dense_killing_form(g: LieAlgebraData) -> list[list[Fraction]]:
     """tr(ad e_i ad e_j) summed over every entry of the two ad matrices."""
     n = g.dim
-    ads = [g.ad_matrix(basis_vector(n, i)) for i in range(n)]
+    ads = [ad(g, i) for i in range(n)]
 
     def trace(i, j):
         return sum((ads[i].entries[a][b] * ads[j].entries[b][a] for a in range(n) for b in range(n)), F(0))

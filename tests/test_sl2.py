@@ -70,6 +70,16 @@ def test_scalar_multiple_of_at_eight_hundred_terms():
     assert p.scalar_multiple_of(PolyInvariant.from_dict(2, dict(p.terms) | {(900, 100): 1})) is None
 
 
+@pytest.mark.parametrize("point", [(3,), (3, 4, 5)], ids=["short", "long"])
+def test_poly_refuses_a_point_of_the_wrong_length(point):
+    # zip used to truncate the point: x0^2 + x1^2 read 10 at (3,) and 25 at (3, 4, 5)
+    p = PolyInvariant.from_string("x0^2+x1^2", 2)
+    with pytest.raises(ValueError, match="coordinates for a polynomial in 2 variables"):
+        p.eval(point)
+    with pytest.raises(ValueError, match="coordinates for a polynomial in 2 variables"):
+        p.gradient_at(point)
+
+
 def test_vector_field_action_matches_euler():
     p = PolyInvariant.from_string("x0^3+x0*x1^2", 2)
     ident = SparseCols.from_matrix(Matrix.identity(2))

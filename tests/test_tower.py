@@ -22,7 +22,6 @@ from glaw import (
     assemble,
     assemble_nontransitive,
     build_local,
-    candidate_pairing_rank,
     centralizer_graded,
     centralizer_in_degree_zero,
     finiteness_report,
@@ -47,15 +46,22 @@ import glaw.localg
 import glaw.tower
 from glaw.localg import LocalAlgebra, reduce_triplet
 from glaw.sl2 import PolyInvariant
-from glaw.tower import NEGATIVE, POSITIVE, Tower, _WordLowering, eval_term, grow_both, term_to_str
+from glaw.tower import NEGATIVE, POSITIVE, Tower, _WordLowering, grow_both, term_to_str
 
 from helpers import (
     E6_CARTAN,
     GradedOracle,
+    ad,
     assembled_by_pairs,
+    candidate_pairing_rank,
+    commutator,
+    eval_term,
     generator_triplets,
     gl_standard_triplet,
     jacobi_holds_everywhere,
+    mat_add,
+    mat_mul,
+    mat_sub,
     pn_check_by_tuples,
     random_abelian_triplet,
     random_gl2_triplet,
@@ -318,29 +324,23 @@ def test_component_action_is_a_representation_and_lower_is_equivariant():
         assert tp.top_degree == budget or tp.terminated
         n0, dv = t.dim_g0, t.dim_v
         dual = local.dual_action
-        ad = [t.g0.ad_matrix(basis_vector(n0, a)) for a in range(n0)]
+        ads = [ad(t.g0, a) for a in range(n0)]
         for deg in range(1, tp.top_degree + 1):
             comp = tp.component(deg)
             act = [m.to_matrix() for m in comp.act0]
             lower = [m.to_matrix() for m in comp.lower]
-            prev = ad if deg == 1 else [m.to_matrix() for m in tp.component(deg - 1).act0]
+            prev = ads if deg == 1 else [m.to_matrix() for m in tp.component(deg - 1).act0]
             for a in range(n0):
                 for b in range(n0):
-                    lhs = Matrix.zeros(comp.dim, comp.dim)
-                    br = t.g0.structure[a][b]
-                    for k, c in enumerate(br):
-                        if c:
-                            lhs = lhs + act[k].scale(c)
-                    rhs = act[a] @ act[b] - act[b] @ act[a]
+                    terms = [act[k].scale(c) for k, c in t.g0.structure_pairs[a][b]]
+                    lhs = mat_add(Matrix.zeros(comp.dim, comp.dim), *terms)
+                    rhs = commutator(act[a], act[b])
                     assert lhs.entries == rhs.entries
             for a in range(n0):
                 for j in range(dv):
-                    lhs = prev[a] @ lower[j] - lower[j] @ act[a]
-                    rhs = Matrix.zeros(lower[j].rows, comp.dim)
-                    for j2 in range(dv):
-                        c = dual.action[a].entries[j2][j]
-                        if c:
-                            rhs = rhs + lower[j2].scale(c)
+                    lhs = mat_sub(mat_mul(prev[a], lower[j]), mat_mul(lower[j], act[a]))
+                    terms = [lower[j2].scale(c) for j2, c in dual.action_cols[a].support[j]]
+                    rhs = mat_add(Matrix.zeros(lower[j].rows, comp.dim), *terms)
                     assert lhs.entries == rhs.entries
 
 
@@ -616,10 +616,10 @@ def hardcoded_p3_terms(L: LocalAlgebra, y1, y2, x1, x2, x3):
         return L.bracket_yx(y, x)
 
     def ad0(u, x):  # [U,X] for U in g0
-        return L.act_v(u, x)
+        return L.triplet.rho.act(u, x)
 
     def xu(x, u):  # [X,U] = -[U,X]
-        return vneg(L.act_v(u, x))
+        return vneg(L.triplet.rho.act(u, x))
 
     w1 = ad0(br(y2, x1), x2)  # [[Y2,X1],X2]
     w2 = ad0(br(y2, x1), x3)  # [[Y2,X1],X3]
@@ -695,9 +695,9 @@ def test_block_family_residual_closed_form():
         def tr(m):
             return sum((m.entries[i][i] for i in range(n)), F(0))
 
-        inner = (x @ y @ xp) - (xp @ y @ x)
-        extra = (x.scale(tr(y @ xp)) - xp.scale(tr(y @ x))).scale((l2 - l1) / (n * (l1 + l2)))
-        expected = (inner + extra).scale(F(1) / l2 - F(1) / l1)
+        inner = mat_sub(mat_mul(x, y, xp), mat_mul(xp, y, x))
+        extra = mat_sub(x.scale(tr(mat_mul(y, xp))), xp.scale(tr(mat_mul(y, x)))).scale((l2 - l1) / (n * (l1 + l2)))
+        expected = mat_add(inner, extra).scale(F(1) / l2 - F(1) / l1)
         assert got == as_vec(expected)
 
 
@@ -1017,8 +1017,8 @@ def test_assembled_principal_a2_matches_traceless_matrix_model():
 
     images: dict[int, Matrix] = {}
     off0, _ = asm.blocks[0]
-    images[off0] = unit(0, 0) - unit(1, 1)
-    images[off0 + 1] = unit(1, 1) - unit(2, 2)
+    images[off0] = mat_sub(unit(0, 0), unit(1, 1))
+    images[off0 + 1] = mat_sub(unit(1, 1), unit(2, 2))
     off1, _ = asm.blocks[1]
     images[off1] = unit(0, 1)
     images[off1 + 1] = unit(1, 2)
@@ -1033,20 +1033,16 @@ def test_assembled_principal_a2_matches_traceless_matrix_model():
             i, l = tower.component(2).provenance[s]
             a = images[gen_off + i]
             b = images[prev_off + l]
-            images[off + s] = a @ b - b @ a
+            images[off + s] = commutator(a, b)
 
-    def image_of(vec):
-        m = Matrix.zeros(3, 3)
-        for k, c in enumerate(vec):
-            if c:
-                m = m + images[k].scale(c)
-        return m
+    def image_of(pairs):
+        return mat_add(Matrix.zeros(3, 3), *(images[k].scale(c) for k, c in pairs))
 
     g = asm.algebra
     for a in range(g.dim):
         for b in range(g.dim):
-            lhs = image_of(g.structure[a][b])
-            rhs = images[a] @ images[b] - images[b] @ images[a]
+            lhs = image_of(g.structure_pairs[a][b])
+            rhs = commutator(images[a], images[b])
             assert lhs.entries == rhs.entries
 
 
@@ -1175,8 +1171,8 @@ def test_a_terminating_tower_assembles_to_a_valid_algebra_matching_its_finitenes
     g = asm.algebra
     values = [x for row in g.structure_pairs for p in row for _, x in p]
     assert all(type(x) is (int if x.denominator == 1 else F) for x in values)
-    ad = Representation.from_matrices(g.dim, tuple(g.ad_matrix(basis_vector(g.dim, i)) for i in range(g.dim)))
-    assert validate(FundamentalTriplet(g, extended_form(asm, tp, tn, local), ad)).violations == []
+    adjoint = Representation(g.dim, tuple(SparseCols(g.dim, g.dim, row) for row in g.structure_pairs))
+    assert validate(FundamentalTriplet(g, extended_form(asm, tp, tn, local), adjoint)).violations == []
     assert rep.terminated
     assert rep.killing_nondegenerate == (rank(killing_form(g)) == g.dim)
     assert rep.assembled_center_dim == len(lie_center(g))

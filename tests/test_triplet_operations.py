@@ -19,6 +19,8 @@ from glaw.liecore import FundamentalTriplet, LieAlgebraData, basis_vector, direc
 from glaw.localg import scale_by_components
 from glaw.sl2 import PolyInvariant
 
+from helpers import mat_mul
+
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "triplet_operations.json"
 
@@ -67,7 +69,8 @@ def conjugation_map():
     cols = []
     for a in range(2):
         for b in range(2):
-            m = g @ Matrix.from_rows([[1 if (i, j) == (a, b) else 0 for j in range(2)] for i in range(2)]) @ g_inv
+            e = Matrix.from_rows([[1 if (i, j) == (a, b) else 0 for j in range(2)] for i in range(2)])
+            m = mat_mul(g, e, g_inv)
             cols.append([m.entries[i][j] for i in range(2) for j in range(2)])
     return Matrix.from_cols(cols, nrows=4), g
 
