@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .exactla import ONE, SparseCols, dense, format_scalar, parse_scalar, rank, tight
 from .generators import (
+    FORMS,
     gen_glblock,
     gen_principal,
     gen_symplectic,
@@ -446,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--lambda", dest="lam", required=True, help="center scale, a rational like 2 or 1/2")
-    g.add_argument("--form", default="trace", choices=["trace", "sl-shifted", "g2"])
+    g.add_argument("--form", default="trace", choices=list(FORMS))
     g.add_argument("--name")
 
     g = gsub.add_parser("glblock", help="two gl(n) blocks on n x n matrices")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactla import ZERO, Matrix, SparseCols, Vector, common_kernel, dense, frac, rank, record, vscale
+from .exactla import Matrix, SparseCols, Vector, common_kernel, dense, frac, rank, record, vscale
 from .liecore import (
     FundamentalTriplet,
     LieAlgebraData,
@@ -30,7 +30,8 @@ from .liecore import (
 )
 from .sl2 import PolyInvariant, directional_derivative
 
-FORMS = ("trace", "sl-shifted", "g2")
+# the named forms B(E_ab, E_cd) = s tr(E_ab) tr(E_cd) + p tr(E_ab E_cd), by name: (s, p)
+FORMS = {"trace": (0, 1), "sl-shifted": (1, 1), "g2": (-1, 3)}
 
 
 @record
@@ -77,24 +78,14 @@ def _gl_structure(n: int) -> LieAlgebraData:
 
 
 def symplectic_form_gram(n: int, form) -> Matrix:
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            row = []
-            for c in range(n):
-                for d in range(n):
-                    tr_prod = Fraction(1) if (b == c and a == d) else ZERO
-                    tr_sep = Fraction(1) if (a == b and c == d) else ZERO
-                    if form == "trace":
-                        row.append(tr_prod)
-                    elif form == "sl-shifted":
-                        row.append(tr_sep + tr_prod)
-                    elif form == "g2":
-                        row.append(3 * tr_prod - tr_sep)
-                    else:
-                        raise Refusal(f"unknown named form {form!r}")
-            rows.append(row)
-    return Matrix.from_rows(rows)
+    """The Gram matrix on the E_ab basis of the form named ``form``, one of ``FORMS``."""
+    if not (isinstance(form, str) and form in FORMS):
+        raise Refusal(f"unknown named form {form!r}")
+    s, p = FORMS[form]
+    r = range(n)
+    return Matrix.from_rows(
+        [[s * (a == b and c == d) + p * (b == c and a == d) for c in r for d in r] for a in r for b in r]
+    )
 
 
 def gen_symplectic(n: int, p: int, lam, form="trace") -> FundamentalTriplet:

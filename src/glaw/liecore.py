@@ -11,7 +11,9 @@ only; Jacobi runs over i<j<k, which suffices once the separately checked
 antisymmetry holds.  A representation is stored as its sparse columns
 ``action_cols``, with the lazy dense view ``action``.  Both stores hold an
 int exactly where a value is integral and a Fraction elsewhere, and every
-multiply-add inside glaw reads them; every dense view holds Fractions.
+multiply-add inside glaw reads them; every dense view holds Fractions.  A
+dense vector enters these kernels through one call, ``checked_pairs``, which
+refuses a vector of the wrong length and returns its nonzero pairs.
 """
 
 from __future__ import annotations
@@ -130,9 +132,8 @@ class LieAlgebraData:
         return tuple(tuple(SparseCols(self.dim, self.dim, row).columns()) for row in self.structure_pairs)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        check_lengths(self.dim, x, y)
-        table, ys = self.structure_pairs, tight_pairs(support(y))
-        return dense(combine((x_i, ys, table[i]) for i, x_i in tight_pairs(support(x))), self.dim)
+        (xs, ys), table = checked_pairs(self.dim, x, y), self.structure_pairs
+        return dense(combine((x_i, ys, table[i]) for i, x_i in xs), self.dim)
 
     def direct_sum(self, other: "LieAlgebraData") -> "LieAlgebraData":
         """self + other with other's basis after self's; cross brackets are zero."""
@@ -147,8 +148,7 @@ def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> Li
     ``refusal`` when a bracket leaves its span.  Each [b_p, b_q] is read off
     the supports of b_p and b_q through the structure pairs, and all of them
     are written in the basis by one elimination."""
-    table = g.structure_pairs
-    sups = [tight_pairs(support(v)) for v in basis]
+    table, sups = g.structure_pairs, checked_pairs(g.dim, *basis)
     brackets = [combine((p_i, q, table[i]) for i, p_i in p) for p in sups for q in sups]
     coords = solve_pairs(SparseCols.from_vectors(basis, g.dim), brackets)
     if None in coords:
@@ -157,11 +157,13 @@ def restrict_algebra(g: LieAlgebraData, basis: list[Vector], refusal: str) -> Li
     return LieAlgebraData(dim, tuple(tuple(coords[p * dim : (p + 1) * dim]) for p in range(dim)))
 
 
-def check_lengths(n: int, *vectors: Vector):
-    """Refuse a dense vector whose length is not n, which would read as zero-padded or overrun."""
+def checked_pairs(n: int, *vectors: Vector) -> list[tuple[tuple[int, Exact], ...]]:
+    """The nonzero (index, value) pairs of each dense vector, each integral value as an int.  Refuses
+    with StructureError a vector whose length is not n, which would read as zero-padded or overrun."""
     for v in vectors:
         if len(v) != n:
             raise StructureError(f"a vector of length {len(v)} where the space has dimension {n}")
+    return [tight_pairs(support(v)) for v in vectors]
 
 
 def basis_vector(dim: int, i: int) -> Vector:
@@ -179,26 +181,23 @@ class QuadraticForm:
 
     def value(self, u: Vector, v: Vector) -> Fraction:
         """B(u, v) = u^T G v: the support of u dotted with G v."""
-        check_lengths(self.gram.rows, u)
+        (us,) = checked_pairs(self.gram.rows, u)
         g = self.image(v)
-        return frac(sum(x * g[i] for i, x in tight_pairs(support(u)) if i in g))
+        return frac(sum(x * g[i] for i, x in us if i in g))
 
     def image(self, v: Vector) -> dict[int, Exact]:
         """G v as its nonzero {index: value} entries, read off the columns of G at the support of v."""
-        check_lengths(self.gram.rows, v)
-        return dict(combine(((1, tight_pairs(support(v)), self.cols.support),)))
+        (vs,) = checked_pairs(self.gram.rows, v)
+        return dict(combine(((1, vs, self.cols.support),)))
 
     def gram_on(self, vectors: list[Vector], others: list[Vector] | None = None) -> Matrix:
         """The matrix of B(u_p, v_q) for u_p in vectors and v_q in others (vectors when None): the
         Gram matrix of the form restricted to the span of vectors.  Each G v_q is formed once and
         dotted with the support of each u_p, on ints where the values are integral."""
-        check_lengths(self.gram.rows, *vectors)
+        left = checked_pairs(self.gram.rows, *vectors)
         images = [self.image(v) for v in (vectors if others is None else others)]
-        rows = []
-        for u in vectors:
-            us = tight_pairs(support(u))
-            rows.append(tuple(frac(sum(x * g[i] for i, x in us if i in g)) for g in images))
-        return Matrix(len(rows), len(images), tuple(rows))
+        rows = tuple(tuple(frac(sum(x * g[i] for i, x in us if i in g)) for g in images) for us in left)
+        return Matrix(len(rows), len(images), rows)
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         n, m = self.gram.rows, other.gram.rows
@@ -235,15 +234,14 @@ class Representation:
         return tuple(m.to_matrix() for m in self.action_cols)
 
     def act(self, u: Vector, x: Vector) -> Vector:
-        check_lengths(len(self.action_cols), u)
-        check_lengths(self.dim_v, x)
-        cols, xs = self.action_cols, tight_pairs(support(x))
-        return dense(combine((u_a, xs, cols[a].support) for a, u_a in tight_pairs(support(u))), self.dim_v)
+        (us,), (xs,) = checked_pairs(len(self.action_cols), u), checked_pairs(self.dim_v, x)
+        cols = self.action_cols
+        return dense(combine((u_a, xs, cols[a].support) for a, u_a in us), self.dim_v)
 
     def cols_of(self, u: Vector) -> SparseCols:
         """rho(u) = sum of u_a rho(e_a) by columns, read off the nonzero entries of u."""
-        check_lengths(len(self.action_cols), u)
-        n, us, cols = self.dim_v, tight_pairs(support(u)), [m.support for m in self.action_cols]
+        (us,) = checked_pairs(len(self.action_cols), u)
+        n, cols = self.dim_v, [m.support for m in self.action_cols]
         return SparseCols(n, n, tuple(combine((u_a, ((l, 1),), cols[a]) for a, u_a in us) for l in range(n)))
 
 
@@ -312,7 +310,7 @@ def validate(t: FundamentalTriplet) -> ValidationReport:
         rep.add("form is degenerate")
     # B([e_i,e_j], e_k) = (G^T c_ij)[k] and B(e_i, [e_j,e_k]) = (G c_jk)[i], c_ij = [e_i,e_j];
     # both are zero unless (i,j,k) is in the support of one of the two products
-    g_rows = [tight_pairs(support(r)) for r in b0.gram.entries]
+    g_rows = checked_pairs(n, *b0.gram.entries)
     g_cols = b0.cols.support
     left, right = {}, {}
     for i in range(n):

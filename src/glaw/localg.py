@@ -33,7 +33,6 @@ from .exactla import (
     solve_pairs,
     sparse_kernel,
     support,
-    tight_pairs,
     vdot,
     vneg,
 )
@@ -45,7 +44,7 @@ from .liecore import (
     Representation,
     basis_vector,
     center,
-    check_lengths,
+    checked_pairs,
     dual_rep,
     rep_kernel,
     restrict_algebra,
@@ -90,9 +89,8 @@ class LocalAlgebra:
         return tuple(tuple(dense(p, self.dim_g0) for p in row) for row in self.xy_pairs)
 
     def bracket_xy(self, x: Vector, y: Vector) -> Vector:
-        check_lengths(self.dim_v, x, y)
-        table, ys = self.xy_pairs, tight_pairs(support(y))
-        return dense(combine((x_i, ys, table[i]) for i, x_i in tight_pairs(support(x))), self.dim_g0)
+        (xs, ys), table = checked_pairs(self.dim_v, x, y), self.xy_pairs
+        return dense(combine((x_i, ys, table[i]) for i, x_i in xs), self.dim_g0)
 
     def bracket_yx(self, y: Vector, x: Vector) -> Vector:
         return vneg(self.bracket_xy(x, y))
@@ -223,8 +221,8 @@ def scale_by_components(
 ) -> Vector:
     """Scale the component of u in the p-th ideal by lambdas[p]."""
     s = _component_scaling(t, ideal_bases, lambdas)
-    check_lengths(t.dim_g0, u)
-    return dense(combine(((1, support(u), s.support),)), t.dim_g0)
+    (us,) = checked_pairs(t.dim_g0, u)
+    return dense(combine(((1, us, s.support),)), t.dim_g0)
 
 
 def deform_form(
@@ -261,8 +259,7 @@ def box_rescale_rep(
         raise Refusal("gamma must be nonzero")
     n = t.dim_g0
     z_basis = list(center_part)
-    check_lengths(n, *z_basis)
-    if None in solve_pairs(SparseCols.from_vectors(center(t.g0), n), [support(z) for z in z_basis]):
+    if None in solve_pairs(SparseCols.from_vectors(center(t.g0), n), checked_pairs(n, *z_basis)):
         raise Refusal("the given subspace is not central")
     l_basis = _orthogonal_complement(t, z_basis)
     s = _component_scaling(t, [z_basis, l_basis], [gamma, 1])
@@ -393,7 +390,7 @@ def local_iso_check(
         if not _intertwines(l1.dual_action, l2.dual_action, a, col, tilde_cols.support):
             return IsoRefusal("v-dual-intertwiner", (a,))
     # column i of gamma_tilde^T gamma: entry k is column k of gamma_tilde dotted with column i of gamma
-    twist = [tight_pairs(support([vdot(gamma_tilde.col(k), gamma.col(i)) for k in range(dv)])) for i in range(dv)]
+    twist = checked_pairs(dv, *([vdot(gamma_tilde.col(k), gamma.col(i)) for k in range(dv)] for i in range(dv)))
     # B2(A w, A e_u) is A w dotted with G2 A e_u, and B1(w', e_u) is w' dotted with column u of G1
     pulled, g1 = [t2.b0.image(a_map.col(u)) for u in range(n)], t1.b0.cols.support
     xy1 = l1.xy_pairs

@@ -24,7 +24,6 @@ from .exactla import (
     rank,
     record,
     solve_pairs,
-    support,
     vadd,
     vis_zero,
     vscale,
@@ -36,6 +35,7 @@ from .liecore import (
     NoTriple,
     Refusal,
     center,
+    checked_pairs,
     derived_subalgebra,
     grading_element,
 )
@@ -72,16 +72,9 @@ class PolyInvariant:
         chunks = re.findall(r"[+-]?[^+-]+", s)
         data: dict[tuple[int, ...], Fraction] = {}
         for chunk in chunks:
-            sign = Fraction(1)
-            body = chunk
-            if body[0] == "+":
-                body = body[1:]
-            elif body[0] == "-":
-                sign = Fraction(-1)
-                body = body[1:]
-            coeff = sign
+            coeff = Fraction(-1 if chunk[0] == "-" else 1)
             exps = [0] * nvars
-            for factor in body.split("*"):
+            for factor in chunk.lstrip("+-").split("*"):
                 if not factor:
                     raise ValueError(f"malformed term {chunk!r}")
                 m = re.fullmatch(r"x(\d+)(?:\^(\d+))?", factor)
@@ -132,25 +125,13 @@ class PolyInvariant:
 
     def scalar_multiple_of(self, other: "PolyInvariant") -> Fraction | None:
         """Return c with self = c*other, None if no such scalar exists."""
-        if other.is_zero():
+        if self.is_zero() or other.is_zero():
             return ZERO if self.is_zero() else None
-        if self.is_zero():
-            return ZERO
-        ratio = None
-        odict = dict(other.terms)
-        for e, c in self.terms:
-            if e not in odict:
-                return None
-            r = c / odict[e]
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None
-        sdict = dict(self.terms)
-        for e, c in other.terms:
-            if sdict.get(e, ZERO) != ratio * c:
-                return None
-        return ratio
+        odict, (e, c) = dict(other.terms), self.terms[0]
+        if e not in odict:
+            return None
+        ratio = c / odict[e]
+        return ratio if dict(self.terms) == {k: ratio * x for k, x in other.terms} else None
 
     def __str__(self) -> str:
         if not self.terms:
@@ -245,10 +226,11 @@ def assumption_h_check(t: FundamentalTriplet) -> AssumptionHReport:
 
 def property_p_test(t: FundamentalTriplet, x: Vector) -> bool:
     """True when x lies outside the span of the derived algebra applied to x."""
-    if vis_zero(x):
+    (xs,) = checked_pairs(t.dim_v, x)
+    if not xs:
         return False
-    orbit = SparseCols.from_vectors([t.rho.act(u, x) for u in derived_subalgebra(t.g0)], len(x))
-    return solve_pairs(orbit, [support(x)]) == [None]
+    orbit = SparseCols.from_vectors([t.rho.act(u, x) for u in derived_subalgebra(t.g0)], t.dim_v)
+    return solve_pairs(orbit, [xs]) == [None]
 
 
 def complete_triple(t: FundamentalTriplet, x: Vector) -> Sl2Certificate:
@@ -256,6 +238,7 @@ def complete_triple(t: FundamentalTriplet, x: Vector) -> Sl2Certificate:
     h = assumption_h_check(t)
     if not h.ok:
         raise Refusal("; ".join(h.failures))
+    checked_pairs(t.dim_v, x)
     der = h.derived
     # the covector y with (rho(u) x) . y = 0 for each u in der and x . y = 1: the system with those rows,
     # solvable exactly when x lies outside the span of the rho(u) x (property (P), by the Fredholm alternative)

@@ -40,7 +40,6 @@ from .exactla import (
     solve_pairs,
     support,
     tight,
-    tight_pairs,
 )
 from .liecore import (
     FundamentalTriplet,
@@ -48,6 +47,7 @@ from .liecore import (
     Refusal,
     TransitivityRequired,
     center as algebra_center,
+    checked_pairs,
     killing_rank_and_center_dim,
     restrict_algebra,
 )
@@ -663,7 +663,7 @@ def centralizer_graded(
     _check_towers("centralizer_graded", tp, tn, L)
     _check_subalgebra(L.triplet.g0, sub)
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
-    subs = [tight_pairs(support(s)) for s in sub]
+    subs = checked_pairs(gr.dims[0], *sub)
     out: dict[int, list[Vector]] = {}
     for d in range(-max_degree, max_degree + 1):
         dim = (tp if d > 0 else tn).dim_at(abs(d)) if d else gr.dims[0]
@@ -678,5 +678,5 @@ def centralizer_in_degree_zero(
     _check_towers("centralizer_in_degree_zero", tp, tn, L)
     gr = _Graded(L.triplet.g0, tp.components, tn.components)
     n = gr.dims[0]
-    subs = [(d, tight_pairs(support(s))) for d, vecs in sorted(graded_sub.items()) for s in vecs]
+    subs = [(d, s) for d, vecs in sorted(graded_sub.items()) for s in checked_pairs(gr.dims.get(d, 0), *vecs)]
     return common_kernel(n, [[gr.act0(d, _unit(k), s) for k in range(n)] for d, s in subs])

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +101,15 @@ def test_named_forms():
     assert val(g2, ident, ident) == 2
     with pytest.raises(Refusal):
         symplectic_form_gram(2, "unknown")
+
+
+@pytest.mark.parametrize("form", ["unknown", ["trace"]], ids=["unknown-name", "not-a-string"])
+def test_a_form_outside_the_named_table_is_refused(form):
+    # a list is refused like an unknown name, not by a TypeError from looking it up
+    with pytest.raises(Refusal, match=re.escape(f"unknown named form {form!r}")):
+        symplectic_form_gram(2, form)
+    with pytest.raises(Refusal, match=re.escape(f"unknown named form {form!r}")):
+        gen_symplectic(2, 2, 1, form)
 
 
 def test_differential_operator_pairing_is_the_factorial():

@@ -30,8 +30,16 @@ from glaw.liecore import basis_vector, direct_sum_with_zero_factor, killing_form
 from glaw.generators import gen_principal, gen_symplectic
 from glaw.cli import emit_triplet_spec, parse_triplet_spec
 from glaw.localg import build_local, reduce_triplet, transitivity_check
-from glaw.sl2 import PolyInvariant
-from glaw.tower import POSITIVE, assemble, assemble_nontransitive, grow, grow_both
+from glaw.sl2 import PolyInvariant, complete_triple, property_p_test
+from glaw.tower import (
+    NEGATIVE,
+    POSITIVE,
+    assemble,
+    assemble_nontransitive,
+    centralizer_in_degree_zero,
+    grow,
+    grow_both,
+)
 
 from helpers import (
     E6_CARTAN,
@@ -138,10 +146,27 @@ def test_structure_errors_are_distinct_from_invariant_violations():
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
-@pytest.mark.parametrize("method", ["bracket", "act", "cols_of", "value", "bracket_xy"])
+@pytest.mark.parametrize(
+    "method",
+    [
+        "bracket",
+        "act",
+        "cols_of",
+        "value",
+        "image",
+        "gram_on",
+        "bracket_xy",
+        "restrict_algebra",
+        "centralizer_in_degree_zero",
+        "property_p_test",
+        "complete_triple",
+    ],
+)
 def test_dense_entry_points_refuse_a_vector_of_the_wrong_length(method, extra):
-    # gl(2) on V = Q^2: a short vector used to read as zero-padded, a long one raised IndexError
-    t = gl_standard_triplet(2)
+    # gl(2) on V = Q^2, and principal A1 (dim g0 = dim V = 1, [g0, g0] = 0) for the sl2 entry points: a short
+    # vector used to read as zero-padded, a long one raised IndexError; complete_triple on A1 raised ValueError
+    t, a1 = gl_standard_triplet(2), gen_principal([[2]])
+    local = build_local(t)
 
     def ones(n):
         return (F(1),) * n
@@ -151,9 +176,17 @@ def test_dense_entry_points_refuse_a_vector_of_the_wrong_length(method, extra):
         "act": lambda: t.rho.act(ones(4), ones(2 + extra)),
         "cols_of": lambda: t.rho.cols_of(ones(4 + extra)),
         "value": lambda: t.b0.value(ones(4), ones(4 + extra)),
-        "bracket_xy": lambda: build_local(t).bracket_xy(ones(2 + extra), ones(2)),
+        "image": lambda: t.b0.image(ones(4 + extra)),
+        "gram_on": lambda: t.b0.gram_on([ones(4 + extra)], [ones(4)]),
+        "bracket_xy": lambda: local.bracket_xy(ones(2 + extra), ones(2)),
+        "restrict_algebra": lambda: restrict_algebra(t.g0, [ones(4 + extra)], "not a subalgebra"),
+        "centralizer_in_degree_zero": lambda: centralizer_in_degree_zero(
+            grow(local, POSITIVE, 1), grow(local, NEGATIVE, 1), local, {1: [ones(2 + extra)]}
+        ),
+        "property_p_test": lambda: property_p_test(a1, ones(1 + extra)),
+        "complete_triple": lambda: complete_triple(a1, ones(1 + extra)),
     }[method]
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="where the space has dimension"):
         call()
 
 

@@ -68,6 +68,11 @@ def test_scalar_multiple_of_at_eight_hundred_terms():
     assert p.scalar_multiple_of(PolyInvariant.from_dict(2, dict(p.terms) | {(400, 600): 7})) is None
     # a term of other that self lacks is caught by the second pass
     assert p.scalar_multiple_of(PolyInvariant.from_dict(2, dict(p.terms) | {(900, 100): 1})) is None
+    # zero is 0 times anything, and no nonzero polynomial is a multiple of zero
+    zero = PolyInvariant(2, ())
+    assert zero.scalar_multiple_of(zero) == 0
+    assert zero.scalar_multiple_of(p) == 0
+    assert p.scalar_multiple_of(zero) is None
 
 
 @pytest.mark.parametrize("point", [(3,), (3, 4, 5)], ids=["short", "long"])
